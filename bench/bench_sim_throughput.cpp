@@ -1,9 +1,9 @@
-// ISSUE 6: simulator throughput under sharding.  One fixed randomized
-// workload (1M messages by default) runs under the FIFO stack at each
-// shard count; shards=1 is the sequential engine and the baseline.  For
-// every sharded run the trace is checked for bit-identity against the
-// baseline (the determinism contract), and the JSON row records the
-// event rate the CI gate regresses on:
+// Simulator throughput under sharding.  One fixed randomized workload
+// (1M messages by default) runs under the FIFO stack at each shard
+// count; shards=1 is the baseline.  For every multi-shard run the trace
+// is checked for bit-identity against the baseline (the determinism
+// contract), and the JSON row records the event rate the CI gate
+// regresses on:
 //
 //   BENCH_sim_throughput.json, schema msgorder.bench.sim_throughput/2
 //   rows[*]: shards, workers, engine, seconds (min over reps),
@@ -19,14 +19,13 @@
 // extra, untimed run at the largest shard count with the engine
 // profiler attached.
 //
-// The speedup at shards >= 2 comes from two stacked effects: the
-// shard-local engine's per-event efficiency (24-byte POD heap items fed
-// by an invoke cursor and a packet slab, instead of one giant priority
-// queue of fat entries holding every pending invoke), and — on
-// multi-core hosts — worker threads running shards in parallel inside
-// each conservative window.  Rows record the worker count and the
-// host's hardware concurrency so results from single-core CI runners
-// read honestly.
+// Every row runs the same engine, so speedup_vs_sequential (the name is
+// kept from schema /2) is N shards against one shard of that engine: it
+// prices only parallelism — worker threads running shards inside each
+// conservative window — against the per-window barrier, ring and
+// partitioning overhead.  Rows record the worker count and the host's
+// hardware concurrency so results from single-core CI runners read
+// honestly.
 //
 // Flags:
 //   --json <path>     output path (default BENCH_sim_throughput.json)
@@ -36,10 +35,10 @@
 //   --reps <n>        timed repetitions per cell (default 1); rows keep
 //                     min, median, and coefficient of variation
 //   --tracelog-dir <dir>  after the sweep, three extra untimed runs
-//                     recording causal trace logs (ISSUE 9):
-//                     sequential.tracelog, sharded.tracelog (largest
-//                     shard count), and perturbed.tracelog (sequential
-//                     with one channel's RNG stream XOR-perturbed).
+//                     recording causal trace logs:
+//                     sequential.tracelog (one shard), sharded.tracelog
+//                     (largest shard count), and perturbed.tracelog (one
+//                     shard with one channel's RNG stream XOR-perturbed).
 //                     CI asserts `msgorder_query diverge` finds the
 //                     first two identical and names the first diverging
 //                     event of the third.
@@ -261,7 +260,7 @@ int main(int argc, char** argv) {
                   cell.error.c_str());
       ok = false;
     } else if (cell.digest != base.digest || cell.events != base.events) {
-      std::printf("FAIL: shards=%zu trace differs from sequential "
+      std::printf("FAIL: shards=%zu trace differs from the one-shard "
                   "baseline\n",
                   cell.shards);
       ok = false;

@@ -14,16 +14,22 @@ DelayAttribution::DelayAttribution(std::size_t n_messages)
 const HoldSegment* DelayAttribution::close_open(PerMessage& pm,
                                                 SimTime now) {
   pm.open = false;
-  last_closed_ = HoldSegment{
+  const auto index = static_cast<std::uint32_t>(closed_.size());
+  closed_.push_back(HoldSegment{
       static_cast<MessageId>(&pm - per_message_.data()), pm.process,
-      pm.phase, pm.reason, pm.begin, now};
-  pm.closed.push_back(last_closed_);
+      pm.phase, pm.reason, pm.begin, now});
+  next_.push_back(kNoSegment);
+  if (pm.last_closed == kNoSegment) {
+    pm.first_closed = index;
+  } else {
+    next_[pm.last_closed] = index;
+  }
+  pm.last_closed = index;
   const auto kind = static_cast<std::size_t>(pm.reason.kind);
   if (kind < kHoldKindCount) {
-    totals_by_kind_[kind] += last_closed_.duration();
+    totals_by_kind_[kind] += closed_.back().duration();
   }
-  ++segment_count_;
-  return &last_closed_;
+  return &closed_.back();
 }
 
 const HoldSegment* DelayAttribution::on_hold(MessageId msg,
@@ -59,7 +65,7 @@ const HoldSegment* DelayAttribution::on_release(MessageId msg,
 
 SimTime DelayAttribution::held_time(MessageId msg, HoldPhase phase) const {
   SimTime total = 0;
-  for (const HoldSegment& s : per_message_[msg].closed) {
+  for (const HoldSegment& s : segments(msg)) {
     if (s.phase == phase) total += s.duration();
   }
   return total;
@@ -80,7 +86,7 @@ void write_hold_reason_json(JsonWriter& w, const HoldReason& reason) {
 void DelayAttribution::write_json(JsonWriter& w,
                                   std::size_t max_messages) const {
   w.begin_object();
-  w.kv("segments", segment_count_);
+  w.kv("segments", segment_count());
   w.key("held_by_reason").begin_object();
   for (std::size_t k = 1; k < kHoldKindCount; ++k) {
     w.kv(to_string(static_cast<HoldKind>(k)), totals_by_kind_[k]);
@@ -89,8 +95,7 @@ void DelayAttribution::write_json(JsonWriter& w,
   w.key("messages").begin_array();
   std::size_t written = 0;
   for (MessageId m = 0; m < per_message_.size(); ++m) {
-    const PerMessage& pm = per_message_[m];
-    if (pm.closed.empty()) continue;
+    if (segments(m).empty()) continue;
     if (max_messages != 0 && written >= max_messages) break;
     ++written;
     w.begin_object();
@@ -98,7 +103,7 @@ void DelayAttribution::write_json(JsonWriter& w,
     w.kv("held_send", held_time(m, HoldPhase::kSend));
     w.kv("held_delivery", held_time(m, HoldPhase::kDelivery));
     w.key("segments").begin_array();
-    for (const HoldSegment& s : pm.closed) {
+    for (const HoldSegment& s : segments(m)) {
       w.begin_object();
       w.kv("phase", to_string(s.phase));
       w.kv("process", static_cast<std::uint64_t>(s.process));

@@ -44,27 +44,64 @@ struct HoldSegment {
 /// The run-level attribution table: per message, the closed hold
 /// segments in time order, plus aggregate per-reason totals.  Single
 /// writer (the simulator engine); size is known up front so hot-path
-/// appends never rehash.
+/// appends never rehash.  Closed segments live in one run-wide log,
+/// chained per message, so closing a segment allocates nothing per
+/// message.
 class DelayAttribution {
  public:
+  /// One message's closed segments in time order (a forward range over
+  /// the run-wide log).
+  class SegmentRange {
+   public:
+    class iterator {
+     public:
+      const HoldSegment& operator*() const { return owner_->closed_[i_]; }
+      iterator& operator++() {
+        i_ = owner_->next_[i_];
+        return *this;
+      }
+      bool operator==(const iterator& other) const { return i_ == other.i_; }
+
+     private:
+      friend class SegmentRange;
+      iterator(const DelayAttribution* owner, std::uint32_t i)
+          : owner_(owner), i_(i) {}
+      const DelayAttribution* owner_;
+      std::uint32_t i_;
+    };
+
+    iterator begin() const { return {owner_, first_}; }
+    iterator end() const { return {owner_, kNoSegment}; }
+    bool empty() const { return first_ == kNoSegment; }
+
+   private:
+    friend class DelayAttribution;
+    SegmentRange(const DelayAttribution* owner, std::uint32_t first)
+        : owner_(owner), first_(first) {}
+    const DelayAttribution* owner_;
+    std::uint32_t first_;
+  };
+
   explicit DelayAttribution(std::size_t n_messages);
 
   /// A protocol (re-)reported a hold.  A same-reason re-report extends
   /// the open segment; a new reason closes it at `now` and opens the
-  /// next one.  Returns the closed segment, if this report closed one.
-  /// `process` is the process the report came from.
+  /// next one.  Returns the closed segment, if this report closed one
+  /// (valid until the next call that closes one).  `process` is the
+  /// process the report came from.
   const HoldSegment* on_hold(MessageId msg, ProcessId process,
                              HoldPhase phase, const HoldReason& reason,
                              SimTime now);
 
   /// The inhibited event executed: close any open segment of `phase` at
-  /// `now`.  Returns the closed segment, if any.
+  /// `now`.  Returns the closed segment, if any (valid until the next
+  /// call that closes one).
   const HoldSegment* on_release(MessageId msg, HoldPhase phase,
                                 SimTime now);
 
   std::size_t message_count() const { return per_message_.size(); }
-  const std::vector<HoldSegment>& segments(MessageId msg) const {
-    return per_message_[msg].closed;
+  SegmentRange segments(MessageId msg) const {
+    return {this, per_message_[msg].first_closed};
   }
   /// Sum of closed-segment durations of one phase for one message.
   SimTime held_time(MessageId msg, HoldPhase phase) const;
@@ -72,7 +109,7 @@ class DelayAttribution {
   const std::array<SimTime, kHoldKindCount>& totals_by_kind() const {
     return totals_by_kind_;
   }
-  std::uint64_t segment_count() const { return segment_count_; }
+  std::uint64_t segment_count() const { return closed_.size(); }
   /// True iff `msg` has a hold segment that was never closed by a
   /// release — in a complete run this means the engine recorded no
   /// matching send/delivery for a reported inhibition.
@@ -87,21 +124,27 @@ class DelayAttribution {
   void write_json(JsonWriter& w, std::size_t max_messages = 0) const;
 
  private:
+  static constexpr std::uint32_t kNoSegment = ~std::uint32_t{0};
+
   struct PerMessage {
     bool open = false;
     HoldPhase phase = HoldPhase::kDelivery;
     HoldReason reason;
     ProcessId process = 0;
     SimTime begin = 0;
-    std::vector<HoldSegment> closed;
+    /// First and last of this message's closed segments in closed_.
+    std::uint32_t first_closed = kNoSegment;
+    std::uint32_t last_closed = kNoSegment;
   };
 
   const HoldSegment* close_open(PerMessage& pm, SimTime now);
 
   std::vector<PerMessage> per_message_;
+  /// Every closed segment of the run, in closing order; next_[i] is the
+  /// next closed segment of the same message (kNoSegment at the end).
+  std::vector<HoldSegment> closed_;
+  std::vector<std::uint32_t> next_;
   std::array<SimTime, kHoldKindCount> totals_by_kind_{};
-  std::uint64_t segment_count_ = 0;
-  HoldSegment last_closed_;
 };
 
 /// Serialize one hold reason as an object ({"kind": "...", optional

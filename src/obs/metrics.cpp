@@ -1,6 +1,7 @@
 #include "src/obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -29,9 +30,14 @@ std::size_t Histogram::bucket_index(double v) const {
     if (idx >= static_cast<double>(options_.buckets)) return options_.buckets;
     return static_cast<std::size_t>(idx);
   }
-  const double idx = std::ceil(std::log2(v / options_.width));
-  if (idx >= static_cast<double>(options_.buckets)) return options_.buckets;
-  return static_cast<std::size_t>(idx);
+  // Bucket ceil(log2(q)) for q > 1, read off the double's bits instead
+  // of calling log2: the unbiased exponent is floor(log2(q)), plus one
+  // unless q is an exact power of two (zero mantissa).  Infinity and NaN
+  // carry the maximal exponent and land in the overflow bucket.
+  const auto bits = std::bit_cast<std::uint64_t>(v / options_.width);
+  const auto exponent = static_cast<std::size_t>(bits >> 52) - 1023;
+  const bool power_of_two = (bits & ((std::uint64_t{1} << 52) - 1)) == 0;
+  return std::min(exponent + (power_of_two ? 0 : 1), options_.buckets);
 }
 
 void Histogram::record(double v) {

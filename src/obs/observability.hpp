@@ -80,11 +80,11 @@ struct ObservabilityOptions {
   /// records, dumped post-mortem on red runs (off by default).
   bool flight_recorder = false;
   std::size_t flight_recorder_capacity = 1024;
-  /// Write the causal trace log (msgorder.tracelog/1, ISSUE 9) to this
-  /// path; empty keeps the log off and the engines on their zero-cost
-  /// path (enforced by bench_protocol_overhead --overhead-guard).  Both
-  /// engines emit the identical record stream for the same run — query
-  /// and diff logs with tools/msgorder_query.cpp.
+  /// Write the causal trace log (msgorder.tracelog/1) to this path;
+  /// empty keeps the log off and the engine on its zero-cost path
+  /// (enforced by bench_protocol_overhead --overhead-guard).  Every
+  /// shard count emits the identical record stream for the same run —
+  /// query and diff logs with tools/msgorder_query.cpp.
   std::string tracelog;
   /// Metric name prefix, typically the protocol under test.
   std::string label;

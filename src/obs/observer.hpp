@@ -5,25 +5,24 @@
 // the engine notifies them in attachment order after each recorded
 // system event.
 //
-// Shard safety (ISSUE 6).  The sharded engine records events from
+// Shard safety.  With several shards the engine records events from
 // several worker threads, so every observer declares a safety class at
 // attachment time:
 //
 //  - kMergePhase (the default): the observer is NOT thread-safe (online
-//    monitors, tracers, anything with unguarded state).  The sharded
-//    engine buffers events per shard and replays them to merge-phase
+//    monitors, tracers, anything with unguarded state).  A multi-shard
+//    run buffers events per shard and replays them to merge-phase
 //    observers on one thread, after the run, in the deterministic
-//    (time, tiebreak) merge order — the exact order the sequential
-//    engine would have produced.  Correct by construction, but the
-//    callback sees events after the fact, not live.
+//    (time, tiebreak) merge order — the exact order a one-shard run
+//    produces.  Correct by construction, but the callback sees events
+//    after the fact, not live.
 //  - kThreadSafe: the observer promises its own synchronization (or is
-//    stateless).  The sharded engine calls it inline from the worker
+//    stateless).  A multi-shard run calls it inline from the worker
 //    thread that recorded the event; events of one shard arrive in
 //    order, events of different shards interleave arbitrarily.
 //
-// The sequential engine ignores the distinction and notifies everyone
-// inline in attachment order, so single-shard runs behave exactly as
-// before.
+// A one-shard run ignores the distinction and notifies everyone inline
+// in attachment order, as each event happens.
 #pragma once
 
 #include <functional>
@@ -39,8 +38,8 @@ namespace msgorder {
 /// deliver) with the process it occurred at and the simulation time.
 using SimObserver = std::function<void(ProcessId, SystemEvent, SimTime)>;
 
-/// Declares when the sharded engine may invoke an observer; see the
-/// header comment.  Sequential runs treat both classes identically.
+/// Declares when a multi-shard run may invoke an observer; see the
+/// header comment.  One-shard runs treat both classes identically.
 enum class ObserverSafety : std::uint8_t {
   kMergePhase,  ///< not thread-safe: replayed in merge order post-run
   kThreadSafe,  ///< self-synchronized: called live from shard threads
@@ -66,18 +65,18 @@ class ObserverMux {
     return count(ObserverSafety::kThreadSafe) > 0;
   }
 
-  /// Notify every observer in attachment order (sequential engine).
+  /// Notify every observer in attachment order (one-shard runs).
   void notify(ProcessId p, SystemEvent e, SimTime t) const {
     for (const Entry& entry : observers_) entry.fn(p, e, t);
   }
 
-  /// Notify only the thread-safe observers (sharded engine, live from a
-  /// worker thread).
+  /// Notify only the thread-safe observers (multi-shard runs, live from
+  /// a worker thread).
   void notify_thread_safe(ProcessId p, SystemEvent e, SimTime t) const {
     notify_class(ObserverSafety::kThreadSafe, p, e, t);
   }
 
-  /// Notify only the merge-phase observers (sharded engine, during the
+  /// Notify only the merge-phase observers (multi-shard runs, during the
   /// single-threaded deterministic replay).
   void notify_merge_phase(ProcessId p, SystemEvent e, SimTime t) const {
     notify_class(ObserverSafety::kMergePhase, p, e, t);

@@ -1,11 +1,11 @@
-// Simulation profiling layer (ISSUE 7 tentpole): per-shard, per-window
-// counters collected inside both simulator engines so the sharded
-// engine's internals — conservative-window stalls, SPSC ring
-// backpressure, barrier waits, heap pressure — stop being a black box.
+// Simulation profiling layer: per-shard, per-window counters collected
+// inside the simulator engine so its internals — conservative-window
+// stalls, SPSC ring backpressure, barrier waits, heap pressure — stop
+// being a black box.
 //
 // Collection is strictly opt-in: enable ObservabilityOptions::profiling
-// and the engines fill the rows below; leave it off (or attach no
-// Observability at all) and the engines see a null SimProfile pointer,
+// and the engine fills the rows below; leave it off (or attach no
+// Observability at all) and the engine sees a null SimProfile pointer,
 // so the hot path pays at most one cached pointer test per window /
 // heap push (bounded by bench_protocol_overhead --overhead-guard).
 //
@@ -57,6 +57,8 @@ struct alignas(64) ShardProfileRow {
   std::uint64_t entries = 0;   // queue entries processed (invokes/arrivals/timers)
   std::uint64_t events = 0;    // trace events recorded (sums to sim.events)
   std::uint64_t max_entries_in_window = 0;
+  /// Largest shard heap (pending arrivals and timers).  Invokes wait in
+  /// a separate sorted cursor and are never counted, at any shard count.
   std::uint64_t heap_depth_hwm = 0;
   std::uint64_t ring_full_spins = 0;   // failed try_push -> spill (producer side)
   std::uint64_t ring_empty_polls = 0;  // barrier drains that found a ring empty

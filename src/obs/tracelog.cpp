@@ -1,6 +1,7 @@
 #include "src/obs/tracelog.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "src/obs/json.hpp"
@@ -20,26 +21,27 @@ constexpr std::size_t kNotePayloadMin = 13;
 constexpr std::uint32_t kMaxPayload = 1u << 24;
 constexpr std::size_t kFlushThreshold = 1u << 20;
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
+// Little-endian stores into a record written in place; each returns the
+// position after the stored field.
+char* put_u8(char* p, std::uint8_t v) {
+  *p = static_cast<char>(v);
+  return p + 1;
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+char* put_u32(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) *p++ = static_cast<char>((v >> (8 * i)) & 0xff);
+  return p;
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+char* put_u64(char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) *p++ = static_cast<char>((v >> (8 * i)) & 0xff);
+  return p;
 }
 
-void put_f64(std::string& out, double v) {
+char* put_f64(char* p, double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
+  return put_u64(p, bits);
 }
 
 std::uint8_t get_u8(const char* p) { return static_cast<std::uint8_t>(*p); }
@@ -103,10 +105,10 @@ void TraceLogWriter::begin_run(const TraceLogHeader& header) {
   w.kv("lookahead", header.lookahead);
   w.end_object();
   const std::string json = w.take();
-  std::string head;
-  head.reserve(sizeof kMagic + 4 + json.size());
-  head.append(kMagic, sizeof kMagic);
-  put_u32(head, static_cast<std::uint32_t>(json.size()));
+  std::string head(sizeof kMagic + 4, '\0');
+  std::memcpy(head.data(), kMagic, sizeof kMagic);
+  put_u32(head.data() + sizeof kMagic,
+          static_cast<std::uint32_t>(json.size()));
   head.append(json);
   out_.write(head.data(), static_cast<std::streamsize>(head.size()));
   bytes_written_ = head.size();
@@ -114,15 +116,16 @@ void TraceLogWriter::begin_run(const TraceLogHeader& header) {
   msg_clock_.assign(header.n_messages, 0);
 }
 
-void TraceLogWriter::put_bytes(std::string_view payload) {
-  put_u32(buffer_, static_cast<std::uint32_t>(payload.size()));
-  buffer_.append(payload);
-  ++events_written_;
-  bytes_written_ += 4 + payload.size();
+char* TraceLogWriter::add_record(std::size_t payload) {
   if (buffer_.size() >= kFlushThreshold) {
     out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
     buffer_.clear();
   }
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + 4 + payload);
+  ++events_written_;
+  bytes_written_ += 4 + payload;
+  return put_u32(buffer_.data() + at, static_cast<std::uint32_t>(payload));
 }
 
 void TraceLogWriter::append_event(ProcessId at, SystemEvent e, SimTime t,
@@ -139,50 +142,46 @@ void TraceLogWriter::append_event(ProcessId at, SystemEvent e, SimTime t,
     clock = ++proc_clock_[at];
     if (e.kind == EventKind::kSend) msg_clock_[e.msg] = clock;
   }
-  std::string payload;
-  payload.reserve(kEventPayload);
-  put_u8(payload, static_cast<std::uint8_t>(TraceLogRecord::Type::kEvent));
-  put_u8(payload, static_cast<std::uint8_t>(e.kind));
-  put_u32(payload, e.msg);
-  put_u32(payload, at);
-  put_u32(payload, peer);
-  put_u32(payload, static_cast<std::uint32_t>(color));
-  put_f64(payload, t);
-  put_u64(payload, tiebreak);
-  put_u64(payload, clock);
-  put_bytes(payload);
+  char* p = add_record(kEventPayload);
+  p = put_u8(p, static_cast<std::uint8_t>(TraceLogRecord::Type::kEvent));
+  p = put_u8(p, static_cast<std::uint8_t>(e.kind));
+  p = put_u32(p, e.msg);
+  p = put_u32(p, at);
+  p = put_u32(p, peer);
+  p = put_u32(p, static_cast<std::uint32_t>(color));
+  p = put_f64(p, t);
+  p = put_u64(p, tiebreak);
+  p = put_u64(p, clock);
+  assert(p == buffer_.data() + buffer_.size());
 }
 
 void TraceLogWriter::append_hold(ProcessId at, MessageId msg,
                                  const HoldReason& reason, SimTime t,
                                  std::uint64_t tiebreak) {
   if (!out_.is_open()) return;
-  std::string payload;
-  payload.reserve(kHoldPayload);
-  put_u8(payload, static_cast<std::uint8_t>(TraceLogRecord::Type::kHold));
-  put_u8(payload, static_cast<std::uint8_t>(reason.kind));
   std::uint8_t flags = 0;
   if (reason.blocking_msg.has_value()) flags |= 1;
   if (reason.blocking_proc.has_value()) flags |= 2;
-  put_u8(payload, flags);
-  put_u32(payload, msg);
-  put_u32(payload, at);
-  put_u32(payload, reason.blocking_msg.value_or(0));
-  put_u32(payload, reason.blocking_proc.value_or(0));
-  put_f64(payload, t);
-  put_u64(payload, tiebreak);
-  put_bytes(payload);
+  char* p = add_record(kHoldPayload);
+  p = put_u8(p, static_cast<std::uint8_t>(TraceLogRecord::Type::kHold));
+  p = put_u8(p, static_cast<std::uint8_t>(reason.kind));
+  p = put_u8(p, flags);
+  p = put_u32(p, msg);
+  p = put_u32(p, at);
+  p = put_u32(p, reason.blocking_msg.value_or(0));
+  p = put_u32(p, reason.blocking_proc.value_or(0));
+  p = put_f64(p, t);
+  p = put_u64(p, tiebreak);
+  assert(p == buffer_.data() + buffer_.size());
 }
 
 void TraceLogWriter::append_note(std::string_view text, SimTime t) {
   if (!out_.is_open()) return;
-  std::string payload;
-  payload.reserve(kNotePayloadMin + text.size());
-  put_u8(payload, static_cast<std::uint8_t>(TraceLogRecord::Type::kNote));
-  put_f64(payload, t);
-  put_u32(payload, static_cast<std::uint32_t>(text.size()));
-  payload.append(text);
-  put_bytes(payload);
+  char* p = add_record(kNotePayloadMin + text.size());
+  p = put_u8(p, static_cast<std::uint8_t>(TraceLogRecord::Type::kNote));
+  p = put_f64(p, t);
+  p = put_u32(p, static_cast<std::uint32_t>(text.size()));
+  std::memcpy(p, text.data(), text.size());
 }
 
 void TraceLogWriter::finish() {

@@ -3,10 +3,10 @@
 // invoke/send/receive/deliver event with its logical clock, channel
 // endpoints, and deterministic engine tiebreak, every protocol hold
 // report (the "why is this message blocked" references), and the
-// engine's invariant notes.  Both engines emit the SAME byte stream for
-// the same (workload, protocol, seed): the sequential engine appends
-// inline, the sharded engine appends during its deterministic
-// observability replay (merge order == sequential order), so two logs
+// engine's invariant notes.  Every shard count emits the SAME byte
+// stream for the same (workload, protocol, seed): a one-shard run
+// appends inline, a multi-shard run appends during its deterministic
+// observability replay (merge order == one-shard order), so two logs
 // can be diffed record-for-record to bisect divergence
 // (src/obs/tracelog_index.hpp, tools/msgorder_query.cpp).
 //
@@ -34,9 +34,9 @@
 //   note (type 2, 13+n bytes): u8 type, f64 time, u32 length, n bytes
 //
 // Lamport clocks are computed online by the writer (send transfers the
-// sender's clock to the receive side); because both engines append in
-// the same order, the clocks — like everything else — are identical
-// across engines.
+// sender's clock to the receive side); because every shard count
+// appends in the same order, the clocks — like everything else — are
+// identical across shard counts.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +55,7 @@ namespace msgorder {
 /// Parsed JSON header of a trace log.
 struct TraceLogHeader {
   std::string schema;    // "msgorder.tracelog/1"
-  std::string engine;    // "sequential" | "sharded"
+  std::string engine;    // "sequential" (1 shard) | "sharded" | "verifier"
   std::string protocol;  // the Observability label (may be empty)
   std::size_t n_processes = 0;
   std::size_t n_messages = 0;
@@ -74,7 +74,7 @@ struct TraceLogHeader {
 /// One decoded record.  Exactly one of the three sections is
 /// meaningful, selected by `type`; the others stay default-initialized
 /// so default equality compares whole records (the divergence bisector
-/// and the sequential==sharded property tests rely on this).
+/// and the one-shard == N-shard property tests rely on this).
 struct TraceLogRecord {
   enum class Type : std::uint8_t { kEvent = 0, kHold = 1, kNote = 2 };
 
@@ -106,9 +106,9 @@ struct TraceLogRecord {
 /// Append-only writer.  One instance serves one Observability bundle;
 /// each begin_run truncates and rewrites the file (the log, like the
 /// attribution table, describes the most recent run).  All appends are
-/// single-threaded by construction: the sequential engine is one
-/// thread, and the sharded engine appends only from its single-threaded
-/// merge replay.
+/// single-threaded by construction: a one-shard run is one thread, and
+/// a multi-shard run appends only from its single-threaded merge
+/// replay.
 class TraceLogWriter {
  public:
   explicit TraceLogWriter(std::string path) : path_(std::move(path)) {}
@@ -137,7 +137,10 @@ class TraceLogWriter {
   std::uint64_t bytes_written() const { return bytes_written_; }
 
  private:
-  void put_bytes(std::string_view payload);
+  /// Append one record's length prefix plus `payload` bytes of room to
+  /// buffer_ (flushing a full buffer first) and return where the payload
+  /// goes: records are encoded in place, with no per-record allocation.
+  char* add_record(std::size_t payload);
 
   std::string path_;
   std::ofstream out_;

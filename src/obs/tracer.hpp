@@ -78,7 +78,7 @@ class SpanTracer {
   };
 
   struct CounterSample {
-    std::string name;
+    std::size_t track = 0;  // index into counter_tracks_
     SimTime time = 0;
     double value = 0;
   };
@@ -89,6 +89,7 @@ class SpanTracer {
   std::vector<Lifecycle> lifecycles_;  // indexed by MessageId
   std::vector<HoldSegment> hold_segments_;
   std::vector<CounterSample> counters_;
+  std::vector<std::string> counter_tracks_;  // distinct counter names
   std::size_t n_processes_ = 0;        // max observed process id + 1
 };
 

@@ -101,34 +101,6 @@ void ObsSink::note(std::string text, SimTime t) {
   if (recorder_ != nullptr) recorder_->note(std::move(text), t);
 }
 
-void ObsSink::count_control_packet(std::size_t bytes) {
-  if (instruments_ == nullptr) return;
-  instruments_->control_packets->inc();
-  instruments_->control_bytes->inc(bytes);
-}
-
-void ObsSink::count_user_packet(std::size_t tag_bytes) {
-  if (instruments_ == nullptr) return;
-  instruments_->user_packets->inc();
-  instruments_->tag_bytes->inc(tag_bytes);
-}
-
-void ObsSink::count_drop() {
-  if (instruments_ != nullptr) instruments_->drops->inc();
-}
-
-void ObsSink::count_retransmission() {
-  if (instruments_ != nullptr) instruments_->retransmissions->inc();
-}
-
-void ObsSink::count_duplicate_arrival() {
-  if (instruments_ != nullptr) instruments_->duplicate_arrivals->inc();
-}
-
-void ObsSink::count_timer_fire() {
-  if (instruments_ != nullptr) instruments_->timer_fires->inc();
-}
-
 void ObsSink::add_counts(const EngineCounters& counters) {
   if (instruments_ == nullptr) return;
   instruments_->control_packets->inc(counters.trace.control_packets);

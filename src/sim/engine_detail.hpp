@@ -1,7 +1,7 @@
-// Shared internals of the two simulator engines (sequential and
-// sharded, ISSUE 6): the deterministic total-order key both engines
-// schedule by, the per-shard counter block, and the ObsSink that fans
-// recorded events out to the observability layer.
+// Internals of the simulator engine: the deterministic total-order key
+// every shard schedules by, the arrival / send classification steps it
+// shares with the exhaustive verifier, the per-shard counter block, and
+// the ObsSink that fans recorded events out to the observability layer.
 //
 // The determinism contract.  Every queue entry carries a 64-bit
 // tiebreak packing (entry kind, owning process, per-owner counter):
@@ -19,10 +19,11 @@
 // time >= now + L > now, and timers fire at the same process with a
 // higher kind rank or a larger counter — so popping a priority queue in
 // key order and merging per-shard streams sorted by key yield the SAME
-// global sequence.  That is why the sharded engine's trace is
-// bit-identical to the sequential engine's.  With L <= 0 a zero-delay
-// arrival could be inserted *behind* already-processed keys, so the
-// dispatcher falls back to the sequential engine (shards_used == 1).
+// global sequence.  That is why the trace is bit-identical at every
+// shard count.  With L <= 0 a zero-delay arrival could be inserted
+// *behind* already-processed keys of another shard, so such runs use
+// one shard (shards_used == 1), whose heap orders every entry, with
+// windows of one entry each.
 #pragma once
 
 #include <cstdint>
@@ -59,11 +60,11 @@ inline ProcessId tiebreak_owner(std::uint64_t tiebreak) {
 }
 
 /// How one arriving packet is classified — identically in the
-/// sequential engine, the sharded engine, and the exhaustive verifier.
+/// simulator and the exhaustive verifier.
 enum class ArrivalClass : std::uint8_t { kControl, kFirstUser, kDuplicate };
 
 /// Apply one packet arrival to its destination protocol: THE
-/// delivery-application step, shared by both simulator engines and the
+/// delivery-application step, shared by the simulator and the
 /// exhaustive verifier so that a verified schedule and a simulated one
 /// execute identical protocol code.  `on_class` receives the
 /// classification before dispatch (record x.r* / bump counters); the
@@ -98,8 +99,8 @@ inline SendClass classify_send(const Packet& pkt, Seen& send_seen) {
   return SendClass::kRetransmission;
 }
 
-/// Per-process packet-loss stream, identical in both engines: the loss
-/// decision for the k-th emission of process p depends only on
+/// Per-process packet-loss stream, independent of the shard count: the
+/// loss decision for the k-th emission of process p depends only on
 /// (seed, p, k), never on global interleaving.
 inline Rng per_process_loss_rng(std::uint64_t seed, ProcessId p) {
   std::uint64_t z = (seed ^ 0xa5a5a5a5deadbeefULL) +
@@ -117,11 +118,11 @@ struct EngineCounters {
   std::size_t timer_fires = 0;
 };
 
-/// One buffered observability notification (sharded engine only): a
-/// recorded system event or a reported hold, tagged with the key of the
-/// queue entry whose handling produced it.  Sorting items by
+/// One buffered observability notification (runs with several shards
+/// only): a recorded system event or a reported hold, tagged with the
+/// key of the queue entry whose handling produced it.  Sorting items by
 /// (time, entry_tiebreak) — keeping each shard's intra-entry order
-/// stable — reproduces the sequential notification order exactly.
+/// stable — reproduces the one-shard notification order exactly.
 struct ObsItem {
   SimTime time = 0;
   std::uint64_t entry_tiebreak = 0;
@@ -133,8 +134,8 @@ struct ObsItem {
 };
 
 /// Fans recorded events out to instruments, tracer, flight recorder,
-/// delay attribution, and observers.  The sequential engine feeds it
-/// inline per event; the sharded engine feeds thread-safe observers
+/// delay attribution, and observers.  A one-shard run feeds it inline
+/// per event; with several shards the engine feeds thread-safe observers
 /// live and everything else through replay() in merge order.  Trace
 /// writes stay in the engines — the sink only *reads* trace times for
 /// the latency histograms.
@@ -173,8 +174,8 @@ class ObsSink {
   /// call once, after the run (no-op without both profile and tracer).
   void publish_profile();
 
-  /// True when the sharded engine must buffer ObsItems: some consumer
-  /// needs events in the deterministic merge order.
+  /// True when a run with several shards must buffer ObsItems: some
+  /// consumer needs events in the deterministic merge order.
   bool buffering_needed() const {
     return instruments_ != nullptr || tracer_ != nullptr ||
            recorder_ != nullptr || attribution_ != nullptr ||
@@ -198,19 +199,13 @@ class ObsSink {
   /// Flight-recorder + tracelog annotation (no-op without either).
   void note(std::string text, SimTime t);
 
-  // Per-event counter mirrors for the sequential engine (inline) ...
-  void count_control_packet(std::size_t bytes);
-  void count_user_packet(std::size_t tag_bytes);
-  void count_drop();
-  void count_retransmission();
-  void count_duplicate_arrival();
-  void count_timer_fire();
-  // ... and the bulk merge the sharded engine uses instead.
+  /// Fold the run's packet / timer counters into the instruments; the
+  /// engine calls it once, at finalize.
   void add_counts(const EngineCounters& counters);
 
   /// Replay buffered items in merge order: `items` must be sorted by
   /// (time, entry_tiebreak).  Rebuilds the receive-seen bitmap on the
-  /// fly so hold phases match the sequential engine's inference.
+  /// fly so hold phases match the one-shard inference.
   void replay(const std::vector<ObsItem>& items, std::size_t n_messages);
 
  private:

@@ -7,10 +7,10 @@
 // Delay randomness is drawn from per-channel SplitMix64 streams seeded
 // by (run seed, src, dst), so the delay sequence a channel sees depends
 // only on its own emission order — never on how emissions from other
-// channels interleave globally.  That is what lets the sharded engine
-// (ISSUE 6) reproduce the sequential engine's arrival times bit for bit:
-// each shard owns the channel state of its source processes and replays
-// exactly the per-channel draw order.
+// channels interleave globally.  That is what makes arrival times the
+// same at every shard count, bit for bit: each shard owns the channel
+// state of its source processes and replays exactly the per-channel
+// draw order.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +52,7 @@ class Network {
   /// `n_shards` (process p is owned iff p % n_shards == shard).  The
   /// delay stream of a channel depends only on (seed, src, dst), so any
   /// partition of the sources draws identical per-channel sequences.
-  /// The sequential engine uses the default single-shard view.
+  /// A one-shard run uses the default view of every source.
   Network(NetworkOptions options, std::uint64_t seed,
           std::size_t n_processes, std::size_t shard = 0,
           std::size_t n_shards = 1);
@@ -64,9 +64,9 @@ class Network {
   const NetworkOptions& options() const { return options_; }
 
   /// Conservative lookahead: a lower bound on every channel delay
-  /// (jitter is nonnegative, so the base delay is exact).  The sharded
-  /// engine's synchronization windows are derived from this; a
-  /// non-positive lookahead forces the sequential fallback.
+  /// (jitter is nonnegative, so the base delay is exact).  The engine's
+  /// synchronization windows are derived from this; a non-positive
+  /// lookahead forces one shard with one-entry windows.
   static SimTime lookahead(const NetworkOptions& options) {
     return options.base_delay;
   }

@@ -1,4 +1,23 @@
-#include "src/sim/sharded.hpp"
+// The simulator's event loop: one conservative-window shard engine for
+// every shard count.
+//
+// Processes are partitioned round-robin over N shards (p belongs to
+// shard p mod N), each shard owning its processes' protocol instances,
+// event heap, packet slab, and per-channel network state.  Time advances
+// in conservative windows [m, m + L) where m is the earliest pending
+// entry across shards and L is the lookahead (minimum channel delay):
+// every cross-shard packet sent inside a window arrives at or after its
+// end, so shards process a window with no communication at all, then
+// exchange packets through bounded SPSC rings at a barrier and agree on
+// the next window.  Scheduling uses the deterministic (time, tiebreak)
+// key of engine_detail.hpp, so the merged execution — and therefore
+// SimResult.trace — is the same at any shard count for the same seed.
+//
+// One shard is the degenerate case: no rings, no barrier, and the
+// observability sink fed inline because processing order already is
+// merge order.  A non-positive lookahead forces one shard and windows of
+// exactly one entry.
+#include "src/sim/simulator.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -29,9 +48,9 @@ using sim_detail::tiebreak_owner;
 
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
 
-/// A pending arrival or timer.  24 bytes of POD — the whole point of
-/// the shard-local redesign: the heap stays tiny (invokes live in a
-/// sorted cursor, packets in a slab) and pops never copy fat entries.
+/// A pending arrival or timer.  24 bytes of POD: the heap stays tiny
+/// (invokes live in a sorted cursor, packets in a slab) and pops never
+/// copy fat entries.
 struct HeapItem {
   SimTime time = 0;
   std::uint64_t tiebreak = 0;
@@ -110,8 +129,9 @@ class Shard {
               });
   }
 
-  /// Process every owned entry with time < window_end, in key order.
-  /// With profiling attached, also does the per-window accounting
+  /// Process every owned entry with time < window_end, in key order —
+  /// or exactly one entry when the lookahead is non-positive.  With
+  /// profiling attached, also does the per-window accounting
   /// (busy/stall classification, samples) around process_entries().
   void process_window(SimTime window_end);
 
@@ -138,8 +158,6 @@ class Shard {
   SimTime now() const { return now_; }
 
   const EngineCounters& counts() const { return counts_; }
-  std::size_t processed() const { return processed_; }
-  SimTime now_max() const { return now_; }
   std::vector<ObsItem>& obs_items() { return obs_; }
 
  private:
@@ -163,6 +181,9 @@ class Shard {
     return slab_.size() - 1;
   }
 
+  /// Handle the earliest owned entry if it starts before window_end;
+  /// false when none does or the event cap tripped.
+  bool step(SimTime window_end);
   void handle_invoke();
   void handle_heap_top();
   void record(ProcessId at, SystemEvent e);
@@ -187,6 +208,10 @@ class Shard {
   SimTime now_ = 0;
   std::uint64_t cur_tiebreak_ = 0;
   std::size_t processed_ = 0;
+  /// One shard only: the sink, fed as each event happens — processing
+  /// order already is merge order.  nullptr with several shards, which
+  /// buffer ObsItems for the merge replay instead.
+  ObsSink* inline_sink_ = nullptr;
   bool buffering_ = false;
   bool live_observers_ = false;
   /// Profiler row for this shard (nullptr when profiling is off); the
@@ -218,13 +243,16 @@ class ShardedEngine {
         slots_(n_shards),
         rings_(n_shards * n_shards),
         spills_(n_shards * n_shards) {
-    assert(n_shards_ >= 2 && lookahead_ > 0);
+    assert(n_shards_ == 1 || lookahead_ > 0);
+    // The engine label predates the single engine: tools and logs name a
+    // one-shard run "sequential".
+    const char* engine = n_shards_ == 1 ? "sequential" : "sharded";
     profile_ = sink_.profile();
     if (profile_ != nullptr) {
-      profile_->begin_run("sharded", n_shards_, n_workers_, lookahead_,
+      profile_->begin_run(engine, n_shards_, n_workers_, lookahead_,
                           sink_.profile_sampling());
     }
-    sink_.open_tracelog("sharded", n_shards_, n_workers_, lookahead_,
+    sink_.open_tracelog(engine, n_shards_, n_workers_, lookahead_,
                         options_.seed, n_processes_);
     const std::size_t ring_capacity =
         std::max<std::size_t>(2, options.cross_shard_ring_capacity);
@@ -406,7 +434,7 @@ class ShardedEngine {
       total.trace.retransmissions += c.trace.retransmissions;
       total.trace.duplicate_arrivals += c.trace.duplicate_arrivals;
       total.timer_fires += c.timer_fires;
-      now_max = std::max(now_max, shard->now_max());
+      now_max = std::max(now_max, shard->now());
     }
     trace_.add_counts(total.trace);
     sink_.add_counts(total);
@@ -414,8 +442,8 @@ class ShardedEngine {
     // Deterministic observability replay: merge the per-shard buffers
     // on (time, entry key) — stable, so intra-entry order survives —
     // and hand them to the instruments / tracer / recorder /
-    // attribution / merge-phase observers in sequential order.
-    if (sink_.buffering_needed()) {
+    // attribution / merge-phase observers in key order.
+    if (n_shards_ > 1 && sink_.buffering_needed()) {
       std::size_t total_items = 0;
       for (auto& shard : shards_) total_items += shard->obs_items().size();
       std::vector<ObsItem> merged;
@@ -498,8 +526,11 @@ Shard::Shard(ShardedEngine* engine, std::size_t id)
       id_(id),
       network_(engine->options_.network, engine->options_.seed,
                engine->n_processes_, id, engine->n_shards_),
-      buffering_(engine->sink_.buffering_needed()),
-      live_observers_(engine->options_.observers.has_thread_safe()),
+      inline_sink_(engine->n_shards_ == 1 ? &engine->sink_ : nullptr),
+      buffering_(inline_sink_ == nullptr &&
+                 engine->sink_.buffering_needed()),
+      live_observers_(inline_sink_ == nullptr &&
+                      engine->options_.observers.has_thread_safe()),
       profile_(engine->profile_) {
   if (profile_ != nullptr) prof_ = &profile_->shard(id);
   const std::size_t n_local =
@@ -554,35 +585,46 @@ void Shard::process_window(SimTime window_end) {
 }
 
 void Shard::process_entries(SimTime window_end) {
-  while (!eng_->abort_.load(std::memory_order_relaxed)) {
-    const bool has_invoke = invoke_pos_ < invokes_.size();
-    const bool has_heap = !heap_.empty();
-    if (!has_invoke && !has_heap) return;
-    bool take_invoke = has_invoke;
-    SimTime t = 0;
-    if (has_invoke && has_heap) {
-      const HeapItem& top = heap_.top();
-      const PendingInvoke& inv = invokes_[invoke_pos_];
-      take_invoke = std::tie(inv.time, inv.tiebreak) <
-                    std::tie(top.time, top.tiebreak);
-      t = take_invoke ? inv.time : top.time;
-    } else if (has_invoke) {
-      t = invokes_[invoke_pos_].time;
-    } else {
-      t = heap_.top().time;
-    }
-    if (t >= window_end) return;
-    if (++processed_ > eng_->options_.max_events) {
-      trip_cap();
-      return;
-    }
-    now_ = t;
-    if (take_invoke) {
-      handle_invoke();
-    } else {
-      handle_heap_top();
-    }
+  if (eng_->lookahead_ <= 0) {
+    // No lookahead (one shard): handling an entry may schedule an
+    // arrival at the same instant, so a window is exactly one entry and
+    // completion is checked between every two.
+    step(kInf);
+    return;
   }
+  while (!eng_->abort_.load(std::memory_order_relaxed) && step(window_end)) {
+  }
+}
+
+bool Shard::step(SimTime window_end) {
+  const bool has_invoke = invoke_pos_ < invokes_.size();
+  const bool has_heap = !heap_.empty();
+  if (!has_invoke && !has_heap) return false;
+  bool take_invoke = has_invoke;
+  SimTime t = 0;
+  if (has_invoke && has_heap) {
+    const HeapItem& top = heap_.top();
+    const PendingInvoke& inv = invokes_[invoke_pos_];
+    take_invoke = std::tie(inv.time, inv.tiebreak) <
+                  std::tie(top.time, top.tiebreak);
+    t = take_invoke ? inv.time : top.time;
+  } else if (has_invoke) {
+    t = invokes_[invoke_pos_].time;
+  } else {
+    t = heap_.top().time;
+  }
+  if (t >= window_end) return false;
+  if (++processed_ > eng_->options_.max_events) {
+    trip_cap();
+    return false;
+  }
+  now_ = t;
+  if (take_invoke) {
+    handle_invoke();
+  } else {
+    handle_heap_top();
+  }
+  return true;
 }
 
 void Shard::handle_invoke() {
@@ -637,6 +679,10 @@ void Shard::record(ProcessId at, SystemEvent e) {
     ++counts_.trace.delivered;
   }
   if (prof_ != nullptr) ++prof_->events;
+  if (inline_sink_ != nullptr) {
+    inline_sink_->record(at, e, now_, cur_tiebreak_, /*merge_only=*/false);
+    return;
+  }
   if (buffering_) obs_.push_back({now_, cur_tiebreak_, at, false, e, 0, {}});
   if (live_observers_) {
     eng_->options_.observers.notify_thread_safe(at, e, now_);
@@ -666,9 +712,8 @@ void Shard::send_packet(ProcessId from, Packet packet) {
       ++counts_.trace.retransmissions;
       break;
   }
-  // Emission counter and loss draw happen in the same order as the
-  // sequential engine: dropped packets consume a key and a loss draw
-  // but no channel-delay draw.
+  // Dropped packets consume a key and a loss draw but no channel-delay
+  // draw, so every partition of the processes draws the same streams.
   const std::uint64_t tiebreak = make_tiebreak(
       EntryKind::kArrival, from, emit_counter_[local_of(from)]++);
   if (eng_->options_.network.loss_probability > 0 &&
@@ -700,13 +745,15 @@ void Shard::deliver(ProcessId at, MessageId msg) {
 }
 
 void Shard::hold(ProcessId at, MessageId msg, const HoldReason& reason) {
-  if (!eng_->sink_.attribution_active() && !eng_->sink_.tracelog_active()) {
+  if (inline_sink_ != nullptr) {
+    inline_sink_->hold(at, msg, reason, eng_->receive_seen_[msg] != 0, now_,
+                       cur_tiebreak_);
     return;
   }
-  // The hold phase (send vs delivery) is inferred at replay time from
-  // the merged event order, exactly as the sequential engine infers it
-  // from receive_seen_ — reading that flag here would race with the
-  // destination shard.
+  if (!wants_hold_reasons()) return;
+  // With several shards the hold phase (send vs delivery) is inferred
+  // at replay time from the merged event order: reading receive_seen_
+  // here would race with the destination shard.
   obs_.push_back({now_, cur_tiebreak_, at, true, {}, msg, reason});
 }
 
@@ -791,15 +838,34 @@ bool ShardHost::wants_hold_reasons() const {
   return shard_->wants_hold_reasons();
 }
 
+/// Resolve SimOptions::shards to the shard count actually run: clamp to
+/// the process count, auto-detect on 0, and force one shard when the
+/// conservative lookahead is non-positive (zero base delay would allow
+/// same-window cross-shard arrivals).
+std::size_t resolve_shards(const SimOptions& options,
+                           std::size_t n_processes) {
+  std::size_t shards = options.shards;
+  if (shards == 0) {
+    const std::size_t hw = std::thread::hardware_concurrency();
+    shards = hw == 0 ? 1 : hw;
+  }
+  shards = std::min(shards, n_processes == 0 ? std::size_t{1} : n_processes);
+  if (Network::lookahead(options.network) <= 0) shards = 1;
+  return std::max<std::size_t>(shards, 1);
+}
+
 }  // namespace
 
-SimResult simulate_sharded(const Workload& workload,
-                           const ProtocolFactory& factory,
-                           std::size_t n_processes,
-                           const SimOptions& options, std::size_t n_shards,
-                           std::size_t n_workers) {
-  ShardedEngine engine(workload, factory, n_processes, options, n_shards,
-                       n_workers);
+SimResult simulate(const Workload& workload, const ProtocolFactory& factory,
+                   std::size_t n_processes, const SimOptions& options) {
+  const std::size_t shards = resolve_shards(options, n_processes);
+  std::size_t workers = options.shard_workers;
+  if (workers == 0) {
+    const std::size_t hw = std::thread::hardware_concurrency();
+    workers = hw == 0 ? 1 : hw;
+  }
+  ShardedEngine engine(workload, factory, n_processes, options, shards,
+                       std::min(workers, shards));
   return engine.run();
 }
 

@@ -25,14 +25,15 @@ struct SimOptions {
   /// Enforced globally across shards; the error names the shard that
   /// tripped it.
   std::size_t max_events = 10'000'000;
-  /// Event-loop shards (ISSUE 6).  1 (the default) runs the sequential
-  /// engine; N >= 2 partitions processes round-robin over N shards with
-  /// conservative lower-bound-timestamp synchronization (lookahead =
-  /// NetworkOptions::base_delay); 0 picks automatically from the
-  /// hardware and process count.  The resulting SimResult.trace is
-  /// bit-identical for every shard count at the same seed.  When the
-  /// lookahead is non-positive the dispatcher falls back to the
-  /// sequential engine (see SimResult::shards_used).
+  /// Event-loop shards.  Processes are partitioned round-robin over the
+  /// shards, which advance in conservative lower-bound-timestamp windows
+  /// (lookahead = NetworkOptions::base_delay).  1 (the default) runs one
+  /// shard on the calling thread with no synchronization at all; N >= 2
+  /// runs exactly N (clamped to the process count); 0 picks
+  /// automatically from the hardware and process count.  The resulting
+  /// SimResult.trace is bit-identical for every shard count at the same
+  /// seed.  A non-positive lookahead forces one shard, whose windows
+  /// then hold one entry each (see SimResult::shards_used).
   std::size_t shards = 1;
   /// Worker threads driving the shards: 0 (default) = min(shards,
   /// hardware concurrency).  Fewer workers than shards run several
@@ -64,7 +65,7 @@ struct SimResult {
   bool completed = false;
   std::string error;
   /// How the run actually executed (after auto-selection and the
-  /// zero-lookahead fallback).
+  /// zero-lookahead one-shard rule).
   std::size_t shards_used = 1;
   std::size_t workers_used = 1;
 };

@@ -50,10 +50,10 @@ struct MessageTimes {
   }
 };
 
-/// Aggregate counter block for merge-at-report recording: the sharded
-/// engine (ISSUE 6) accumulates these per shard in plain structs and
-/// folds them into the Trace once, after the run, instead of bumping
-/// shared Trace counters from worker threads.
+/// Aggregate counter block for merge-at-report recording: the simulator
+/// accumulates these per shard in plain structs and folds them into the
+/// Trace once, after the run, instead of bumping shared Trace counters
+/// from worker threads.
 struct TraceCounts {
   std::size_t invoked = 0;
   std::size_t delivered = 0;
@@ -111,8 +111,7 @@ class Trace {
   double max_latency() const;
 
   /// All messages invoked were delivered (the liveness deliverable).
-  /// O(1): maintained as invoke/deliver counters, not a table scan —
-  /// the sequential engine consults this at every window boundary.
+  /// O(1): maintained as invoke/deliver counters, not a table scan.
   bool all_delivered() const { return invoked_ == delivered_; }
 
   std::size_t invoked() const { return invoked_; }

@@ -31,7 +31,11 @@ void BitMatrix::or_row_into(std::size_t src, std::size_t dst) {
   if (src == dst) return;
   const std::uint64_t* s = row(src);
   std::uint64_t* d = row(dst);
-  for (std::size_t w = 0; w < words_; ++w) d[w] |= s[w];
+  // words_ is hoisted in every loop that stores through a uint64_t*:
+  // such a store may alias the member, which would make GCC reload it
+  // each iteration and give up on vectorizing.
+  const std::size_t n_words = words_;
+  for (std::size_t w = 0; w < n_words; ++w) d[w] |= s[w];
 }
 
 bool BitMatrix::and_rows(std::size_t a, std::size_t b,
@@ -39,7 +43,8 @@ bool BitMatrix::and_rows(std::size_t a, std::size_t b,
   const std::uint64_t* ra = row(a);
   const std::uint64_t* rb = row(b);
   std::uint64_t any = 0;
-  for (std::size_t w = 0; w < words_; ++w) {
+  const std::size_t n_words = words_;
+  for (std::size_t w = 0; w < n_words; ++w) {
     const std::uint64_t v = ra[w] & rb[w];
     any |= v;
     if (out != nullptr) out[w] = v;
@@ -49,7 +54,8 @@ bool BitMatrix::and_rows(std::size_t a, std::size_t b,
 
 void BitMatrix::or_words_into(const std::uint64_t* words, std::size_t dst) {
   std::uint64_t* d = row(dst);
-  for (std::size_t w = 0; w < words_; ++w) d[w] |= words[w];
+  const std::size_t n_words = words_;
+  for (std::size_t w = 0; w < n_words; ++w) d[w] |= words[w];
 }
 
 void BitMatrix::transitive_closure() {

@@ -3,6 +3,10 @@
 // and the JSON writer/validator the reports are built on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
 
@@ -95,6 +99,30 @@ TEST(Histogram, Exp2PercentilesCoverWideRanges) {
   EXPECT_DOUBLE_EQ(h.percentile(100).value(), 10000.0);
   // The single large value sits in the tail, not in the median.
   EXPECT_LT(h.percentile(90).value(), 2.0);
+}
+
+TEST(Histogram, Exp2BucketEdgesAreUpperInclusive) {
+  // Bucket i covers (width * 2^(i-1), width * 2^i]: an exact power of
+  // two closes its bucket, the next double above opens the next one.
+  HistogramOptions opts;
+  opts.width = 0.5;
+  opts.buckets = 8;
+  const auto bucket_of = [&opts](double v) {
+    Histogram h(opts);
+    h.record(v);
+    const auto& counts = h.bucket_counts();
+    return static_cast<std::size_t>(
+        std::find(counts.begin(), counts.end(), 1u) - counts.begin());
+  };
+  EXPECT_EQ(bucket_of(0.0), 0u);
+  EXPECT_EQ(bucket_of(0.5), 0u);
+  EXPECT_EQ(bucket_of(std::nextafter(0.5, 1.0)), 1u);
+  EXPECT_EQ(bucket_of(1.0), 1u);
+  EXPECT_EQ(bucket_of(std::nextafter(1.0, 2.0)), 2u);
+  EXPECT_EQ(bucket_of(48.0), 7u);  // q = 96 in (64, 128]
+  EXPECT_EQ(bucket_of(64.0), 7u);  // q = 128
+  EXPECT_EQ(bucket_of(std::nextafter(64.0, 65.0)), 8u);  // overflow
+  EXPECT_EQ(bucket_of(std::numeric_limits<double>::infinity()), 8u);
 }
 
 TEST(Histogram, OverflowBucketReportsObservedMax) {
