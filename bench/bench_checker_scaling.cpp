@@ -1,7 +1,8 @@
 // Experiment E4: oracle cost.  The violation-witness search is
 // O(|M|^arity) with pruning; the dedicated limit-set checkers are
-// polynomial.  Sweeps run size for both, plus closure cost for the run
-// representation itself.
+// polynomial.  Sweeps run size for both.  The google-benchmark sweep
+// also times building a random run (BM_RunConstructionClosure, whose
+// closure is O(n^2/64) for a run); the JSON report does not.
 //
 // ISSUE 2: before the google-benchmark sweep runs, a deterministic
 // chrono sweep writes BENCH_checker_scaling.json (schema

@@ -22,20 +22,51 @@ void transpose64(std::uint64_t a[64]) {
   }
 }
 
+/// dst[w] |= src[w] for n_words words.  The count is a parameter, not
+/// the words_ member: a store through dst may alias a member, which
+/// would make GCC reload it every iteration and give up on vectorizing.
+void or_words(const std::uint64_t* src, std::uint64_t* dst,
+              std::size_t n_words) {
+  for (std::size_t w = 0; w < n_words; ++w) dst[w] |= src[w];
+}
+
+constexpr std::uint32_t kUnvisited = UINT32_MAX;
+constexpr std::uint32_t kDone = UINT32_MAX - 1;
+
+/// Working arrays of transitive_closure, kept per thread and reused so
+/// that closing many small posets (the verifier closes tens of
+/// thousands of 12-event runs) allocates nothing once they have grown.
+struct ClosureScratch {
+  /// One DFS level: vertex v, the index of the raw-row word being read
+  /// and its unread bits, and v's Tarjan lowlink.
+  struct Frame {
+    std::uint32_t v;
+    std::uint32_t word;
+    std::uint32_t low;
+    std::uint64_t bits;
+  };
+  /// DFS preorder number of each vertex, kUnvisited, or kDone once its
+  /// component is closed.
+  std::vector<std::uint32_t> index;
+  /// Visited vertices whose component is still open, in preorder.
+  std::vector<std::uint32_t> open;
+  std::vector<Frame> frames;
+  /// The row being built for the component that is closing.
+  std::vector<std::uint64_t> acc;
+};
+
+ClosureScratch& closure_scratch() {
+  thread_local ClosureScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 BitMatrix::BitMatrix(std::size_t n)
     : n_(n), words_((n + 63) / 64), bits_(n * words_, 0) {}
 
 void BitMatrix::or_row_into(std::size_t src, std::size_t dst) {
-  if (src == dst) return;
-  const std::uint64_t* s = row(src);
-  std::uint64_t* d = row(dst);
-  // words_ is hoisted in every loop that stores through a uint64_t*:
-  // such a store may alias the member, which would make GCC reload it
-  // each iteration and give up on vectorizing.
-  const std::size_t n_words = words_;
-  for (std::size_t w = 0; w < n_words; ++w) d[w] |= s[w];
+  if (src != dst) or_words(row(src), row(dst), words_);
 }
 
 bool BitMatrix::and_rows(std::size_t a, std::size_t b,
@@ -43,7 +74,7 @@ bool BitMatrix::and_rows(std::size_t a, std::size_t b,
   const std::uint64_t* ra = row(a);
   const std::uint64_t* rb = row(b);
   std::uint64_t any = 0;
-  const std::size_t n_words = words_;
+  const std::size_t n_words = words_;  // hoisted: see or_words
   for (std::size_t w = 0; w < n_words; ++w) {
     const std::uint64_t v = ra[w] & rb[w];
     any |= v;
@@ -53,40 +84,87 @@ bool BitMatrix::and_rows(std::size_t a, std::size_t b,
 }
 
 void BitMatrix::or_words_into(const std::uint64_t* words, std::size_t dst) {
-  std::uint64_t* d = row(dst);
-  const std::size_t n_words = words_;
-  for (std::size_t w = 0; w < n_words; ++w) d[w] |= words[w];
+  or_words(words, row(dst), words_);
 }
 
 void BitMatrix::transitive_closure() {
-  // Blocked Warshall: for each 64-wide panel K of intermediate vertices,
-  // first close the panel's own rows over intermediates in K (the
-  // diagonal-block phase of blocked Floyd-Warshall), then let every
-  // other row absorb the closed panel rows it can reach.  The panel's 64
-  // rows stay cache-hot across the whole second phase, which is where
-  // the naive k-major loop thrashes.
-  for (std::size_t kb = 0; kb < words_; ++kb) {
-    const std::size_t k_base = 64 * kb;
-    const std::size_t k_count = std::min<std::size_t>(64, n_ - k_base);
-    for (std::size_t k = 0; k < k_count; ++k) {
-      for (std::size_t i = 0; i < k_count; ++i) {
-        if (i != k && get(k_base + i, k_base + k)) {
-          or_row_into(k_base + k, k_base + i);
+  // Tarjan's SCC algorithm with an explicit DFS stack (see the header).
+  // A row stays raw until its component completes, so the DFS always
+  // reads the input relation.
+  if (n_ == 0) return;
+  ClosureScratch& s = closure_scratch();
+  s.index.assign(n_, kUnvisited);
+  s.open.clear();
+  s.frames.clear();
+  s.acc.resize(words_);
+  std::uint64_t* acc = s.acc.data();
+  const std::size_t n_words = words_;
+  std::uint32_t next_index = 0;
+
+  const auto visit = [&](std::uint32_t v) {
+    s.index[v] = next_index;
+    s.open.push_back(v);
+    s.frames.push_back({v, 0, next_index, row(v)[0]});
+    ++next_index;
+  };
+
+  // Close the component on the open stack from `root` up.  A raw
+  // successor is either a member (still open) or in a completed, closed
+  // component.  A member contributes only its bit: in a multi-member
+  // component that sets every member's bit, in a singleton only a
+  // self-loop sets the diagonal.  An outside successor contributes its
+  // bit and its closed row, unless an earlier closed row already holds
+  // its bit, and with it its whole row.
+  const auto close_component = [&](std::uint32_t root) {
+    std::fill(acc, acc + n_words, 0);
+    std::size_t first = s.open.size();
+    while (s.open[--first] != root) {
+    }
+    for (std::size_t m = first; m < s.open.size(); ++m) {
+      const std::uint64_t* r = row(s.open[m]);
+      for (std::size_t w = 0; w < n_words; ++w) {
+        for (std::uint64_t bits = r[w]; bits != 0; bits &= bits - 1) {
+          const auto b = static_cast<unsigned>(std::countr_zero(bits));
+          const std::uint64_t bit = 1ULL << b;
+          const std::size_t j = 64 * w + b;
+          if ((acc[w] & bit) != 0) continue;
+          if (s.index[j] == kDone) or_words(row(j), acc, n_words);
+          acc[w] |= bit;
         }
       }
     }
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (i - k_base < k_count) continue;  // panel rows already closed
-      std::uint64_t* ri = row(i);
-      // Absorbing a panel row can reveal new reachable panel vertices in
-      // this row's panel word, so re-read it until no bits are pending.
-      std::uint64_t done = 0;
-      std::uint64_t pending;
-      while ((pending = ri[kb] & ~done) != 0) {
-        const auto k = static_cast<std::size_t>(std::countr_zero(pending));
-        done |= 1ULL << k;
-        or_row_into(k_base + k, i);
+    for (std::size_t m = first; m < s.open.size(); ++m) {
+      s.index[s.open[m]] = kDone;
+      std::copy(acc, acc + n_words, row(s.open[m]));
+    }
+    s.open.resize(first);
+  };
+
+  for (std::size_t start = 0; start < n_; ++start) {
+    if (s.index[start] != kUnvisited) continue;
+    visit(static_cast<std::uint32_t>(start));
+    while (!s.frames.empty()) {
+      ClosureScratch::Frame& f = s.frames.back();
+      while (f.bits == 0 && ++f.word < n_words) f.bits = row(f.v)[f.word];
+      if (f.bits != 0) {
+        const auto j = static_cast<std::uint32_t>(
+            64 * f.word + static_cast<unsigned>(std::countr_zero(f.bits)));
+        f.bits &= f.bits - 1;
+        const std::uint32_t ij = s.index[j];
+        if (ij == kUnvisited) {
+          visit(j);  // may reallocate frames: f is dead from here
+        } else if (ij != kDone) {
+          f.low = std::min(f.low, ij);  // j is open: same component
+        }
+        continue;
       }
+      const std::uint32_t v = f.v;
+      const std::uint32_t low = f.low;
+      s.frames.pop_back();
+      if (!s.frames.empty()) {
+        s.frames.back().low = std::min(s.frames.back().low, low);
+      }
+      if (low == s.index[v]) close_component(v);
     }
   }
 }

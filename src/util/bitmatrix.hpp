@@ -1,9 +1,12 @@
 // Dense square bit matrix used for transitive-closure reachability over
-// event posets.  Rows are packed into 64-bit words so that the Warshall
-// closure runs at word speed: closing an n-event run costs O(n^2 * n/64).
-// The closure is cache-blocked over 64-column panels, and rows are
-// exposed as raw word spans (row_data) so that the checkers can build
-// candidate sets by word-parallel intersection instead of per-bit gets.
+// event posets.  Rows are packed into 64-bit words so that the closure
+// ORs whole rows at word speed: it closes strongly connected components
+// in reverse topological order, so closing an n-vertex relation with E
+// edges costs O(n^2/64) to scan the rows plus O(E * n/64) for the ORs.
+// A run has at most two direct successors per event (its process line
+// and its message edge), so a run closes in O(n^2/64).  Rows are exposed
+// as raw word spans (row_data) so that the checkers can build candidate
+// sets by word-parallel intersection instead of per-bit gets.
 #pragma once
 
 #include <algorithm>
@@ -51,8 +54,8 @@ class BitMatrix {
   /// i; the transposed() matrix gives ancestor sets the same way.
   const std::uint64_t* row_data(std::size_t i) const { return row(i); }
 
-  /// row(i) |= row(j), the word-parallel core of the closure.  Safe when
-  /// src == dst (a no-op).
+  /// row(dst) |= row(src), word-parallel.  Safe when src == dst (a
+  /// no-op).
   void or_row_into(std::size_t src, std::size_t dst);
 
   /// out[w] = row(a)[w] & row(b)[w] for all words; returns true iff the
@@ -68,9 +71,14 @@ class BitMatrix {
   template <typename Fn>
   void for_each_set(std::size_t i, Fn&& fn) const;
 
-  /// Reflexive-free transitive closure in place: Warshall over packed
-  /// rows, cache-blocked over 64-wide panels of intermediate vertices so
-  /// the panel rows stay hot while every other row absorbs them.
+  /// Transitive closure in place: afterwards get(i, j) iff a path of one
+  /// or more edges leads from i to j, so get(i, i) iff i lies on a cycle
+  /// (a self-loop included).  An iterative Tarjan SCC pass completes
+  /// components sinks-first; each component's row is the union of its
+  /// outside successors and their already-closed rows, plus its own
+  /// members if it is cyclic, and every member gets that row.  No
+  /// recursion, so deep chains are safe; scratch arrays are reused per
+  /// thread.
   void transitive_closure();
 
   /// The transposed matrix (64x64 block transpose at word speed);

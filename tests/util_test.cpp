@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/util/bitmatrix.hpp"
 #include "src/util/rng.hpp"
@@ -204,8 +207,7 @@ TEST(BitMatrix, TransposedMatchesPerBit) {
   }
 }
 
-/// Word-free Floyd-Warshall used as the reference for the blocked
-/// closure.
+/// Word-free Floyd-Warshall used as the reference for the closure.
 std::vector<std::vector<bool>> brute_closure(const BitMatrix& m) {
   const std::size_t n = m.size();
   std::vector<std::vector<bool>> r(n, std::vector<bool>(n, false));
@@ -242,6 +244,171 @@ TEST(BitMatrix, BlockedClosureMatchesFloydWarshall) {
         }
       }
     }
+  }
+}
+
+/// Per-source BFS over adjacency lists: a second word-free reference,
+/// cheap enough for run-sized graphs that brute_closure cannot reach.
+std::vector<std::vector<bool>> bfs_closure(const BitMatrix& m) {
+  const std::size_t n = m.size();
+  std::vector<std::vector<std::size_t>> succ(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (m.get(i, j)) succ[i].push_back(j);
+    }
+  }
+  std::vector<std::vector<bool>> r(n, std::vector<bool>(n, false));
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::size_t> todo(succ[i]);
+    for (const std::size_t j : succ[i]) r[i][j] = true;
+    while (!todo.empty()) {
+      const std::size_t u = todo.back();
+      todo.pop_back();
+      for (const std::size_t v : succ[u]) {
+        if (!r[i][v]) {
+          r[i][v] = true;
+          todo.push_back(v);
+        }
+      }
+    }
+  }
+  return r;
+}
+
+/// Reports the first bit where `closed` and `expect` differ.
+void expect_closure_equals(const BitMatrix& closed,
+                           const std::vector<std::vector<bool>>& expect,
+                           const std::string& what) {
+  for (std::size_t i = 0; i < closed.size(); ++i) {
+    for (std::size_t j = 0; j < closed.size(); ++j) {
+      if (closed.get(i, j) != expect[i][j]) {
+        ADD_FAILURE() << what << " at " << i << "," << j << ": closure has "
+                      << closed.get(i, j);
+        return;
+      }
+    }
+  }
+}
+
+TEST(BitMatrix, ClosureMatchesFloydWarshallOnAllSmallShapes) {
+  // Thousands of random relations at every n in 0..9, from sparse to
+  // dense, self-loops allowed.  The reference's verdicts are tallied to
+  // prove the sample holds the shapes a component-wise closure can get
+  // wrong: self-loops, multi-member components, and multi-member
+  // components with successors outside the component.
+  std::size_t self_loops = 0;
+  std::size_t cyclic_components = 0;
+  std::size_t cyclic_with_exits = 0;
+  for (std::size_t n = 0; n <= 9; ++n) {
+    for (std::uint64_t seed = 0; seed < 4000; ++seed) {
+      Rng rng(1000 * n + seed);
+      const std::uint64_t per_mille = 50 + rng.below(500);
+      BitMatrix m(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          if (rng.below(1000) < per_mille) m.set(i, j);
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) self_loops += m.get(i, i) ? 1 : 0;
+      const auto expect = brute_closure(m);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          if (i == j || !expect[i][j] || !expect[j][i]) continue;
+          ++cyclic_components;
+          for (std::size_t k = 0; k < n; ++k) {
+            if (expect[i][k] && !expect[k][i]) {
+              ++cyclic_with_exits;
+              break;
+            }
+          }
+        }
+      }
+      m.transitive_closure();
+      expect_closure_equals(m, expect,
+                            "n=" + std::to_string(n) +
+                                " seed=" + std::to_string(seed));
+    }
+  }
+  EXPECT_GT(self_loops, 1000u);
+  EXPECT_GT(cyclic_components, 1000u);
+  EXPECT_GT(cyclic_with_exits, 1000u);
+}
+
+/// The raw relation of a random complete run over `n_processes`: each
+/// process line is a chain and each message adds send -> delivery.
+/// Events get a random numbering, so the closure sees successors both
+/// above and below each event.
+BitMatrix random_run_relation(std::size_t n_processes, std::size_t n_messages,
+                              Rng& rng) {
+  const std::size_t n = 2 * n_messages;
+  std::vector<std::size_t> label(n);
+  for (std::size_t e = 0; e < n; ++e) label[e] = e;
+  for (std::size_t e = n; e > 1; --e) {
+    std::swap(label[e - 1], label[rng.below(e)]);
+  }
+  BitMatrix m(n);
+  std::vector<std::size_t> last(n_processes, n);  // n: no event yet
+  const auto append = [&](std::size_t p, std::size_t event) {
+    if (last[p] != n) m.set(label[last[p]], label[event]);
+    last[p] = event;
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> pending;  // msg, dst
+  std::size_t sent = 0;
+  while (sent < n_messages || !pending.empty()) {
+    if (sent < n_messages && (pending.empty() || rng.below(2) == 0)) {
+      const std::size_t src = rng.below(n_processes);
+      const std::size_t dst =
+          (src + 1 + rng.below(n_processes - 1)) % n_processes;
+      append(src, 2 * sent);
+      m.set(label[2 * sent], label[2 * sent + 1]);
+      pending.emplace_back(sent++, dst);
+    } else {
+      const std::size_t k = rng.below(pending.size());
+      const auto [msg, dst] = pending[k];
+      pending[k] = pending.back();
+      pending.pop_back();
+      append(dst, 2 * msg + 1);
+    }
+  }
+  return m;
+}
+
+TEST(BitMatrix, ClosureMatchesReferenceOnRunSizedRuns) {
+  Rng rng(2024);
+  for (const std::size_t n_processes : {2u, 16u}) {
+    BitMatrix m = random_run_relation(n_processes, 1000, rng);
+    ASSERT_GE(m.size(), 2000u);
+    const auto expect = bfs_closure(m);
+    m.transitive_closure();
+    expect_closure_equals(m, expect,
+                          "procs=" + std::to_string(n_processes));
+    EXPECT_FALSE(m.any_diagonal());
+  }
+}
+
+TEST(BitMatrix, ClosureSurvivesLongChains) {
+  // One 20000-event chain: the DFS goes 20000 levels deep, which the
+  // closure must handle without recursing.
+  const std::size_t n = 20000;
+  BitMatrix m(n);
+  for (std::size_t i = 0; i + 1 < n; ++i) m.set(i, i + 1);
+  m.transitive_closure();
+  for (std::size_t i = 0; i < n; i += 997) {
+    EXPECT_EQ(m.row_popcount(i), n - 1 - i) << i;
+  }
+  EXPECT_TRUE(m.get(0, n - 1));
+  EXPECT_FALSE(m.get(n - 1, 0));
+  EXPECT_FALSE(m.any_diagonal());
+}
+
+TEST(BitMatrix, BfsReferenceMatchesFloydWarshall) {
+  Rng rng(99);
+  for (const std::size_t n : {1u, 7u, 40u, 70u}) {
+    BitMatrix m(n);
+    for (std::size_t k = 0; k < 2 * n; ++k) {
+      m.set(rng.below(n), rng.below(n));
+    }
+    EXPECT_EQ(bfs_closure(m), brute_closure(m)) << n;
   }
 }
 
