@@ -17,7 +17,9 @@
 //                             monitor automaton; specs outside the
 //                             compilable class report a structured
 //                             fallback reason and run on the bitset
-//                             engine
+//                             engine; pruned prints one "monitor
+//                             search:" line with the engine's searches,
+//                             DFS nodes and nogoods
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -97,6 +99,8 @@ int main(int argc, char** argv) {
   Observability obs(oopts);
   auto monitor = std::make_shared<OnlineMonitor>(
       workload_universe(workload), spec, search_mode);
+  WitnessEngine::Stats search_stats;
+  monitor->set_engine_stats(&search_stats);
   SimOptions sopts;
   sopts.observability = &obs;
   sopts.observers.add(monitor_observer(monitor));
@@ -132,6 +136,13 @@ int main(int argc, char** argv) {
               satisfies(*run, spec) ? "yes" : "NO");
   std::printf("online monitor agrees: %s\n",
               monitor->violated() ? "NO (violation seen)" : "yes");
+  if (search_mode == MonitorSearchMode::kPruned) {
+    std::printf("monitor search: %llu searches, %llu DFS nodes, "
+                "%llu nogoods\n",
+                static_cast<unsigned long long>(search_stats.searches),
+                static_cast<unsigned long long>(search_stats.dfs_nodes),
+                static_cast<unsigned long long>(search_stats.nogoods));
+  }
   if (const auto info = monitor->automaton_info(); info.requested) {
     if (info.compiled) {
       std::printf("monitor automaton: %zu states over %zu symbol classes "

@@ -8,8 +8,10 @@
 // set is the union of its process predecessor's ancestors and (for a
 // delivery) the matching send's ancestors.  Old relations never change,
 // hence any *newly completed* pattern must bind one variable to the new
-// event's message, which bounds the search to O(|M|^(arity-1)) per
-// event.
+// event's message: each event runs one search per variable with that
+// variable pinned to it.  The seed scan (kNaive) pays O(|M|^(arity-1))
+// per pinned search; the WitnessEngine's nogoods (search.hpp) cut a
+// pinned sync-crown search to O(|M|) DFS nodes at any crown size.
 #pragma once
 
 #include <cstdint>

@@ -54,24 +54,24 @@ WitnessEngine::WitnessEngine(ForbiddenPredicate spec,
     }
   }
 
-  filters_.resize(arity);
-  self_conjuncts_.resize(arity);
-  needs_send_.assign(arity, false);
-  needs_deliver_.assign(arity, false);
+  vars_.resize(arity);
   const auto note_kind = [&](std::size_t v, UserEventKind k) {
-    (k == UserEventKind::kSend ? needs_send_ : needs_deliver_)[v] = true;
+    (k == UserEventKind::kSend ? vars_[v].needs_send
+                               : vars_[v].needs_deliver) = true;
+  };
+  const auto add_filter = [&](std::size_t v, PairFilter f) {
+    vars_[v].filters.push_back(f);
+    if (arity <= 64) vars_[v].partners |= 1ULL << f.other;
   };
   for (const Conjunct& c : spec_.conjuncts) {
     note_kind(c.lhs, c.p);
     note_kind(c.rhs, c.q);
     if (c.lhs == c.rhs) {
-      self_conjuncts_[c.lhs].push_back(c);
+      vars_[c.lhs].self_conjuncts.push_back(c);
       continue;
     }
-    filters_[c.lhs].push_back(
-        {PairFilter::Type::kVarOnLhs, c.p, c.q, c.rhs});
-    filters_[c.rhs].push_back(
-        {PairFilter::Type::kVarOnRhs, c.q, c.p, c.lhs});
+    add_filter(c.lhs, {PairFilter::Type::kVarOnLhs, c.p, c.q, c.rhs});
+    add_filter(c.rhs, {PairFilter::Type::kVarOnRhs, c.q, c.p, c.lhs});
   }
   for (const ProcessEquality& pe : spec_.process_constraints) {
     if (pe.var_a == pe.var_b) {
@@ -87,14 +87,58 @@ WitnessEngine::WitnessEngine(ForbiddenPredicate spec,
       }
       continue;
     }
-    filters_[pe.var_a].push_back(
-        {PairFilter::Type::kSameProcess, pe.kind_a, pe.kind_b, pe.var_b});
-    filters_[pe.var_b].push_back(
-        {PairFilter::Type::kSameProcess, pe.kind_b, pe.kind_a, pe.var_a});
+    add_filter(pe.var_a, {PairFilter::Type::kSameProcess, pe.kind_a,
+                          pe.kind_b, pe.var_b});
+    add_filter(pe.var_b, {PairFilter::Type::kSameProcess, pe.kind_b,
+                          pe.kind_a, pe.var_a});
   }
+  build_plans();
 
-  cand_arena_.assign(arity * msg_words_, 0);
+  cand_arena_.assign(2 * arity * msg_words_, 0);
   used_words_.assign(msg_words_, 0);
+}
+
+void WitnessEngine::build_plans() {
+  const std::size_t arity = spec_.arity;
+  plans_.assign((arity + 1) * arity, LevelPlan{});
+  if (arity > 64) return;  // masks would truncate: record nothing
+  for (std::size_t pin = 0; pin <= arity; ++pin) {
+    LevelPlan* plan = plans_.data() + pin * arity;
+    const std::uint64_t pin_bit = pin < arity ? 1ULL << pin : 0;
+    // Binding order: the pin, then ascending index.
+    std::uint64_t bound = pin_bit;
+    for (std::size_t v = 0; v < arity; ++v) {
+      if (v == pin) continue;
+      std::uint64_t sep = 0;
+      for (std::uint64_t us = bound; us != 0; us &= us - 1) {
+        const auto u = static_cast<std::size_t>(std::countr_zero(us));
+        if ((vars_[u].partners & ~bound) != 0) sep |= 1ULL << u;
+      }
+      const std::uint64_t outside = bound & ~sep & ~pin_bit;
+      const std::uint64_t keys = sep & ~pin_bit;
+      bound |= 1ULL << v;
+      if (outside == 0) continue;  // no record could ever be reused
+      LevelPlan& level = plan[v];
+      level.outside = outside;
+      // Levels after the key (all of them when keyless) stop on a hit.
+      std::uint64_t stoppers = outside;
+      if (keys != 0) {
+        level.key = static_cast<std::size_t>(63 - std::countl_zero(keys));
+        plan[level.key].keyed |= 1ULL << v;
+        for (std::uint64_t us = keys & ~(1ULL << level.key); us != 0;
+             us &= us - 1) {
+          plan[std::countr_zero(us)].clears |= 1ULL << v;
+        }
+        stoppers &= ~((2ULL << level.key) - 1);
+      }
+      for (std::uint64_t us = stoppers; us != 0; us &= us - 1) {
+        plan[std::countr_zero(us)].stops |= 1ULL << v;
+      }
+      for (std::size_t w = v; w < arity; ++w) {
+        if (w != pin) plan[w].watch |= outside;
+      }
+    }
+  }
 }
 
 void WitnessEngine::and_kind_slice(std::uint64_t* cand,
@@ -113,7 +157,7 @@ void WitnessEngine::and_kind_slice(std::uint64_t* cand,
 
 bool WitnessEngine::self_conjuncts_ok(const View& view, std::size_t var,
                                       MessageId msg) const {
-  for (const Conjunct& c : self_conjuncts_[var]) {
+  for (const Conjunct& c : vars_[var].self_conjuncts) {
     if (!view.descendants->get(index(msg, c.p), index(msg, c.q))) {
       return false;
     }
@@ -124,15 +168,28 @@ bool WitnessEngine::self_conjuncts_ok(const View& view, std::size_t var,
 bool WitnessEngine::unary_ok(const View& view, std::size_t var,
                              MessageId msg) const {
   if (!bit_set(static_row(var), msg)) return false;
-  if (needs_send_[var] && view.present_send != nullptr &&
+  if (vars_[var].needs_send && view.present_send != nullptr &&
       !bit_set(view.present_send, msg)) {
     return false;
   }
-  if (needs_deliver_[var] && view.present_deliver != nullptr &&
+  if (vars_[var].needs_deliver && view.present_deliver != nullptr &&
       !bit_set(view.present_deliver, msg)) {
     return false;
   }
   return self_conjuncts_ok(view, var, msg);
+}
+
+bool WitnessEngine::recorded_dead(std::uint64_t levels,
+                                  const std::vector<MessageId>& out) {
+  for (; levels != 0; levels &= levels - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(levels));
+    const std::size_t key = plan_[i].key;
+    if (key == LevelPlan::kNoKey ? ((dead_flags_ >> i) & 1u) != 0
+                                 : bit_set(dead_row(i), out[key])) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool WitnessEngine::dfs(const View& view, std::size_t var,
@@ -142,14 +199,24 @@ bool WitnessEngine::dfs(const View& view, std::size_t var,
   if (var == arity) return true;
   if (var == pinned_var) return dfs(view, var + 1, pinned_var, out);
 
+  const VarInfo& info = vars_[var];
+  const LevelPlan& level = plan_[var];
+  // A recording level collects its own subtree's distinctness hits.
+  const std::uint64_t outer_hits = hits_;
+  if (level.outside != 0) hits_ = 0;
+  // Under a recording level the distinct-message rule applies after the
+  // pair filters, so the level sees which bound values it removed.
+  const bool watch = level.watch != 0;
+
   std::uint64_t* cand = cand_row(var);
   const std::uint64_t* stat = static_row(var);
   for (std::size_t w = 0; w < msg_words_; ++w) {
-    std::uint64_t c = stat[w] & ~used_words_[w];
-    if (needs_send_[var] && view.present_send != nullptr) {
+    std::uint64_t c = stat[w];
+    if (!watch) c &= ~used_words_[w];
+    if (info.needs_send && view.present_send != nullptr) {
       c &= view.present_send[w];
     }
-    if (needs_deliver_[var] && view.present_deliver != nullptr) {
+    if (info.needs_deliver && view.present_deliver != nullptr) {
       c &= view.present_deliver[w];
     }
     cand[w] = c;
@@ -158,11 +225,11 @@ bool WitnessEngine::dfs(const View& view, std::size_t var,
     ++stats_->dfs_nodes;
     stats_->words_scanned += msg_words_;
     for (std::size_t w = 0; w < msg_words_; ++w) {
-      stats_->candidates_initial +=
-          static_cast<std::uint64_t>(std::popcount(cand[w]));
+      stats_->candidates_initial += static_cast<std::uint64_t>(
+          std::popcount(watch ? cand[w] & ~used_words_[w] : cand[w]));
     }
   }
-  for (const PairFilter& f : filters_[var]) {
+  for (const PairFilter& f : info.filters) {
     if (f.other >= var && f.other != pinned_var) continue;  // not bound yet
     const MessageId om = out[f.other];
     switch (f.type) {
@@ -193,18 +260,37 @@ bool WitnessEngine::dfs(const View& view, std::size_t var,
       }
     }
   }
+  if (watch) {
+    for (std::uint64_t us = level.watch; us != 0; us &= us - 1) {
+      const auto u = static_cast<std::size_t>(std::countr_zero(us));
+      if (bit_set(cand, out[u])) hits_ |= 1ULL << u;
+    }
+    for (std::size_t w = 0; w < msg_words_; ++w) cand[w] &= ~used_words_[w];
+  }
 
   if (stats_ != nullptr) {
     stats_->words_scanned +=
-        static_cast<std::uint64_t>(filters_[var].size()) * msg_words_;
+        static_cast<std::uint64_t>(info.filters.size()) * msg_words_;
     for (std::size_t w = 0; w < msg_words_; ++w) {
       stats_->candidates_surviving +=
           static_cast<std::uint64_t>(std::popcount(cand[w]));
     }
   }
+  // Messages a deeper level has recorded as dead for this key.
+  for (std::uint64_t ls = level.keyed; ls != 0; ls &= ls - 1) {
+    const std::uint64_t* dead = dead_row(std::countr_zero(ls));
+    for (std::size_t w = 0; w < msg_words_; ++w) {
+      if (stats_ != nullptr) {
+        stats_->nogood_prunes +=
+            static_cast<std::uint64_t>(std::popcount(cand[w] & dead[w]));
+      }
+      cand[w] &= ~dead[w];
+    }
+  }
 
-  const bool check_self = !self_conjuncts_[var].empty();
-  for (std::size_t w = 0; w < msg_words_; ++w) {
+  const bool check_self = !info.self_conjuncts.empty();
+  bool stopped = false;
+  for (std::size_t w = 0; w < msg_words_ && !stopped; ++w) {
     std::uint64_t bits = cand[w];
     while (bits != 0) {
       const auto m = static_cast<MessageId>(
@@ -214,11 +300,42 @@ bool WitnessEngine::dfs(const View& view, std::size_t var,
       if (check_self && !self_conjuncts_ok(view, var, m)) continue;
       out[var] = m;
       used_words_[m >> 6] |= 1ULL << (m & 63);
+      for (std::uint64_t ls = level.clears; ls != 0; ls &= ls - 1) {
+        std::fill_n(dead_row(std::countr_zero(ls)), msg_words_, 0);
+      }
       if (dfs(view, var + 1, pinned_var, out)) return true;
       used_words_[m >> 6] &= ~(1ULL << (m & 63));
+      if (level.stops != 0 && recorded_dead(level.stops, out)) {
+        if (stats_ != nullptr) ++stats_->nogood_prunes;
+        stopped = true;
+        break;
+      }
     }
   }
+  if (level.outside != 0) {
+    if ((hits_ & level.outside) == 0) {
+      if (level.key == LevelPlan::kNoKey) {
+        dead_flags_ |= 1ULL << var;
+      } else {
+        const MessageId k = out[level.key];
+        dead_row(var)[k >> 6] |= 1ULL << (k & 63);
+      }
+      if (stats_ != nullptr) ++stats_->nogoods;
+    }
+    hits_ |= outer_hits;
+  }
   return false;
+}
+
+void WitnessEngine::begin_search(std::size_t pinned_var) {
+  const std::size_t arity = spec_.arity;
+  plan_ = plans_.data() + pinned_var * arity;
+  std::fill(used_words_.begin(), used_words_.end(), 0);
+  for (std::size_t v = 0; v < arity; ++v) {
+    if (plan_[v].outside != 0) std::fill_n(dead_row(v), msg_words_, 0);
+  }
+  dead_flags_ = 0;
+  hits_ = 0;
 }
 
 bool WitnessEngine::search_pinned(const View& view, std::size_t pinned_var,
@@ -230,7 +347,7 @@ bool WitnessEngine::search_pinned(const View& view, std::size_t pinned_var,
   if (!unary_ok(view, pinned_var, pinned_msg)) return false;
   out.assign(arity, 0);
   out[pinned_var] = pinned_msg;
-  std::fill(used_words_.begin(), used_words_.end(), 0);
+  begin_search(pinned_var);
   used_words_[pinned_msg >> 6] |= 1ULL << (pinned_msg & 63);
   const bool found = dfs(view, 0, pinned_var, out);
   if (found && stats_ != nullptr) ++stats_->witnesses;
@@ -242,8 +359,8 @@ bool WitnessEngine::search(const View& view, std::vector<MessageId>& out) {
   if (arity == 0 || arity > universe_.size()) return false;
   if (stats_ != nullptr) ++stats_->searches;
   out.assign(arity, 0);
-  std::fill(used_words_.begin(), used_words_.end(), 0);
-  const bool found = dfs(view, 0, spec_.arity, out);
+  begin_search(arity);
+  const bool found = dfs(view, 0, arity, out);
   if (found && stats_ != nullptr) ++stats_->witnesses;
   return found;
 }

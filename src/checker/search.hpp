@@ -1,10 +1,8 @@
-// Bitset-pruned witness search (ISSUE 3 tentpole): the engine behind
+// Bitset-pruned witness search with nogood recording: the engine behind
 // both the online monitor and the offline oracle.
 //
-// The seed searches scanned every message at every DFS level and tested
-// conjuncts one get() at a time.  This engine instead materializes, per
-// quantified variable, a packed *candidate bitset* and intersects it
-// word-parallel:
+// Candidate bitsets.  Per quantified variable the engine materializes a
+// packed candidate bitset and intersects it word-parallel:
 //   * statically (once per spec x universe): color constraints,
 //     same-variable process equalities, and per-process sender/receiver
 //     masks for cross-variable process equalities;
@@ -12,10 +10,37 @@
 //     restricts v's candidates to a kind-slice of an ancestor row
 //     (v on the left) or a descendant row (v on the right) of the
 //     causality matrix — one AND per 64 messages.
-// The DFS then enumerates only surviving candidates, in ascending
-// message order, which makes the traversal — and therefore the first
-// witness found — *identical* to the seed's lexicographic search
-// (pruning only skips bindings the seed would have rejected).
+// The DFS binds the pinned variable first, then the others in ascending
+// index order, and enumerates surviving candidates in ascending message
+// order: the lexicographic order of the seed scan.
+//
+// Nogoods.  Whether the subtree below DFS level i has a solution depends
+// only on sep(i) — the already-bound variables with a pair filter (a
+// conjunct or a cross-variable process equality) into level i or later
+// — and on which messages the distinct-message rule excludes.  The plan
+// (computed once per spec and pin in the constructor) names key(i), the
+// latest-bound unpinned variable of sep(i).  When level i fails, the
+// engine records "x_key(i) = this message is dead for level i" in a
+// per-level message bitset (a level without a key records one flag);
+// rebinding any other variable of sep(i) clears the record.  The key's
+// level drops dead messages from its candidates before enumerating, and
+// a level between the key and i stops its loop as soon as the record
+// covers the current key.  On the sync crowns this turns the cubic
+// crown-4 search into O(n^2) DFS nodes.
+//
+// Distinctness.  Variables bound above level i but outside sep(i) still
+// reach the subtree through the distinct-message rule: a different
+// value there could free a candidate the subtree needed.  So a failure
+// is recorded only if, inside the subtree, the rule removed no candidate
+// equal to such a variable's value.  A level keeps records only if some
+// unpinned variable bound above it lies outside sep(i) — otherwise a
+// record could never be reused — so arity-2 specs do no bookkeeping.
+// Variable masks are 64-bit; specs of arity > 64 record nothing.
+//
+// First witness.  A record only ever skips a subtree that has already
+// failed in an equivalent context, so the traversal visits the same
+// successful prefix and returns the *identical* lexicographically-first
+// witness as the seed scan (the *_naive references stay the oracles).
 //
 // All scratch lives in the engine, so a long-lived caller (the online
 // monitor) performs zero allocations per query.
@@ -58,6 +83,8 @@ class WitnessEngine {
     std::uint64_t candidates_initial = 0;    // population before pair filters
     std::uint64_t candidates_surviving = 0;  // population after pair filters
     std::uint64_t enumerated = 0;      // bindings actually tried by the DFS
+    std::uint64_t nogoods = 0;         // failed subtrees recorded
+    std::uint64_t nogood_prunes = 0;   // subtrees skipped by a record
 
     /// Fraction of statically feasible candidates the word-parallel
     /// pair filters eliminated before enumeration.
@@ -115,13 +142,52 @@ class WitnessEngine {
     std::size_t other;
   };
 
+  /// Static per-variable data.
+  struct VarInfo {
+    std::vector<PairFilter> filters;
+    std::vector<Conjunct> self_conjuncts;  // lhs == rhs == this var
+    std::uint64_t partners = 0;  // vars sharing a pair filter (arity <= 64)
+    bool needs_send = false;
+    bool needs_deliver = false;
+  };
+
+  /// What the DFS level binding one variable does with nogoods, for one
+  /// pin.  Every mask is over variable indices.
+  struct LevelPlan {
+    static constexpr std::size_t kNoKey = ~std::size_t{0};
+    /// Unpinned variables bound above this level but outside its sep
+    /// set; nonzero iff this level records its failures.
+    std::uint64_t outside = 0;
+    /// The variable indexing this level's records (kNoKey: one flag).
+    std::size_t key = kNoKey;
+    /// Bound variables whose values, if the distinct-message rule
+    /// removes them from this level's candidates, block the record of
+    /// an enclosing (or this) level.
+    std::uint64_t watch = 0;
+    /// Recording levels keyed by this variable: their dead messages
+    /// leave this level's candidates.
+    std::uint64_t keyed = 0;
+    /// Recording levels whose records binding this variable clears.
+    std::uint64_t clears = 0;
+    /// Deeper recording levels keyed above this level (or keyless): once
+    /// one covers the current binding, every sibling left fails too.
+    std::uint64_t stops = 0;
+  };
+
   std::uint64_t* cand_row(std::size_t var) {
     return cand_arena_.data() + var * msg_words_;
+  }
+  std::uint64_t* dead_row(std::size_t var) {
+    return cand_arena_.data() + (spec_.arity + var) * msg_words_;
   }
   const std::uint64_t* static_row(std::size_t var) const {
     return static_arena_.data() + var * msg_words_;
   }
 
+  void build_plans();
+  void begin_search(std::size_t pinned_var);
+  bool recorded_dead(std::uint64_t levels,
+                     const std::vector<MessageId>& out);
   bool self_conjuncts_ok(const View& view, std::size_t var,
                          MessageId msg) const;
   void and_kind_slice(std::uint64_t* cand, const std::uint64_t* event_row,
@@ -137,14 +203,17 @@ class WitnessEngine {
   std::vector<std::uint64_t> static_arena_;   // arity x msg_words_
   std::vector<std::uint64_t> by_src_arena_;   // process x msg_words_
   std::vector<std::uint64_t> by_dst_arena_;   // process x msg_words_
-  std::vector<std::vector<PairFilter>> filters_;     // per var
-  std::vector<std::vector<Conjunct>> self_conjuncts_;  // lhs == rhs == var
-  std::vector<bool> needs_send_;
-  std::vector<bool> needs_deliver_;
+  std::vector<VarInfo> vars_;
+  std::vector<LevelPlan> plans_;  // (arity + 1) pins x arity vars
 
   // --- reusable query scratch ---
-  std::vector<std::uint64_t> cand_arena_;  // arity x msg_words_
+  /// arity candidate rows, then arity dead rows (message bitsets of the
+  /// recording levels, indexed by their key's value).
+  std::vector<std::uint64_t> cand_arena_;
   std::vector<std::uint64_t> used_words_;
+  const LevelPlan* plan_ = nullptr;  // the current search's pin row
+  std::uint64_t dead_flags_ = 0;     // failed keyless recording levels
+  std::uint64_t hits_ = 0;  // watched vars the distinct rule removed
 
   Stats* stats_ = nullptr;  // nullptr = instrumentation off (default)
 };

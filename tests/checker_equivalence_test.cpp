@@ -5,6 +5,10 @@
 //     same verdict, same first witness, same detection event;
 //   * IncrementalSyncChecker vs the batch sync_timestamps oracle;
 //   * find_violation / in_causal / in_sync vs their *_naive references.
+// The differential fuzz at the end drives the first and last pairings
+// with random predicates on runs small enough that the distinct-message
+// rule decides many verdicts — the case the engine's nogoods must get
+// right.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -180,6 +184,88 @@ TEST(OracleEquivalence, EngineFindsTheSameFirstWitnessAcrossZoo) {
       EXPECT_EQ(fast, slow) << named.name << " seed " << seed;
     }
   }
+}
+
+/// A random forbidden predicate of arity 2-5: half the time over a
+/// crown-like cycle skeleton (the shape whose nogoods are reused most),
+/// plus random cross and self conjuncts, cross-variable process
+/// equalities and color constraints.
+ForbiddenPredicate random_predicate(Rng& rng) {
+  const auto kind = [&] {
+    return rng.chance(0.5) ? UserEventKind::kSend : UserEventKind::kDeliver;
+  };
+  ForbiddenPredicate p;
+  p.arity = static_cast<std::size_t>(rng.range(2, 5));
+  const auto var = [&] { return static_cast<std::size_t>(rng.below(p.arity)); };
+  if (rng.chance(0.5)) {
+    const std::size_t closing = rng.chance(0.7) ? p.arity : p.arity - 1;
+    for (std::size_t i = 0; i < closing; ++i) {
+      p.conjuncts.push_back({i, UserEventKind::kSend, (i + 1) % p.arity,
+                             UserEventKind::kDeliver});
+    }
+  }
+  for (std::uint64_t i = rng.below(p.arity + 1); i > 0; --i) {
+    const std::size_t lhs = var();
+    const std::size_t rhs = rng.chance(0.15) ? lhs : var();
+    p.conjuncts.push_back({lhs, kind(), rhs, kind()});
+  }
+  for (std::uint64_t i = rng.below(3); i > 0; --i) {
+    p.process_constraints.push_back({var(), kind(), var(), kind()});
+  }
+  for (std::uint64_t i = rng.below(3); i > 0; --i) {
+    p.color_constraints.push_back({var(), static_cast<int>(rng.below(2))});
+  }
+  return p;
+}
+
+// 100,000 random (predicate, run) cases with at most arity + 4
+// messages: find_violation must return find_violation_naive's witness.
+// Every eighth case also feeds the run to a kPruned and a kNaive monitor
+// (the seed's per-event scan, which dominates the cost) until either
+// fires: same first witness, same detection event, and the verdict of
+// the offline oracle.  An engine that records nogoods without the
+// distinctness rule fails this on thousands of cases.
+TEST(DifferentialFuzz, EngineMatchesNaiveOnRandomPredicatesAndSmallRuns) {
+  constexpr int kCases = 100'000;
+  constexpr int kMonitorEvery = 8;
+  Rng rng(2026);
+  WitnessEngine::Stats stats;
+  int violated = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const ForbiddenPredicate spec = random_predicate(rng);
+    RandomRunOptions opts;
+    opts.n_processes = static_cast<std::size_t>(rng.range(2, 4));
+    opts.n_messages = spec.arity + static_cast<std::size_t>(rng.below(5));
+    opts.send_bias = rng.uniform01();
+    opts.red_fraction = 0.4;
+    const UserRun run = random_scheduled_run(opts, rng);
+
+    const auto fast = find_violation(run, spec);
+    const auto slow = find_violation_naive(run, spec);
+    ASSERT_EQ(fast, slow) << spec.to_string() << " case " << i;
+    violated += slow.has_value() ? 1 : 0;
+    if (i % kMonitorEvery != 0) continue;
+
+    OnlineMonitor pruned(run.messages(), spec, MonitorSearchMode::kPruned);
+    OnlineMonitor naive(run.messages(), spec, MonitorSearchMode::kNaive);
+    pruned.set_engine_stats(&stats);
+    feed_linearized(run, [&](ProcessId p, SystemEvent e) {
+      if (pruned.violated() || naive.violated()) return;
+      pruned.on_event(p, e, 0.0);
+      naive.on_event(p, e, 0.0);
+    });
+    ASSERT_EQ(pruned.first_witness(), naive.first_witness())
+        << spec.to_string() << " case " << i;
+    ASSERT_EQ(pruned.events_to_detection(), naive.events_to_detection())
+        << spec.to_string() << " case " << i;
+    ASSERT_EQ(pruned.violated(), slow.has_value())
+        << spec.to_string() << " case " << i;
+  }
+  // Both verdicts are common, and the nogood paths actually ran.
+  EXPECT_GT(violated, kCases / 10);
+  EXPECT_LT(violated, kCases - kCases / 10);
+  EXPECT_GT(stats.nogoods, 0u);
+  EXPECT_GT(stats.nogood_prunes, 0u);
 }
 
 }  // namespace

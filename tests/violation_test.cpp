@@ -111,6 +111,34 @@ TEST(Violation, CrownSearchOnLargerArity) {
   ASSERT_TRUE(witness.has_value());
 }
 
+TEST(Violation, ArityAboveSixtyFourSearchesWithoutVariableMasks) {
+  // The engine's nogood plan keys on 64-bit variable masks; a longer
+  // predicate must search correctly without them.  66 variables chained
+  // by their sends over 70 in-order messages on one channel: the first
+  // witness is messages 0..65.
+  constexpr std::size_t kArity = 66;
+  constexpr std::size_t kMessages = 70;
+  std::vector<Message> ms;
+  std::vector<std::vector<ScheduleStep>> schedules(2);
+  for (MessageId m = 0; m < kMessages; ++m) {
+    ms.push_back({m, 0, 1, 0});
+    schedules[0].push_back({m, S});
+    schedules[1].push_back({m, R});
+  }
+  const auto run = UserRun::from_schedules(ms, schedules);
+  ASSERT_TRUE(run.has_value());
+  ForbiddenPredicate chain;
+  chain.arity = kArity;
+  for (std::size_t v = 0; v + 1 < kArity; ++v) {
+    chain.conjuncts.push_back({v, S, v + 1, S});
+  }
+  chain.conjuncts.push_back({0, R, kArity - 1, R});
+  const auto witness = find_violation(*run, chain);
+  ASSERT_TRUE(witness.has_value());
+  EXPECT_EQ(*witness, find_violation_naive(*run, chain));
+  for (std::size_t v = 0; v < kArity; ++v) EXPECT_EQ((*witness)[v], v);
+}
+
 TEST(Violation, ZeroArityNeverViolates) {
   const ForbiddenPredicate empty;
   EXPECT_TRUE(satisfies(overtaking_run(), empty));
