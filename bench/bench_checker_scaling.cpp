@@ -24,14 +24,12 @@
 // variation) alongside, and a top-level "field_meta" object declares
 // each field's diff direction and noise floor for msgorder_stats
 // --diff (so CI can gate more fields without false alarms).  Parity is
-// asserted across every rep.  ISSUE 8 bumps it to /5: rows add (a) an
-// automaton cell — a colored feed checked by the compiled monitor
-// automaton (amortized O(1)/event) vs the bitset and naive monitors on
-// the same feed, with the compiled machine's size and an
-// automaton_speedup ratio, parity asserted 3-way — and (b) a batched
-// cell timing the kPruned monitor at batch_size 8 vs 1 on the causal
-// feed.  Replay timing (construct once, reset() + refeed per timed
-// call) keeps the measured loop above the clock floor.
+// asserted across every rep.  /5 added a batched cell timing the
+// kPruned monitor at batch_size 8 vs 1 on the causal feed.  /6 drops
+// the compiled-automaton cell and its automaton_* fields, together
+// with the monitor-automaton compiler they measured.  Replay timing
+// (construct once, reset() + refeed per timed call) keeps the measured
+// loop above the clock floor.
 // Flags (ours are consumed before google-benchmark sees argv):
 //   --json <path>   output path (default BENCH_checker_scaling.json)
 //   --json-only     write the JSON report and skip the gbench sweep
@@ -201,15 +199,7 @@ struct ScalingCell {
   std::uint64_t monitor_events_to_detection = 0;
   bool monitor_parity_ok = false;
   bool sim_completed = false;
-  // ISSUE 8: compiled-automaton cell (marked_send_order on a red feed).
-  double automaton_spe = 0, automaton_bitset_spe = 0;
-  bool automaton_compiled = false;
-  std::string automaton_fallback_reason;
-  std::size_t automaton_states = 0, automaton_symbol_classes = 0;
-  std::uint64_t automaton_transitions = 0;
-  bool automaton_violated = false;
-  bool automaton_parity_ok = false;
-  // ISSUE 8 satellite: batched re-intersection cell (causal feed).
+  // Batched re-intersection cell (causal feed).
   double batched_spe = 0, batch1_spe = 0;
   bool batched_verdict_ok = false;
   std::uint64_t batched_searches = 0;
@@ -219,8 +209,7 @@ struct ScalingCell {
 /// Per-event replay timing: reset the monitor to its post-construction
 /// state and refeed the recorded events under one timer.  A whole-feed
 /// replay stays far above the steady_clock floor that a per-event timer
-/// would sit on, so the automaton's single-digit-ns transitions are
-/// measurable.
+/// would sit on.
 template <typename Flush>
 double replay_seconds_per_event(
     OnlineMonitor& monitor,
@@ -346,97 +335,6 @@ ScalingCell measure_scaling_cell(std::size_t n) {
     cell.batch1_spe = replay_seconds_per_event(batch1, feed, no_flush);
   }
 
-  // ISSUE 8 tentpole: the compiled monitor automaton on a colored feed.
-  // marked_send_order(0, 1) compiles (single-cluster, send-only, two
-  // color classes); a red_fraction workload violates it quickly, so the
-  // cell also exercises the replay witness extraction.  The bitset and
-  // naive monitors consume the identical feed — verdict, first witness,
-  // and detection event must agree three ways.
-  {
-    Rng arng(23);
-    WorkloadOptions awopts;
-    awopts.n_processes = 6;
-    awopts.n_messages = n;
-    awopts.mean_gap = 0.2;
-    awopts.red_fraction = 0.3;
-    const Workload aworkload = random_workload(awopts, arng);
-    const ForbiddenPredicate aspec = marked_send_order(0, 1);
-    std::vector<std::tuple<ProcessId, SystemEvent, double>> afeed;
-    SimOptions asopts;
-    asopts.seed = 31;
-    asopts.network.jitter_mean = 3.0;
-    asopts.observers.add([&afeed](ProcessId p, SystemEvent e, SimTime t) {
-      afeed.emplace_back(p, e, t);
-    });
-    (void)simulate(aworkload, AsyncProtocol::factory(),
-                   awopts.n_processes, asopts);
-
-    OnlineMonitor automaton(
-        workload_universe(aworkload), aspec,
-        MonitorOptions{MonitorSearchMode::kAutomaton, 1});
-    OnlineMonitor bitset(workload_universe(aworkload), aspec,
-                         MonitorSearchMode::kPruned);
-    OnlineMonitor anaive(workload_universe(aworkload), aspec,
-                         MonitorSearchMode::kNaive);
-    for (const auto& [p, e, t] : afeed) {
-      automaton.on_event(p, e, t);
-      bitset.on_event(p, e, t);
-      anaive.on_event(p, e, t);
-    }
-    const OnlineMonitor::AutomatonInfo info = automaton.automaton_info();
-    cell.automaton_compiled = info.compiled;
-    cell.automaton_fallback_reason = info.fallback_reason;
-    cell.automaton_states = info.states;
-    cell.automaton_symbol_classes = info.symbol_classes;
-    cell.automaton_transitions = info.transitions;
-    cell.automaton_violated = automaton.violated();
-    cell.automaton_parity_ok =
-        info.compiled &&
-        automaton.violated() == bitset.violated() &&
-        bitset.violated() == anaive.violated() &&
-        automaton.first_witness() == bitset.first_witness() &&
-        bitset.first_witness() == anaive.first_witness() &&
-        automaton.events_to_detection() == bitset.events_to_detection() &&
-        bitset.events_to_detection() == anaive.events_to_detection();
-    // Steady-state per-event cost on a violation-free colored feed:
-    // every process sends its red (color 1) messages before its plain
-    // (color 0) ones, so marked_send_order(0, 1) never completes and
-    // neither monitor gets an early out — the bitset engine runs its
-    // full pruned search on every event, the automaton takes one table
-    // step (plus the feed log append that backs witness extraction).
-    // Timing the violating feed instead would bill the automaton for
-    // one whole witness-extraction replay per timed refeed.
-    std::vector<Message> clean_universe;
-    std::vector<std::tuple<ProcessId, SystemEvent, double>> clean_feed;
-    const std::size_t per_process = (n + 5) / 6;
-    for (MessageId id = 0; id < n; ++id) {
-      const auto src = static_cast<ProcessId>(id / per_process);
-      const auto dst = static_cast<ProcessId>((src + 1) % 6);
-      const bool red = id % per_process < (per_process * 3 + 9) / 10;
-      clean_universe.push_back(Message{id, src, dst, red ? 1 : 0});
-    }
-    for (MessageId id = 0; id < n; ++id) {
-      const double t = 2.0 * static_cast<double>(id);
-      clean_feed.emplace_back(clean_universe[id].src,
-                              SystemEvent{id, EventKind::kSend}, t);
-      clean_feed.emplace_back(clean_universe[id].dst,
-                              SystemEvent{id, EventKind::kDeliver}, t + 1);
-    }
-    OnlineMonitor automaton_clean(
-        clean_universe, aspec,
-        MonitorOptions{MonitorSearchMode::kAutomaton, 1});
-    OnlineMonitor bitset_clean(clean_universe, aspec,
-                               MonitorSearchMode::kPruned);
-    const auto no_flush = [](OnlineMonitor&) {};
-    cell.automaton_spe =
-        replay_seconds_per_event(automaton_clean, clean_feed, no_flush);
-    cell.automaton_bitset_spe =
-        replay_seconds_per_event(bitset_clean, clean_feed, no_flush);
-    // The clean feed must actually be clean, in both engines' eyes.
-    cell.automaton_parity_ok = cell.automaton_parity_ok &&
-                               !automaton_clean.violated() &&
-                               !bitset_clean.violated();
-  }
   return cell;
 }
 
@@ -501,9 +399,6 @@ void write_field_meta(JsonWriter& w) {
   timed("monitor_seconds_per_event", 0.35);
   timed("monitor_seconds_per_event_naive", 0.35);
   ratio("monitor_speedup", 0.5);
-  timed("automaton_seconds_per_event", 0.35);
-  timed("automaton_seconds_per_event_bitset", 0.35);
-  ratio("automaton_speedup", 0.5);
   timed("monitor_batched_seconds_per_event", 0.35);
   timed("monitor_batch1_seconds_per_event", 0.35);
   ratio("monitor_batched_speedup", 0.5);
@@ -531,11 +426,10 @@ int write_scaling_report(const std::string& path, bool quick,
   bool parity_ok = true;
   JsonWriter w;
   w.begin_object();
-  w.kv("schema", "msgorder.bench.checker_scaling/5");
+  w.kv("schema", "msgorder.bench.checker_scaling/6");
   w.kv("bench", "checker_scaling");
   w.kv("n_processes", 6);
   w.kv("spec", causal_ordering().to_string());
-  w.kv("automaton_spec", marked_send_order(0, 1).to_string());
   w.kv("monitor_batch_size", 8);
   w.kv("sweep_threads", static_cast<std::uint64_t>(n_threads));
   w.kv("quick", quick);
@@ -551,7 +445,7 @@ int write_scaling_report(const std::string& path, bool quick,
     bool row_parity = true;
     for (const ScalingCell& r : rep_cells) {
       row_parity = row_parity && r.monitor_parity_ok && r.incr_sync_agrees &&
-                   r.automaton_parity_ok && r.batched_verdict_ok;
+                   r.batched_verdict_ok;
     }
     parity_ok = parity_ok && row_parity;
     // Median over reps is the headline value; _min and _cv ride along.
@@ -617,20 +511,6 @@ int write_scaling_report(const std::string& path, bool quick,
     w.kv("monitor_parity_ok", row_parity);
     w.kv("monitor_violated", c.monitor_violated);
     w.kv("monitor_events_to_detection", c.monitor_events_to_detection);
-    stat("automaton_seconds_per_event",
-         [](const ScalingCell& r) { return r.automaton_spe; });
-    stat("automaton_seconds_per_event_bitset",
-         [](const ScalingCell& r) { return r.automaton_bitset_spe; });
-    stat("automaton_speedup", [&](const ScalingCell& r) {
-      return speedup(r.automaton_bitset_spe, r.automaton_spe);
-    });
-    w.kv("automaton_compiled", c.automaton_compiled);
-    w.kv("automaton_fallback_reason", c.automaton_fallback_reason);
-    w.kv("automaton_states", c.automaton_states);
-    w.kv("automaton_symbol_classes", c.automaton_symbol_classes);
-    w.kv("automaton_transitions", c.automaton_transitions);
-    w.kv("automaton_violated", c.automaton_violated);
-    w.kv("automaton_parity_ok", c.automaton_parity_ok);
     stat("monitor_batched_seconds_per_event",
          [](const ScalingCell& r) { return r.batched_spe; });
     stat("monitor_batch1_seconds_per_event",

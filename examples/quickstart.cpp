@@ -12,12 +12,8 @@
 //                             query it with msgorder_query
 //                             cone/cut/why/summary, diff two runs with
 //                             msgorder_query diverge
-//   --search-mode <m>         online monitor search: pruned (default),
-//                             naive, or automaton — the ISSUE 8 compiled
-//                             monitor automaton; specs outside the
-//                             compilable class report a structured
-//                             fallback reason and run on the bitset
-//                             engine; pruned prints one "monitor
+//   --search-mode <m>         online monitor search: pruned (default)
+//                             or naive; pruned prints one "monitor
 //                             search:" line with the engine's searches,
 //                             DFS nodes and nogoods
 #include <cstdio>
@@ -51,11 +47,9 @@ int main(int argc, char** argv) {
         search_mode = MonitorSearchMode::kPruned;
       } else if (name == "naive") {
         search_mode = MonitorSearchMode::kNaive;
-      } else if (name == "automaton") {
-        search_mode = MonitorSearchMode::kAutomaton;
       } else {
         std::printf("unknown --search-mode %s "
-                    "(expected pruned, naive, or automaton)\n",
+                    "(expected pruned or naive)\n",
                     name.c_str());
         return 2;
       }
@@ -142,16 +136,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(search_stats.searches),
                 static_cast<unsigned long long>(search_stats.dfs_nodes),
                 static_cast<unsigned long long>(search_stats.nogoods));
-  }
-  if (const auto info = monitor->automaton_info(); info.requested) {
-    if (info.compiled) {
-      std::printf("monitor automaton: %zu states over %zu symbol classes "
-                  "(%llu transitions taken)\n",
-                  info.states, info.symbol_classes,
-                  static_cast<unsigned long long>(info.transitions));
-    } else {
-      std::printf("monitor automaton: %s\n", info.fallback_reason.c_str());
-    }
   }
 
   std::string io_error;

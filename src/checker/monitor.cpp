@@ -17,7 +17,9 @@ OnlineMonitor::OnlineMonitor(std::vector<Message> universe,
     : universe_(std::move(universe)),
       spec_(std::move(specification)),
       options_(options),
-      mode_(options.mode),
+      mode_(options.mode == MonitorSearchMode::kNaive
+                ? MonitorSearchMode::kNaive
+                : MonitorSearchMode::kPruned),
       engine_(spec_, universe_),
       ancestors_(2 * universe_.size()),
       descendants_(2 * universe_.size()),
@@ -32,31 +34,6 @@ OnlineMonitor::OnlineMonitor(std::vector<Message> universe,
                             static_cast<std::size_t>(m.dst) + 1});
   }
   last_event_.assign(n_processes, -1);
-  if (options_.mode == MonitorSearchMode::kAutomaton) {
-    compile_ = compile_predicate(spec_, &universe_);
-    if (compile_.compiled()) {
-      automaton_engine_.emplace(&*compile_.automaton, n_processes);
-    } else {
-      // Structured fallback: run exactly like kPruned (including the
-      // batched search if batch_size > 1); automaton_info() reports why.
-      mode_ = MonitorSearchMode::kPruned;
-    }
-  }
-}
-
-OnlineMonitor::AutomatonInfo OnlineMonitor::automaton_info() const {
-  AutomatonInfo info;
-  info.requested = options_.mode == MonitorSearchMode::kAutomaton;
-  info.compiled = compile_.compiled();
-  info.fallback_reason = compile_.fallback_reason;
-  if (compile_.compiled()) {
-    info.states = compile_.automaton->n_states;
-    info.symbol_classes = compile_.automaton->symbols.n_classes();
-  }
-  if (automaton_engine_.has_value()) {
-    info.transitions = automaton_engine_->transitions();
-  }
-  return info;
 }
 
 bool OnlineMonitor::before(UserEvent a, UserEvent b) const {
@@ -143,40 +120,6 @@ bool OnlineMonitor::on_event(ProcessId process, SystemEvent event,
   return on_event_impl(process, event, time);
 }
 
-bool OnlineMonitor::on_event_automaton(ProcessId process, SystemEvent event,
-                                       double time) {
-  // A dead automaton (unsatisfiable pattern) never accepts: skip even
-  // the feed log, there will never be a witness to extract.
-  if (!compile_.automaton->can_accept()) return false;
-  if (!first_violation_.has_value()) {
-    feed_log_.push_back(LoggedEvent{process, event, time});
-  }
-  if (!is_user_kind(event.kind)) return false;
-  const bool fired = automaton_engine_->on_user_event(
-      process, to_user_kind(event.kind), universe_[event.msg].color);
-  if (!fired) return false;
-  return extract_witness_by_replay();
-}
-
-bool OnlineMonitor::extract_witness_by_replay() {
-  // One replay per monitor lifetime, at first acceptance: re-running
-  // the log through a kPruned monitor yields the identical first
-  // witness, detection event, and timestamp the bitset engine reports.
-  OnlineMonitor replay(universe_, spec_,
-                       MonitorOptions{MonitorSearchMode::kPruned, 1});
-  for (const LoggedEvent& logged : feed_log_) {
-    replay.on_event(logged.process, logged.event, logged.time);
-  }
-  feed_log_.clear();
-  feed_log_.shrink_to_fit();
-  if (!replay.violated()) return false;  // unreachable if compile is sound
-  first_violation_ = replay.first_witness();
-  first_violation_time_ = replay.first_violation_time();
-  events_to_detection_ = events_seen_;
-  violation_count_ = 1;  // the automaton reports the first violation once
-  return true;
-}
-
 bool OnlineMonitor::flush_batch(double time) {
   if (pending_in_batch_ == 0) return false;
   pending_in_batch_ = 0;
@@ -213,18 +156,13 @@ void OnlineMonitor::reset() {
   events_to_detection_ = 0;
   timed_events_ = 0;
   on_event_seconds_ = 0;
-  feed_log_.clear();
   pending_in_batch_ = 0;
   last_event_time_ = 0;
-  if (automaton_engine_.has_value()) automaton_engine_->reset();
 }
 
 bool OnlineMonitor::on_event_impl(ProcessId process, SystemEvent event,
                                   double time) {
   last_event_time_ = time;
-  if (mode_ == MonitorSearchMode::kAutomaton) {
-    return on_event_automaton(process, event, time);
-  }
   if (!is_user_kind(event.kind)) return false;
   const UserEventKind kind = to_user_kind(event.kind);
   const std::size_t idx = index(event.msg, kind);
@@ -256,8 +194,8 @@ bool OnlineMonitor::on_event_impl(ProcessId process, SystemEvent event,
   // A newly completed pattern must bind some variable to this message.
   if (spec_.arity == 0 || spec_.arity > universe_.size()) return false;
   if (mode_ == MonitorSearchMode::kPruned && options_.batch_size > 1) {
-    // Batched fallback (ISSUE 8 satellite): defer the search, run one
-    // unpinned re-intersection per batch_size user events.
+    // Batched search: defer the search, run one unpinned
+    // re-intersection per batch_size user events.
     if (++pending_in_batch_ < options_.batch_size) return false;
     return flush_batch(time);
   }

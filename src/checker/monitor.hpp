@@ -19,12 +19,10 @@
 #include <optional>
 #include <vector>
 
-#include "src/checker/automaton.hpp"
 #include "src/checker/search.hpp"
 #include "src/checker/violation.hpp"
 #include "src/obs/observer.hpp"
 #include "src/poset/event.hpp"
-#include "src/spec/compile.hpp"
 #include "src/spec/predicate.hpp"
 #include "src/util/bitmatrix.hpp"
 
@@ -34,18 +32,18 @@ namespace msgorder {
 /// kPruned (the default) is the bitset-pruned WitnessEngine; kNaive is
 /// the seed's scan-every-message search, retained as the reference for
 /// the equivalence tests and the before/after bench rows — both modes
-/// produce identical verdicts, witnesses, and detection events.
-/// kAutomaton (ISSUE 8) compiles the spec to a monitor automaton
-/// (src/spec/compile.*) and checks each event with one table lookup —
-/// amortized O(1) per event, skipping the O(n)-per-event causality
-/// matrix maintenance entirely; on the first acceptance the logged feed
-/// is replayed through a kPruned monitor to extract the identical first
-/// witness, detection event, and timestamp.  Specs the compiler rejects
-/// fall back to kPruned automatically (see automaton_info()).
-enum class MonitorSearchMode { kPruned, kNaive, kAutomaton };
+/// produce identical verdicts, witnesses, and detection events.  There
+/// is no cheaper per-event engine: every specification the paper
+/// classifies relates events on different process lines, which no
+/// per-process symbol stream can decide (DESIGN.md §9).
+enum class MonitorSearchMode {
+  kPruned,
+  kNaive,
+  kAutomaton,  // runs exactly as kPruned; kept only because perfbench names it
+};
 
-/// Monitor configuration (ISSUE 8).  batch_size > 1 defers the bitset
-/// engine's witness searches: causality updates stay per-event, but the
+/// Monitor configuration.  batch_size > 1 defers the bitset engine's
+/// witness searches: causality updates stay per-event, but the
 /// (expensive) re-intersection runs once per `batch_size` user events as
 /// a single unpinned search instead of one pinned search per event.
 /// Witnesses are monotone — once a forbidden pattern completes it stays
@@ -53,8 +51,8 @@ enum class MonitorSearchMode { kPruned, kNaive, kAutomaton };
 /// granularity; first_witness / detection event / violation_count are
 /// reported as of the flush that first observes the violation.  Call
 /// flush() after the last event to close a partial batch.  Applies to
-/// kPruned and to the kAutomaton fallback path; kNaive (the reference
-/// implementation) always searches per event.
+/// kPruned; kNaive (the reference implementation) always searches per
+/// event.  perfbench brace-initializes {mode, batch_size}: keep both.
 struct MonitorOptions {
   MonitorSearchMode mode = MonitorSearchMode::kPruned;
   std::size_t batch_size = 1;
@@ -78,8 +76,8 @@ class OnlineMonitor {
   /// violation.  Call after the final event when batching.
   bool flush();
 
-  /// Restore the post-construction state: matrices, presence, automaton
-  /// state, verdicts, and counters all reset (bench replay support).
+  /// Restore the post-construction state: matrices, presence, verdicts,
+  /// and counters all reset (bench replay support).
   void reset();
 
   bool violated() const { return first_violation_.has_value(); }
@@ -116,18 +114,11 @@ class OnlineMonitor {
     engine_.set_stats(stats);
   }
 
-  /// Compiler/automaton observability (ISSUE 8): whether kAutomaton was
-  /// requested, whether the spec compiled (fallback_reason explains a
-  /// rejection), and the compiled machine's size and activity.
+  /// Always reports compiled == false; kept only because perfbench reads it.
   struct AutomatonInfo {
-    bool requested = false;
     bool compiled = false;
-    std::string fallback_reason;
-    std::size_t states = 0;
-    std::size_t symbol_classes = 0;
-    std::uint64_t transitions = 0;
   };
-  AutomatonInfo automaton_info() const;
+  AutomatonInfo automaton_info() const { return {}; }
 
   const MonitorOptions& options() const { return options_; }
 
@@ -141,10 +132,7 @@ class OnlineMonitor {
   }
 
   bool on_event_impl(ProcessId process, SystemEvent event, double time);
-  bool on_event_automaton(ProcessId process, SystemEvent event,
-                          double time);
   bool flush_batch(double time);
-  bool extract_witness_by_replay();
 
   bool search_with_pin(std::size_t pinned_var, MessageId pinned_msg,
                        std::size_t next_var,
@@ -157,8 +145,7 @@ class OnlineMonitor {
   std::vector<Message> universe_;
   ForbiddenPredicate spec_;
   MonitorOptions options_;
-  /// The search mode events actually take: kAutomaton only when the
-  /// spec compiled, else the requested mode degraded to kPruned.
+  /// The search mode events actually take: kNaive or kPruned.
   MonitorSearchMode mode_;
   /// The bitset-pruned search engine (holds the static candidate masks
   /// and all per-query scratch, so on_event never allocates).
@@ -189,20 +176,7 @@ class OnlineMonitor {
   std::uint64_t timed_events_ = 0;
   double on_event_seconds_ = 0;
 
-  // --- kAutomaton state (ISSUE 8) ---
-  CompileResult compile_;
-  std::optional<AutomatonEngine> automaton_engine_;
-  /// The full system feed, logged until the first acceptance so the
-  /// witness can be extracted by replaying through a kPruned monitor
-  /// (one replay total: amortized O(1) per event stands).
-  struct LoggedEvent {
-    ProcessId process;
-    SystemEvent event;
-    double time;
-  };
-  std::vector<LoggedEvent> feed_log_;
-
-  // --- batched fallback state (ISSUE 8 satellite) ---
+  // --- batched search state ---
   std::size_t pending_in_batch_ = 0;
   double last_event_time_ = 0;
 };

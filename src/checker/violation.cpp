@@ -1,8 +1,8 @@
 #include "src/checker/violation.hpp"
 
-#include "src/checker/automaton.hpp"
+#include <algorithm>
+
 #include "src/checker/search.hpp"
-#include "src/spec/compile.hpp"
 
 namespace msgorder {
 
@@ -75,19 +75,6 @@ class ViolationSearch {
 
 std::optional<ViolationWitness> find_violation(
     const UserRun& run, const ForbiddenPredicate& predicate) {
-  // Automaton fast path (ISSUE 8): when the predicate compiles and the
-  // run carries schedules, a per-process DFA pass decides *whether* a
-  // witness exists without materializing the transposed ancestor
-  // matrix.  Only the (rare) violating runs pay for extraction below;
-  // non-compilable predicates bail out of compile_predicate in O(spec).
-  if (run.has_schedules()) {
-    const CompileResult compiled =
-        compile_predicate(predicate, &run.messages());
-    if (compiled.compiled() &&
-        !automaton_accepts_run(*compiled.automaton, run)) {
-      return std::nullopt;
-    }
-  }
   WitnessEngine engine(predicate, run.messages());
   const BitMatrix ancestors = run.order().matrix().transposed();
   const WitnessEngine::View view{&run.order().matrix(), &ancestors,
@@ -100,6 +87,55 @@ std::optional<ViolationWitness> find_violation(
 std::optional<ViolationWitness> find_violation_naive(
     const UserRun& run, const ForbiddenPredicate& predicate) {
   return ViolationSearch(run, predicate).search();
+}
+
+std::size_t max_concurrency_width(const UserRun& run,
+                                  std::optional<int> color) {
+  std::vector<MessageId> pool;
+  for (MessageId m = 0; m < run.message_count(); ++m) {
+    if (!color.has_value() || run.color_of(m) == *color) pool.push_back(m);
+  }
+  const std::size_t n = pool.size();
+  if (n == 0) return 0;
+
+  // x < y iff x's delivery causally precedes y's send: x and y can
+  // never be in flight together.  The relation is transitive (via
+  // x.r |> y.s |> y.r |> z.s), so Dilworth applies: the width equals
+  // n minus a maximum matching of the comparability DAG.
+  std::vector<std::vector<std::size_t>> succ(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j && run.before(pool[i], UserEventKind::kDeliver, pool[j],
+                               UserEventKind::kSend)) {
+        succ[i].push_back(j);
+      }
+    }
+  }
+  std::vector<long> match_right(n, -1);
+  std::vector<char> visited(n, 0);
+  const auto augment = [&](const auto& self, std::size_t u) -> bool {
+    for (const std::size_t v : succ[u]) {
+      if (visited[v] != 0) continue;
+      visited[v] = 1;
+      if (match_right[v] < 0 ||
+          self(self, static_cast<std::size_t>(match_right[v]))) {
+        match_right[v] = static_cast<long>(u);
+        return true;
+      }
+    }
+    return false;
+  };
+  std::size_t matched = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    std::fill(visited.begin(), visited.end(), 0);
+    if (augment(augment, u)) ++matched;
+  }
+  return n - matched;
+}
+
+bool exceeds_concurrency(const UserRun& run,
+                         const CountingPredicate& counting) {
+  return max_concurrency_width(run, counting.color) > counting.limit;
 }
 
 bool satisfies(const UserRun& run, const ForbiddenPredicate& predicate) {

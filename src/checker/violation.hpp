@@ -5,6 +5,7 @@
 // trace it produces contains a violation witness).
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,6 +37,18 @@ std::optional<ViolationWitness> find_violation_naive(
 
 /// True iff the run is in X_B.
 bool satisfies(const UserRun& run, const ForbiddenPredicate& predicate);
+
+/// The largest number of matching messages that are simultaneously in
+/// flight in *some* linearization of the run: the width of the interval
+/// order  x < y  iff  x.r |> y.s  over messages of the given color
+/// (nullopt: all messages), computed as Dilworth's  n - max_matching .
+std::size_t max_concurrency_width(const UserRun& run,
+                                  std::optional<int> color);
+
+/// True iff the run violates the counting spec: some linearization puts
+/// more than `limit` matching messages in flight at once.
+bool exceeds_concurrency(const UserRun& run,
+                         const CountingPredicate& counting);
 
 /// True iff the run is in the intersection of all component specs.
 bool satisfies(const UserRun& run, const CompositeSpec& spec);

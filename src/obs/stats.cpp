@@ -293,7 +293,6 @@ std::string summarize_bench(const JsonValue& doc,
       if (d == Direction::kNeutral &&
           key.find("events") == std::string::npos &&
           key.find("parity") == std::string::npos &&
-          key.find("automaton") == std::string::npos &&
           key.find("batched") == std::string::npos) {
         continue;  // keep rows readable: timings + speedups + volumes
       }

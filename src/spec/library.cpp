@@ -116,9 +116,8 @@ ForbiddenPredicate receive_second_before_first() {
 }
 
 ForbiddenPredicate marked_send_order(int first, int second) {
-  // Both sends collocated by the process equality, one kind per
-  // variable, colors distinguishing the two — the canonical pattern the
-  // ISSUE 8 automaton compiler accepts.
+  // Both sends collocated by the process equality, colors
+  // distinguishing the two.
   ForbiddenPredicate p = make_predicate(2, {{0, S, 1, S}}, {{0, S, 1, S}},
                                         {{0, first}, {1, second}});
   p.var_names = {"x", "y"};
@@ -186,7 +185,7 @@ std::vector<NamedSpec> spec_zoo() {
       "Section 5 discussion", receive_second_before_first(),
       ProtocolClass::kNotImplementable);
   add("marked send order", "no marked send after a terminal-marked send",
-      "ISSUE 8 automaton example", marked_send_order(),
+      "monitoring-only example", marked_send_order(),
       ProtocolClass::kNotImplementable);
   return zoo;
 }

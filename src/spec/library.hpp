@@ -75,14 +75,13 @@ ForbiddenPredicate mobile_handoff(int handoff = 2);
 /// (s1 |> s2) & (r1 |> r2); acyclic graph, hence not implementable.
 ForbiddenPredicate receive_second_before_first();
 
-/// Marked-send ordering (ISSUE 8): forbid one process sending a
-/// `first`-colored message and later a `second`-colored one —
+/// Marked-send ordering: forbid one process sending a `first`-colored
+/// message and later a `second`-colored one —
 ///   (x.s |> y.s) where process(x.s)=process(y.s),
 ///                       color(x)=first, color(y)=second.
-/// The canonical single-cluster pattern the automaton compiler accepts
-/// (a monitoring spec: like receive-2nd-before-1st its graph is
-/// acyclic, so no protocol can *enforce* it, but the compiled DFA
-/// detects it in O(1) per event).
+/// A monitoring spec: like receive-2nd-before-1st its graph is acyclic,
+/// so no protocol can *enforce* it, but the online monitor (kPruned)
+/// detects it.
 ForbiddenPredicate marked_send_order(int first = 1, int second = 2);
 
 /// Full logical synchrony as a composite spec: crowns k = 2..max_k.

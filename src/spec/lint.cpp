@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "src/obs/json.hpp"
-#include "src/spec/compile.hpp"
 #include "src/spec/graph.hpp"
 #include "src/spec/weaken.hpp"
 
@@ -151,6 +150,7 @@ struct PredicateLint {
   /// Original index of each conjunct the normalized predicate kept
   /// (normalize drops tautological conjuncts and duplicates, in order).
   std::vector<std::size_t> kept_to_original;
+  bool contradictory_colors = false;  // a variable needs two colors
 
   LintDiagnostic& add(const LintRule& rule) {
     LintDiagnostic d;
@@ -308,6 +308,7 @@ struct PredicateLint {
         d.span = span(k);
         d.fixit = "remove the duplicate constraint";
       } else {
+        contradictory_colors = true;
         LintDiagnostic& d = add(rule_contradictory_where());
         d.message = "color(" + pred.var_name(cc.var) +
                     ") is constrained to both " +
@@ -353,29 +354,6 @@ struct PredicateLint {
       }
       d.fixit = "remove this constraint";
     }
-  }
-
-  /// One-line account of what the ISSUE 8 spec compiler does with this
-  /// predicate: the compiled automaton's size, or the structured
-  /// fallback reason (part of the classifier explanation so spec
-  /// authors learn which monitoring engine their spec will get).
-  std::string compile_note() const {
-    const CompileResult compiled = compile_predicate(pred);
-    if (!compiled.compiled()) {
-      return "monitor automaton: " + compiled.fallback_reason +
-             " (online checking uses the bitset engine)";
-    }
-    const MonitorAutomaton& a = *compiled.automaton;
-    std::string note = "monitor automaton: compiles to " +
-                       std::to_string(a.n_states) + " state(s) over " +
-                       std::to_string(a.symbols.n_classes()) +
-                       " symbol class(es)";
-    if (!a.can_accept()) {
-      note += "; never accepts (the pattern cannot occur)";
-    } else if (a.dead_states > 0) {
-      note += "; " + std::to_string(a.dead_states) + " dead state(s)";
-    }
-    return note;
   }
 
   /// Human rendering of a witness walk, with its beta vertices, against
@@ -432,6 +410,24 @@ struct PredicateLint {
     return predicate_span();
   }
 
+  /// Why B can never hold in any run, or nullopt if it can.  The
+  /// classification covers the conjuncts (an unsatisfiable conjunction,
+  /// or an order-0 cycle forcing an event to precede itself); the where
+  /// clause adds contradictory color demands.
+  std::optional<std::string> never_holds_reason() const {
+    if (cls.normalized.triviality == NormalTriviality::kUnsatisfiable) {
+      return "the conjunction is unsatisfiable after normalization";
+    }
+    if (cls.min_order == 0) {
+      return "the witness cycle has order 0: it forces an event to "
+             "precede itself";
+    }
+    if (contradictory_colors) {
+      return "the where clause demands two colors of one message";
+    }
+    return std::nullopt;
+  }
+
   void check_verdict() {
     switch (cls.normalized.triviality) {
       case NormalTriviality::kUnsatisfiable:
@@ -461,7 +457,6 @@ struct PredicateLint {
         d.notes.push_back(
             "implementability requires a conjunct cycle x_1 -> x_2 -> "
             "... -> x_1 in the predicate graph; none exists here");
-        d.notes.push_back(compile_note());
       }
       return;
     }
@@ -474,7 +469,6 @@ struct PredicateLint {
       d.span = witness_span();
       d.fixit = "break the order-0 cycle or re-orient one conjunct";
       witness_notes(d);
-      if (options.explain) d.notes.push_back(compile_note());
       return;
     }
     if (options.explain) {
@@ -490,7 +484,6 @@ struct PredicateLint {
                   std::to_string(*cls.min_order) + "; " + why;
       d.span = witness_span();
       witness_notes(d);
-      d.notes.push_back(compile_note());
     }
   }
 };
@@ -549,21 +542,23 @@ LintResult lint_spec(const CompositeSpec& spec, const SpecSource* source,
                      const LintOptions& options) {
   LintResult result;
   std::vector<ProtocolClass> classes;
+  std::vector<std::optional<std::string>> never_holds;
   for (std::size_t i = 0; i < spec.predicates.size(); ++i) {
     const PredicateSource* pred_source =
         source != nullptr && i < source->predicates.size()
             ? &source->predicates[i]
             : nullptr;
     PredicateLint lint{spec.predicates[i], pred_source, i, result, options,
-                       {}, {}, {}, {}, {}};
+                       {}, {}, {}, {}, {}, false};
     lint.run();
     classes.push_back(lint.cls.protocol_class);
+    never_holds.push_back(lint.never_holds_reason());
   }
 
   // L015: dead disjunction arms.  Only statements the parser recorded
   // as multi-arm disjunctions are analyzed (the groups are how the spec
   // was *written*; programmatic composites have no disjunction intent).
-  // An arm is dead iff its compiled monitor automaton can never accept
+  // An arm is dead iff its pattern can never hold (never_holds_reason)
   // — X_{A or B} = X_A intersect X_B, so a never-firing arm leaves the
   // intersection unchanged.
   if (source != nullptr &&
@@ -575,10 +570,7 @@ LintResult lint_spec(const CompositeSpec& spec, const SpecSource* source,
       const std::size_t group = source->disjunct_group[i];
       const std::size_t arm = ++arm_within_group[group];
       if (group_size[group] < 2) continue;
-      const CompileResult compiled = compile_predicate(spec.predicates[i]);
-      if (!compiled.compiled() || compiled.automaton->can_accept()) {
-        continue;
-      }
+      if (!never_holds[i].has_value()) continue;
       LintDiagnostic d;
       d.rule = &rule_dead_disjunct();
       d.severity = d.rule->severity;
@@ -590,10 +582,7 @@ LintResult lint_spec(const CompositeSpec& spec, const SpecSource* source,
         d.span = source->predicates[i].span;
       }
       d.fixit = "drop this arm";
-      d.notes.push_back(
-          "compiled monitor automaton: " +
-          std::to_string(compiled.automaton->n_states) +
-          " state(s), none of which reaches acceptance");
+      d.notes.push_back(*never_holds[i]);
       result.diagnostics.push_back(std::move(d));
     }
   }

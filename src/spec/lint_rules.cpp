@@ -71,8 +71,9 @@ const std::vector<LintRule>& catalog() {
        "the computed protocol class differs from the declared "
        "'# expect:' intent"},
       {"L015", "dead-disjunct", kWarning,
-       "an arm of a '|' disjunction can never fire (its compiled monitor "
-       "automaton has no live state), so the disjunction is unchanged by "
+       "an arm of a '|' disjunction can never fire (its pattern is "
+       "unsatisfiable, forces an event to precede itself, or demands two "
+       "colors of one message), so the disjunction is unchanged by "
        "dropping it"},
       {"L016", "degenerate-counting", kWarning,
        "a 'concurrent <= 0' bound rejects every run that sends a "

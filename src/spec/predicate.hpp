@@ -90,13 +90,13 @@ ForbiddenPredicate make_predicate(
     std::vector<ProcessEquality> process_constraints = {},
     std::vector<ColorConstraint> color_constraints = {});
 
-/// Bounded-counting specification (ISSUE 8): "at most `limit` matching
-/// messages concurrently in flight".  A message is in flight between its
-/// send and its delivery; `color` restricts the count to messages of one
-/// color (nullopt counts every message).  Online this is a (limit + 2)-
-/// state counter automaton over send/deliver symbols; offline it is the
-/// width of the interval order  x < y  iff  x.r |> y.s  over the matching
-/// messages (see DESIGN.md §9).
+/// Bounded-counting specification: "at most `limit` matching messages
+/// concurrently in flight".  A message is in flight between its send and
+/// its delivery; `color` restricts the count to messages of one color
+/// (nullopt counts every message).  It is checked offline by the width
+/// oracle max_concurrency_width (violation.hpp): the width of the
+/// interval order  x < y  iff  x.r |> y.s  over the matching messages
+/// (see DESIGN.md §9).
 struct CountingPredicate {
   std::optional<int> color;
   std::size_t limit = 0;

@@ -199,27 +199,13 @@ TEST(LintDisjunction, LiveArmsAreNotFlagged) {
   EXPECT_TRUE(r.clean());
 }
 
-TEST(LintExplain, ExplanationNamesTheCompileOutcome) {
-  // Causal ordering falls back (cross-process pattern) ...
-  const LintResult causal = lint_predicate(causal_ordering());
-  bool saw_fallback = false;
-  for (const LintDiagnostic& d : causal.diagnostics) {
-    for (const std::string& note : d.notes) {
-      saw_fallback |=
-          note.find("monitor automaton: fallback:") != std::string::npos;
-    }
-  }
-  EXPECT_TRUE(saw_fallback);
-  // ... while the marked-send pattern compiles to a DFA.
-  const LintResult marked = lint_predicate(marked_send_order());
-  bool saw_compiled = false;
-  for (const LintDiagnostic& d : marked.diagnostics) {
-    for (const std::string& note : d.notes) {
-      saw_compiled |= note.find("monitor automaton: compiles to") !=
-                      std::string::npos;
-    }
-  }
-  EXPECT_TRUE(saw_compiled);
+TEST(LintDisjunction, ArmDemandingTwoColorsOfOneMessageIsDead) {
+  // The second arm is a live causal pattern except that y must be both
+  // color 1 and color 2, so no run ever matches it.
+  const LintResult r = lint_text(
+      "(x.s |> y.s) & (y.r |> x.r)"
+      " | (x.s |> y.s) & (y.r |> x.r) where color(y) = 1, color(y) = 2");
+  EXPECT_TRUE(r.has_rule("L015"));
 }
 
 TEST(LintExplain, ExplanationNamesWitnessCycleAndBetaVertices) {

@@ -1,5 +1,6 @@
 // The online monitor: incremental causality, first-violation detection,
-// and agreement with the offline oracle over simulations.
+// agreement with the offline oracle over simulations, reset(), and the
+// batched search.
 #include <gtest/gtest.h>
 
 #include "src/checker/monitor.hpp"
@@ -8,6 +9,7 @@
 #include "src/protocols/causal_rst.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/spec/library.hpp"
+#include "tests/random_feed.hpp"
 
 namespace msgorder {
 namespace {
@@ -149,6 +151,101 @@ TEST(OnlineMonitor, CrownSpecAcrossProcesses) {
   monitor.on_event(1, {1, S}, 1);
   EXPECT_FALSE(monitor.on_event(1, {0, D}, 2));
   EXPECT_TRUE(monitor.on_event(0, {1, D}, 3));
+}
+
+TEST(Monitor, UnsatisfiablePredicateNeverFires) {
+  Rng rng(911);
+  const Feed feed = random_feed(rng, 3, 8, {0, 1});
+  for (const ForbiddenPredicate& p : async_zoo()) {
+    for (const MonitorSearchMode mode :
+         {MonitorSearchMode::kPruned, MonitorSearchMode::kNaive}) {
+      OnlineMonitor monitor(feed.messages, p, mode);
+      for (const auto& [process, event, time] : feed.events) {
+        EXPECT_FALSE(monitor.on_event(process, event, time));
+      }
+      EXPECT_FALSE(monitor.violated());
+    }
+  }
+}
+
+TEST(Monitor, ResetRestoresPostConstructionState) {
+  Rng rng(101);
+  const Feed feed = random_feed(rng, 4, 8, {1, 2});
+  for (const MonitorSearchMode mode :
+       {MonitorSearchMode::kPruned, MonitorSearchMode::kNaive}) {
+    OnlineMonitor monitor(feed.messages, marked_send_order(),
+                          MonitorOptions{mode, 1});
+    const auto feed_all = [&] {
+      for (const auto& [process, event, time] : feed.events) {
+        monitor.on_event(process, event, time);
+      }
+    };
+    feed_all();
+    const bool verdict = monitor.violated();
+    const auto witness = monitor.first_witness();
+    const auto detection = monitor.events_to_detection();
+    monitor.reset();
+    EXPECT_FALSE(monitor.violated());
+    EXPECT_EQ(monitor.events_seen(), 0u);
+    feed_all();
+    EXPECT_EQ(monitor.violated(), verdict);
+    EXPECT_EQ(monitor.first_witness(), witness);
+    EXPECT_EQ(monitor.events_to_detection(), detection);
+  }
+}
+
+// --- batched search (MonitorOptions::batch_size) ---
+
+TEST(Monitor, BatchedSearchPreservesVerdictAtBatchGranularity) {
+  Rng rng(577);
+  int fired = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const Feed feed = random_feed(rng, 3, 7, {0, 1});
+    const ForbiddenPredicate spec =
+        trial % 2 == 0 ? causal_ordering() : fifo();
+    for (const std::size_t batch : {std::size_t{2}, std::size_t{5}}) {
+      OnlineMonitor batched(feed.messages, spec,
+                            MonitorOptions{MonitorSearchMode::kPruned,
+                                           batch});
+      for (const auto& [process, event, time] : feed.events) {
+        batched.on_event(process, event, time);
+      }
+      batched.flush();
+      if (batched.violated()) ++fired;
+      OnlineMonitor fresh(feed.messages, spec, MonitorSearchMode::kPruned);
+      for (const auto& [process, event, time] : feed.events) {
+        fresh.on_event(process, event, time);
+      }
+      ASSERT_EQ(batched.violated(), fresh.violated())
+          << "batch=" << batch << "\n"
+          << feed.to_run().to_string();
+      if (fresh.violated()) {
+        // Detection shifts by at most one batch of user events.
+        EXPECT_GE(batched.events_to_detection(),
+                  fresh.events_to_detection());
+        EXPECT_LT(batched.events_to_detection(),
+                  fresh.events_to_detection() + batch);
+      }
+    }
+  }
+  EXPECT_GT(fired, 10);
+}
+
+TEST(Monitor, BatchSizeOnePreservesExistingBehaviorExactly) {
+  Rng rng(431);
+  const Feed feed = random_feed(rng, 3, 8, {0, 1});
+  OnlineMonitor a(feed.messages, causal_ordering(),
+                  MonitorSearchMode::kPruned);
+  OnlineMonitor b(feed.messages, causal_ordering(),
+                  MonitorOptions{MonitorSearchMode::kPruned, 1});
+  for (const auto& [process, event, time] : feed.events) {
+    EXPECT_EQ(a.on_event(process, event, time),
+              b.on_event(process, event, time));
+  }
+  EXPECT_EQ(a.violated(), b.violated());
+  EXPECT_EQ(a.first_witness(), b.first_witness());
+  EXPECT_EQ(a.violation_count(), b.violation_count());
+  EXPECT_EQ(a.events_to_detection(), b.events_to_detection());
 }
 
 }  // namespace
