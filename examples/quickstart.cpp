@@ -15,7 +15,7 @@
 //   --search-mode <m>         online monitor search: pruned (default)
 //                             or naive; pruned prints one "monitor
 //                             search:" line with the engine's searches,
-//                             DFS nodes and nogoods
+//                             DFS nodes, nogoods and dominance prunes
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -132,10 +132,12 @@ int main(int argc, char** argv) {
               monitor->violated() ? "NO (violation seen)" : "yes");
   if (search_mode == MonitorSearchMode::kPruned) {
     std::printf("monitor search: %llu searches, %llu DFS nodes, "
-                "%llu nogoods\n",
+                "%llu nogoods, %llu dominance prunes\n",
                 static_cast<unsigned long long>(search_stats.searches),
                 static_cast<unsigned long long>(search_stats.dfs_nodes),
-                static_cast<unsigned long long>(search_stats.nogoods));
+                static_cast<unsigned long long>(search_stats.nogoods),
+                static_cast<unsigned long long>(
+                    search_stats.dominance_prunes));
   }
 
   std::string io_error;

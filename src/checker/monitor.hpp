@@ -11,7 +11,9 @@
 // event's message: each event runs one search per variable with that
 // variable pinned to it.  The seed scan (kNaive) pays O(|M|^(arity-1))
 // per pinned search; the WitnessEngine's nogoods (search.hpp) cut a
-// pinned sync-crown search to O(|M|) DFS nodes at any crown size.
+// pinned sync-crown search to O(|M|) DFS nodes at any crown size, and
+// its chain dominance a pinned k-weaker search to O(P) bindings per
+// level.
 #pragma once
 
 #include <cstdint>

@@ -11,6 +11,16 @@ constexpr bool bit_set(const std::uint64_t* words, std::size_t i) {
   return (words[i >> 6] >> (i & 63)) & 1u;
 }
 
+/// Word `w` of the message bitset holding the `phase` events (0: sends,
+/// 1: deliveries) of a packed event row.
+std::uint64_t kind_slice(const std::uint64_t* event_row,
+                         std::size_t event_words, unsigned phase,
+                         std::size_t w) {
+  const std::uint64_t lo = 2 * w < event_words ? event_row[2 * w] : 0;
+  const std::uint64_t hi = 2 * w + 1 < event_words ? event_row[2 * w + 1] : 0;
+  return compress_stride2(lo, phase) | (compress_stride2(hi, phase) << 32);
+}
+
 }  // namespace
 
 WitnessEngine::WitnessEngine(ForbiddenPredicate spec,
@@ -138,6 +148,47 @@ void WitnessEngine::build_plans() {
         if (w != pin) plan[w].watch |= outside;
       }
     }
+    // Chain dominance: every filter a later-bound variable holds on v
+    // must share one direction and one endpoint kind; a process equality
+    // may name that endpoint only.
+    using Dominance = LevelPlan::Dominance;
+    for (std::size_t v = 0; v < arity; ++v) {
+      if (v == pin) continue;
+      LevelPlan& level = plan[v];
+      bool eligible = true;
+      for (const PairFilter& f : vars_[v].filters) {
+        if (f.other < v || f.other == pin ||
+            f.type == PairFilter::Type::kSameProcess) {
+          continue;
+        }
+        const Dominance form = f.type == PairFilter::Type::kVarOnLhs
+                                   ? Dominance::kSource
+                                   : Dominance::kTarget;
+        if (level.dominance == Dominance::kNone) {
+          level.dominance = form;
+          level.dominance_kind = f.var_kind;
+        }
+        eligible = eligible && level.dominance == form &&
+                   level.dominance_kind == f.var_kind;
+      }
+      for (const PairFilter& f : vars_[v].filters) {
+        if (f.other < v || f.other == pin ||
+            f.type != PairFilter::Type::kSameProcess) {
+          continue;
+        }
+        level.dominance_line = true;
+        eligible = eligible && f.var_kind == level.dominance_kind;
+      }
+      if (!eligible || level.dominance == Dominance::kNone) {
+        level.dominance = Dominance::kNone;
+        level.dominance_line = false;
+        continue;
+      }
+      // v watches its own value below it: a self-hit blocks the prune.
+      for (std::size_t w = v + 1; w < arity; ++w) {
+        if (w != pin) plan[w].watch |= 1ULL << v;
+      }
+    }
   }
 }
 
@@ -147,11 +198,39 @@ void WitnessEngine::and_kind_slice(std::uint64_t* cand,
                                    UserEventKind kind) const {
   const unsigned phase = kind == UserEventKind::kDeliver ? 1u : 0u;
   for (std::size_t w = 0; w < msg_words_; ++w) {
-    const std::uint64_t lo = 2 * w < event_words ? event_row[2 * w] : 0;
-    const std::uint64_t hi =
-        2 * w + 1 < event_words ? event_row[2 * w + 1] : 0;
-    cand[w] &= compress_stride2(lo, phase) |
-               (compress_stride2(hi, phase) << 32);
+    cand[w] &= kind_slice(event_row, event_words, phase, w);
+  }
+}
+
+void WitnessEngine::prune_dominated(const View& view, const LevelPlan& level,
+                                    MessageId failed, std::uint64_t* cand) {
+  // Source form: every candidate whose k-event `failed` precedes; target
+  // form: every candidate whose k-event precedes it.
+  const bool source = level.dominance == LevelPlan::Dominance::kSource;
+  const bool send = level.dominance_kind == UserEventKind::kSend;
+  const BitMatrix& rows = source ? *view.descendants : *view.ancestors;
+  const std::uint64_t* row = rows.row_data(index(failed, level.dominance_kind));
+  const std::size_t event_words = rows.words_per_row();
+  const unsigned phase = send ? 0u : 1u;
+  const std::uint64_t* line = nullptr;
+  if (level.dominance_line) {
+    const Message& mf = universe_[failed];
+    line = send ? by_src_arena_.data() + mf.src * msg_words_
+                : by_dst_arena_.data() + mf.dst * msg_words_;
+  }
+  std::uint64_t pruned = 0;
+  for (std::size_t w = 0; w < msg_words_; ++w) {
+    std::uint64_t slice = kind_slice(row, event_words, phase, w);
+    if (line != nullptr) slice &= line[w];
+    if (stats_ != nullptr) {
+      pruned += static_cast<std::uint64_t>(std::popcount(cand[w] & slice));
+    }
+    cand[w] &= ~slice;
+  }
+  cand[failed >> 6] &= ~(1ULL << (failed & 63));
+  if (stats_ != nullptr) {
+    stats_->dominance_prunes += pruned;
+    if (!source) stats_->dominance_target_prunes += pruned;
   }
 }
 
@@ -192,6 +271,39 @@ bool WitnessEngine::recorded_dead(std::uint64_t levels,
   return false;
 }
 
+WitnessEngine::Probe WitnessEngine::probe(const View& view, std::size_t var,
+                                          std::size_t pinned_var,
+                                          MessageId m,
+                                          std::vector<MessageId>& out) {
+  const LevelPlan& level = plan_[var];
+  if (stats_ != nullptr) ++stats_->enumerated;
+  if (!vars_[var].self_conjuncts.empty() && !self_conjuncts_ok(view, var, m)) {
+    return Probe::kSkipped;
+  }
+  out[var] = m;
+  used_words_[m >> 6] |= 1ULL << (m & 63);
+  for (std::uint64_t ls = level.clears; ls != 0; ls &= ls - 1) {
+    std::fill_n(dead_row(std::countr_zero(ls)), msg_words_, 0);
+  }
+  const bool dominance = level.dominance != LevelPlan::Dominance::kNone;
+  const std::uint64_t self = dominance ? 1ULL << var : 0;
+  hits_ &= ~self;
+  if (dfs(view, var + 1, pinned_var, out)) return Probe::kFound;
+  used_words_[m >> 6] &= ~(1ULL << (m & 63));
+  if (level.stops != 0 && recorded_dead(level.stops, out)) {
+    if (stats_ != nullptr) ++stats_->nogood_prunes;
+    return Probe::kStopped;
+  }
+  if (dominance) {
+    if ((hits_ & self) == 0) {
+      prune_dominated(view, level, m, cand_row(var));
+    } else if (stats_ != nullptr) {
+      ++stats_->dominance_blocked;
+    }
+  }
+  return Probe::kFailed;
+}
+
 bool WitnessEngine::dfs(const View& view, std::size_t var,
                         std::size_t pinned_var,
                         std::vector<MessageId>& out) {
@@ -204,8 +316,9 @@ bool WitnessEngine::dfs(const View& view, std::size_t var,
   // A recording level collects its own subtree's distinctness hits.
   const std::uint64_t outer_hits = hits_;
   if (level.outside != 0) hits_ = 0;
-  // Under a recording level the distinct-message rule applies after the
-  // pair filters, so the level sees which bound values it removed.
+  // Under a recording or dominance level the distinct-message rule
+  // applies after the pair filters, so the level sees which bound values
+  // it removed.
   const bool watch = level.watch != 0;
 
   std::uint64_t* cand = cand_row(var);
@@ -288,28 +401,47 @@ bool WitnessEngine::dfs(const View& view, std::size_t var,
     }
   }
 
-  const bool check_self = !info.self_conjuncts.empty();
-  bool stopped = false;
-  for (std::size_t w = 0; w < msg_words_ && !stopped; ++w) {
+  bool done = false;
+  if (level.dominance == LevelPlan::Dominance::kTarget) {
+    // Ascending order would try the dominated candidates first, so probe
+    // descending: each failure prunes the candidates |>-before it.
+    bool found = false;
+    for (std::size_t i = msg_words_; i > 0 && !found && !done; --i) {
+      const std::size_t w = i - 1;
+      while (cand[w] != 0) {
+        const auto m = static_cast<MessageId>(
+            64 * w + 63 - static_cast<std::size_t>(std::countl_zero(cand[w])));
+        const Probe p = probe(view, var, pinned_var, m, out);
+        found = p == Probe::kFound;
+        done = p == Probe::kStopped;
+        if (found || done) break;
+        cand[w] &= ~(1ULL << (m & 63));
+      }
+    }
+    if (found) {
+      // Release the successful subtree's bindings; the ascending pass
+      // over the survivors returns the lexicographically-first witness.
+      for (std::size_t u = var; u < arity; ++u) {
+        if (u != pinned_var) {
+          used_words_[out[u] >> 6] &= ~(1ULL << (out[u] & 63));
+        }
+      }
+    }
+    done = !found;
+  }
+  for (std::size_t w = 0; w < msg_words_ && !done; ++w) {
     std::uint64_t bits = cand[w];
     while (bits != 0) {
       const auto m = static_cast<MessageId>(
           64 * w + static_cast<std::size_t>(std::countr_zero(bits)));
       bits &= bits - 1;
-      if (stats_ != nullptr) ++stats_->enumerated;
-      if (check_self && !self_conjuncts_ok(view, var, m)) continue;
-      out[var] = m;
-      used_words_[m >> 6] |= 1ULL << (m & 63);
-      for (std::uint64_t ls = level.clears; ls != 0; ls &= ls - 1) {
-        std::fill_n(dead_row(std::countr_zero(ls)), msg_words_, 0);
-      }
-      if (dfs(view, var + 1, pinned_var, out)) return true;
-      used_words_[m >> 6] &= ~(1ULL << (m & 63));
-      if (level.stops != 0 && recorded_dead(level.stops, out)) {
-        if (stats_ != nullptr) ++stats_->nogood_prunes;
-        stopped = true;
+      const Probe p = probe(view, var, pinned_var, m, out);
+      if (p == Probe::kFound) return true;
+      if (p == Probe::kStopped) {
+        done = true;
         break;
       }
+      bits &= cand[w];  // a failure may have pruned later candidates
     }
   }
   if (level.outside != 0) {

@@ -1,5 +1,6 @@
-// Bitset-pruned witness search with nogood recording: the engine behind
-// both the online monitor and the offline oracle.
+// Bitset-pruned witness search with nogood recording and chain
+// dominance: the engine behind both the online monitor and the offline
+// oracle.
 //
 // Candidate bitsets.  Per quantified variable the engine materializes a
 // packed candidate bitset and intersects it word-parallel:
@@ -37,8 +38,38 @@
 // record could never be reused — so arity-2 specs do no bookkeeping.
 // Variable masks are 64-bit; specs of arity > 64 record nothing.
 //
+// Chain dominance.  Every process line is a |>-chain, so a level's
+// later constraints get monotonically harder to meet along a line, in
+// one direction or the other.  The plan marks level v
+// *dominance-eligible* when it has a later-bound partner and every pair
+// filter a later-bound variable holds on v has one direction and one
+// endpoint kind k:
+//   * source form, v.k |> w.q: desc(b.k) is a subset of desc(a.k)
+//     whenever a.k |> b.k, so once candidate a fails, every b in a's
+//     descendant row (k-slice) fails too;
+//   * target form, w.q |> v.k: the mirror image over ancestor rows.
+// A cross-variable process equality from a later variable is allowed
+// when it names v.k (the prune then keeps to a's process line at k) and
+// makes v ineligible when it names the other endpoint.  The argument
+// breaks only if some solution under b binds a later variable to a
+// itself, which the distinct-message rule forbids under a.  So v
+// watches its own value like an outside variable: a failed a prunes
+// only if, inside its subtree, the distinct rule never removed a from a
+// pair-filtered candidate set.  A failure proven this way also holds
+// with that rule relaxed for v, so the pruned candidates fail in every
+// sense the enclosing records and prunes rely on.
+//
+// Probe order.  Source levels enumerate ascending as usual: an early
+// failure removes its descendants before they are reached.  On a target
+// level ascending order would try the dominated candidates first, so it
+// first probes descending, pruning on each failure.  If every probe
+// fails, the level fails.  On the first success the engine releases the
+// bindings the successful subtree left, then runs the normal ascending
+// pass over the surviving candidates.
+//
 // First witness.  A record only ever skips a subtree that has already
-// failed in an equivalent context, so the traversal visits the same
+// failed in an equivalent context, and a dominance prune removes only
+// candidates proven to fail, so the ascending pass visits the same
 // successful prefix and returns the *identical* lexicographically-first
 // witness as the seed scan (the *_naive references stay the oracles).
 //
@@ -85,6 +116,12 @@ class WitnessEngine {
     std::uint64_t enumerated = 0;      // bindings actually tried by the DFS
     std::uint64_t nogoods = 0;         // failed subtrees recorded
     std::uint64_t nogood_prunes = 0;   // subtrees skipped by a record
+    /// Candidates refuted by a failed candidate earlier on their
+    /// |>-chain (both forms), and the part of them on target levels.
+    std::uint64_t dominance_prunes = 0;
+    std::uint64_t dominance_target_prunes = 0;
+    /// Failed candidates whose prune a self-hit blocked.
+    std::uint64_t dominance_blocked = 0;
 
     /// Fraction of statically feasible candidates the word-parallel
     /// pair filters eliminated before enumeration.
@@ -172,7 +209,16 @@ class WitnessEngine {
     /// Deeper recording levels keyed above this level (or keyless): once
     /// one covers the current binding, every sibling left fails too.
     std::uint64_t stops = 0;
+    /// Chain dominance: which rows a failed candidate prunes, over which
+    /// endpoint kind, and whether only on its own process line.
+    enum class Dominance : std::uint8_t { kNone, kSource, kTarget };
+    Dominance dominance = Dominance::kNone;
+    UserEventKind dominance_kind = UserEventKind::kSend;
+    bool dominance_line = false;
   };
+
+  /// What one binding attempt at a level came to.
+  enum class Probe : std::uint8_t { kSkipped, kFailed, kStopped, kFound };
 
   std::uint64_t* cand_row(std::size_t var) {
     return cand_arena_.data() + var * msg_words_;
@@ -192,6 +238,10 @@ class WitnessEngine {
                          MessageId msg) const;
   void and_kind_slice(std::uint64_t* cand, const std::uint64_t* event_row,
                       std::size_t event_words, UserEventKind kind) const;
+  void prune_dominated(const View& view, const LevelPlan& level,
+                       MessageId failed, std::uint64_t* cand);
+  Probe probe(const View& view, std::size_t var, std::size_t pinned_var,
+              MessageId m, std::vector<MessageId>& out);
   bool dfs(const View& view, std::size_t var, std::size_t pinned_var,
            std::vector<MessageId>& out);
 
@@ -213,7 +263,9 @@ class WitnessEngine {
   std::vector<std::uint64_t> used_words_;
   const LevelPlan* plan_ = nullptr;  // the current search's pin row
   std::uint64_t dead_flags_ = 0;     // failed keyless recording levels
-  std::uint64_t hits_ = 0;  // watched vars the distinct rule removed
+  /// Watched vars the distinct rule removed (a dominance level's own
+  /// bit is its self-hit).
+  std::uint64_t hits_ = 0;
 
   Stats* stats_ = nullptr;  // nullptr = instrumentation off (default)
 };

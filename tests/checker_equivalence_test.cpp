@@ -7,10 +7,11 @@
 //   * find_violation / in_causal / in_sync vs their *_naive references.
 // The differential fuzz at the end drives the first and last pairings
 // with random predicates on runs small enough that the distinct-message
-// rule decides many verdicts — the case the engine's nogoods must get
-// right.
+// rule decides many verdicts — the case the engine's nogoods and chain
+// dominance must get right.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -218,15 +219,83 @@ ForbiddenPredicate random_predicate(Rng& rng) {
   return p;
 }
 
+/// A random forbidden predicate of arity 3-4 over a chain skeleton
+/// (k-weaker: x_i.s |> x_i+1.s, closed by x_last.r |> x_0.r) or a crown
+/// skeleton (x_i.s |> x_i+1.r, cyclic), with some conjuncts reversed or
+/// given a random endpoint kind, plus at times a cross-variable process
+/// equality or a color constraint: the shapes whose levels chain
+/// dominance prunes, in both directions, and the ones that make a level
+/// ineligible.
+ForbiddenPredicate random_chain_predicate(Rng& rng) {
+  const auto kind = [&] {
+    return rng.chance(0.5) ? UserEventKind::kSend : UserEventKind::kDeliver;
+  };
+  ForbiddenPredicate p;
+  p.arity = static_cast<std::size_t>(rng.range(3, 4));
+  const auto var = [&] { return static_cast<std::size_t>(rng.below(p.arity)); };
+  const bool crown = rng.chance(0.5);
+  for (std::size_t i = 0; i < p.arity; ++i) {
+    const bool closing = i + 1 == p.arity;
+    Conjunct c{i, closing && !crown ? UserEventKind::kDeliver
+                                    : UserEventKind::kSend,
+               (i + 1) % p.arity,
+               closing || crown ? UserEventKind::kDeliver
+                                : UserEventKind::kSend};
+    if (rng.chance(0.15)) c.p = kind();
+    if (rng.chance(0.15)) c.q = kind();
+    if (rng.chance(0.25)) c = {c.rhs, c.q, c.lhs, c.p};
+    p.conjuncts.push_back(c);
+  }
+  if (rng.chance(0.3)) {
+    p.process_constraints.push_back({var(), kind(), var(), kind()});
+  }
+  if (rng.chance(0.3)) {
+    p.color_constraints.push_back({var(), static_cast<int>(rng.below(2))});
+  }
+  return p;
+}
+
+/// One differential case: find_violation must return
+/// find_violation_naive's witness, and (when `monitor`) a kPruned and a
+/// kNaive monitor fed the run until either fires must agree on the first
+/// witness, the detection event and the offline verdict.  Returns
+/// whether the run violates the spec.
+bool differential_case(const ForbiddenPredicate& spec, const UserRun& run,
+                       bool monitor, WitnessEngine::Stats& stats, int i) {
+  const auto slow = find_violation_naive(run, spec);
+  EXPECT_EQ(find_violation(run, spec), slow)
+      << spec.to_string() << " case " << i;
+  if (!monitor) return slow.has_value();
+
+  OnlineMonitor pruned(run.messages(), spec, MonitorSearchMode::kPruned);
+  OnlineMonitor naive(run.messages(), spec, MonitorSearchMode::kNaive);
+  pruned.set_engine_stats(&stats);
+  feed_linearized(run, [&](ProcessId p, SystemEvent e) {
+    if (pruned.violated() || naive.violated()) return;
+    pruned.on_event(p, e, 0.0);
+    naive.on_event(p, e, 0.0);
+  });
+  EXPECT_EQ(pruned.first_witness(), naive.first_witness())
+      << spec.to_string() << " case " << i;
+  EXPECT_EQ(pruned.events_to_detection(), naive.events_to_detection())
+      << spec.to_string() << " case " << i;
+  EXPECT_EQ(pruned.violated(), slow.has_value())
+      << spec.to_string() << " case " << i;
+  return slow.has_value();
+}
+
 // 100,000 random (predicate, run) cases with at most arity + 4
-// messages: find_violation must return find_violation_naive's witness.
-// Every eighth case also feeds the run to a kPruned and a kNaive monitor
-// (the seed's per-event scan, which dominates the cost) until either
-// fires: same first witness, same detection event, and the verdict of
-// the offline oracle.  An engine that records nogoods without the
-// distinctness rule fails this on thousands of cases.
+// messages, then a slice of 4,000 chain and crown predicates of arity
+// 3-4 on runs of 10-24 messages, where process lines are long enough for
+// chain dominance to prune.  Every eighth case also feeds the run to a
+// kPruned and a kNaive monitor (the seed's per-event scan, which
+// dominates the cost).  An engine that records nogoods without the
+// distinctness rule fails this on thousands of cases; so does one that
+// prunes a chain without the self-hit guard, across mixed directions, or
+// past a process equality on the other endpoint.
 TEST(DifferentialFuzz, EngineMatchesNaiveOnRandomPredicatesAndSmallRuns) {
   constexpr int kCases = 100'000;
+  constexpr int kChainCases = 4'000;
   constexpr int kMonitorEvery = 8;
   Rng rng(2026);
   WitnessEngine::Stats stats;
@@ -239,33 +308,46 @@ TEST(DifferentialFuzz, EngineMatchesNaiveOnRandomPredicatesAndSmallRuns) {
     opts.send_bias = rng.uniform01();
     opts.red_fraction = 0.4;
     const UserRun run = random_scheduled_run(opts, rng);
-
-    const auto fast = find_violation(run, spec);
-    const auto slow = find_violation_naive(run, spec);
-    ASSERT_EQ(fast, slow) << spec.to_string() << " case " << i;
-    violated += slow.has_value() ? 1 : 0;
-    if (i % kMonitorEvery != 0) continue;
-
-    OnlineMonitor pruned(run.messages(), spec, MonitorSearchMode::kPruned);
-    OnlineMonitor naive(run.messages(), spec, MonitorSearchMode::kNaive);
-    pruned.set_engine_stats(&stats);
-    feed_linearized(run, [&](ProcessId p, SystemEvent e) {
-      if (pruned.violated() || naive.violated()) return;
-      pruned.on_event(p, e, 0.0);
-      naive.on_event(p, e, 0.0);
-    });
-    ASSERT_EQ(pruned.first_witness(), naive.first_witness())
-        << spec.to_string() << " case " << i;
-    ASSERT_EQ(pruned.events_to_detection(), naive.events_to_detection())
-        << spec.to_string() << " case " << i;
-    ASSERT_EQ(pruned.violated(), slow.has_value())
-        << spec.to_string() << " case " << i;
+    violated += differential_case(spec, run, i % kMonitorEvery == 0, stats,
+                                  i)
+                    ? 1
+                    : 0;
+    if (HasFailure()) return;
   }
-  // Both verdicts are common, and the nogood paths actually ran.
+  Rng chain_rng(2027);
+  int chain_violated = 0;
+  for (int i = 0; i < kChainCases; ++i) {
+    const ForbiddenPredicate spec = random_chain_predicate(chain_rng);
+    RandomRunOptions opts;
+    opts.n_processes = static_cast<std::size_t>(chain_rng.range(2, 4));
+    opts.n_messages = static_cast<std::size_t>(chain_rng.range(10, 24));
+    opts.send_bias = chain_rng.uniform01();
+    opts.red_fraction = 0.4;
+    const UserRun run = random_scheduled_run(opts, chain_rng);
+    chain_violated += differential_case(spec, run, i % kMonitorEvery == 0,
+                                        stats, kCases + i)
+                          ? 1
+                          : 0;
+    if (HasFailure()) return;
+  }
+  // Both verdicts are common, and the nogood and dominance paths ran.
   EXPECT_GT(violated, kCases / 10);
   EXPECT_LT(violated, kCases - kCases / 10);
+  EXPECT_GT(chain_violated, kChainCases / 10);
+  EXPECT_LT(chain_violated, kChainCases - kChainCases / 10);
   EXPECT_GT(stats.nogoods, 0u);
   EXPECT_GT(stats.nogood_prunes, 0u);
+  EXPECT_GT(stats.dominance_prunes - stats.dominance_target_prunes, 0u);
+  EXPECT_GT(stats.dominance_target_prunes, 0u);
+  EXPECT_GT(stats.dominance_blocked, 0u);
+  std::printf("fuzz: %d/%d and %d/%d violated; %llu nogoods, %llu source "
+              "+ %llu target dominance prunes, %llu blocked\n",
+              violated, kCases, chain_violated, kChainCases,
+              static_cast<unsigned long long>(stats.nogoods),
+              static_cast<unsigned long long>(stats.dominance_prunes -
+                                              stats.dominance_target_prunes),
+              static_cast<unsigned long long>(stats.dominance_target_prunes),
+              static_cast<unsigned long long>(stats.dominance_blocked));
 }
 
 }  // namespace

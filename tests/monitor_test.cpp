@@ -1,9 +1,13 @@
 // The online monitor: incremental causality, first-violation detection,
-// agreement with the offline oracle over simulations, reset(), and the
-// batched search.
+// agreement with the offline oracle over simulations, reset(), the
+// witness search's descending probe on target levels, and the batched
+// search.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "src/checker/monitor.hpp"
+#include "src/checker/search.hpp"
 #include "src/checker/violation.hpp"
 #include "src/protocols/async.hpp"
 #include "src/protocols/causal_rst.hpp"
@@ -192,6 +196,54 @@ TEST(Monitor, ResetRestoresPostConstructionState) {
     EXPECT_EQ(monitor.first_witness(), witness);
     EXPECT_EQ(monitor.events_to_detection(), detection);
   }
+}
+
+// --- chain dominance: target levels probe descending ---
+
+TEST(Monitor, TargetLevelProbesDescendingButReportsTheFirstWitness) {
+  // P0 sends m0, m1 to P1, then m2 to P2 and m3 to P1; P1 delivers m3
+  // before m0 and m1.  Under kweaker-1, (x0.s |> x1.s) & (x1.s |> x2.s) &
+  // (x2.r |> x0.r), both m0 and m1 complete a witness with x1 = m2 and
+  // x2 = m3.  The search pinned at x1 binds x0 on a target level: it
+  // probes m1 first, succeeds, and must still report x0 = m0.
+  Feed feed;
+  feed.messages = {{0, 0, 1, 0}, {1, 0, 1, 0}, {2, 0, 2, 0}, {3, 0, 1, 0}};
+  double t = 0;
+  for (const auto& [process, msg, kind] :
+       {std::tuple{0, 0, S}, {0, 1, S}, {0, 2, S}, {0, 3, S}, {1, 3, D},
+        {1, 0, D}, {1, 1, D}, {2, 2, D}}) {
+    feed.events.emplace_back(static_cast<ProcessId>(process),
+                             SystemEvent{static_cast<MessageId>(msg), kind},
+                             t++);
+  }
+  const ForbiddenPredicate spec = k_weaker_causal(1);
+  OnlineMonitor pruned(feed.messages, spec, MonitorSearchMode::kPruned);
+  OnlineMonitor naive(feed.messages, spec, MonitorSearchMode::kNaive);
+  for (const auto& [process, event, time] : feed.events) {
+    EXPECT_EQ(pruned.on_event(process, event, time),
+              naive.on_event(process, event, time));
+  }
+  // The deliveries of m0, m1 and m2 each find a witness through their
+  // message; m2's only through the search pinned at x1.
+  EXPECT_EQ(naive.violation_count(), 3u);
+  EXPECT_EQ(pruned.violation_count(), naive.violation_count());
+  EXPECT_EQ(pruned.events_to_detection(), naive.events_to_detection());
+  ASSERT_TRUE(naive.first_witness().has_value());
+  EXPECT_EQ(pruned.first_witness(), naive.first_witness());
+
+  const UserRun run = feed.to_run();
+  WitnessEngine engine(spec, run.messages());
+  WitnessEngine::Stats stats;
+  engine.set_stats(&stats);
+  const BitMatrix ancestors = run.order().matrix().transposed();
+  const WitnessEngine::View view{&run.order().matrix(), &ancestors, nullptr,
+                                 nullptr};
+  std::vector<MessageId> witness;
+  ASSERT_TRUE(engine.search_pinned(view, 1, 2, witness));
+  EXPECT_EQ(witness, (std::vector<MessageId>{0, 2, 3}));
+  // x0 = m1 and its x2, then the ascending pass's x0 = m0 and its x2:
+  // an ascending-only search would stop after two bindings.
+  EXPECT_EQ(stats.enumerated, 4u);
 }
 
 // --- batched search (MonitorOptions::batch_size) ---
