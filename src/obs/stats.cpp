@@ -391,14 +391,18 @@ std::string summarize_verify(const JsonValue& doc) {
       << "\n";
   out << "  states=" << fmt(doc.number_at("states_total").value_or(0))
       << " transitions="
-      << fmt(doc.number_at("transitions_total").value_or(0)) << "\n";
+      << fmt(doc.number_at("transitions_total").value_or(0))
+      << " replays=" << fmt(doc.number_at("replays_total").value_or(0))
+      << " replayed_actions="
+      << fmt(doc.number_at("replayed_actions_total").value_or(0)) << "\n";
   if (const JsonValue* stacks = doc.find("stacks");
       stacks != nullptr && stacks->is_array()) {
     for (const JsonValue& stack : stacks->as_array()) {
       if (!stack.is_object()) continue;
       out << "  " << stack.string_at("stack").value_or("?") << ": "
           << stack.string_at("verdict").value_or("?")
-          << " states=" << fmt(stack.number_at("states").value_or(0));
+          << " states=" << fmt(stack.number_at("states").value_or(0))
+          << " replays=" << fmt(stack.number_at("replays").value_or(0));
       if (const JsonValue* scenarios = stack.find("scenarios");
           scenarios != nullptr && scenarios->is_array()) {
         out << " scenarios=" << scenarios->as_array().size();

@@ -43,7 +43,10 @@ class Execution::ProcHost final : public Host {
   }
   void set_timer(SimTime delay, std::uint64_t cookie) override {
     (void)delay;  // timers fire only when the system is otherwise idle
-    exec_->timers_.insert({self_, cookie});
+    auto& timers = exec_->timers_;
+    const std::pair<ProcessId, std::uint64_t> timer{self_, cookie};
+    const auto it = std::lower_bound(timers.begin(), timers.end(), timer);
+    if (it == timers.end() || *it != timer) timers.insert(it, timer);
   }
   void hold(MessageId msg, const HoldReason& reason) override {
     exec_->on_hold(self_, msg, reason);
@@ -70,11 +73,20 @@ Execution::Execution(const Scenario& scenario,
       factory_(factory),
       model_(model),
       max_drops_(model == ChannelModel::kLossy ? max_drops : 0),
-      trace_(scenario.messages, scenario.n_processes),
-      attribution_(scenario.messages.size()) {
-  invoke_order_.resize(scenario.n_processes);
+      channels_(scenario.n_processes * scenario.n_processes),
+      histories_(scenario.n_processes),
+      blank_trace_(scenario.messages, scenario.n_processes),
+      blank_attribution_(scenario.messages.size()),
+      trace_(blank_trace_),
+      attribution_(blank_attribution_) {
+  const std::size_t n = scenario.n_processes;
+  invoke_order_.resize(n);
   for (const Message& m : scenario.messages) {
     invoke_order_[m.src].push_back(m.id);
+  }
+  hosts_.reserve(n);
+  for (ProcessId p = 0; p < n; ++p) {
+    hosts_.push_back(std::make_unique<ProcHost>(this, p));
   }
   reset();
 }
@@ -84,27 +96,21 @@ Execution::~Execution() = default;
 void Execution::reset() {
   const std::size_t n = scenario_->n_processes;
   const std::size_t m = scenario_->messages.size();
-  channels_.clear();
+  for (auto& queue : channels_) queue.clear();
+  for (auto& history : histories_) history.clear();
   timers_.clear();
   next_invoke_.assign(n, 0);
   send_seen_.assign(m, 0);
   receive_seen_.assign(m, 0);
-  histories_.assign(n, {});
-  trace_ = Trace(scenario_->messages, n);
-  attribution_ = DelayAttribution(m);
+  trace_ = blank_trace_;
+  attribution_ = blank_attribution_;
   delivered_count_ = 0;
   drops_used_ = 0;
   step_ = 0;
   next_uid_ = 0;
-  // Hosts first: protocol constructors may already send (the token ring
-  // starts circulating from its constructor).
+  // Bookkeeping first: protocol constructors may already send (the
+  // token ring starts circulating from its constructor).
   protocols_.clear();
-  hosts_.clear();
-  hosts_.reserve(n);
-  for (ProcessId p = 0; p < n; ++p) {
-    hosts_.push_back(std::make_unique<ProcHost>(this, p));
-  }
-  protocols_.reserve(n);
   for (ProcessId p = 0; p < n; ++p) {
     protocols_.push_back(factory_(*hosts_[p]));
   }
@@ -164,8 +170,8 @@ void Execution::send_from(ProcessId from, Packet packet) {
       trace_.count_retransmission();
       break;
   }
-  const auto key = std::make_pair(from, packet.dst);
-  channels_[key].push_back({std::move(packet), next_uid_++});
+  const ProcessId dst = packet.dst;
+  channel(from, dst).push_back({std::move(packet), next_uid_++});
 }
 
 void Execution::apply(const VerifyAction& action) {
@@ -183,7 +189,7 @@ void Execution::apply(const VerifyAction& action) {
     }
     case VerifyAction::Kind::kDeliver:
     case VerifyAction::Kind::kDrop: {
-      auto& queue = channels_[{action.peer, action.proc}];
+      auto& queue = channel(action.peer, action.proc);
       auto it = std::find_if(queue.begin(), queue.end(),
                              [&](const InFlight& f) {
                                return f.uid == action.id;
@@ -215,7 +221,10 @@ void Execution::apply(const VerifyAction& action) {
       break;
     }
     case VerifyAction::Kind::kTimer: {
-      timers_.erase({action.proc, action.id});
+      const auto it =
+          std::find(timers_.begin(), timers_.end(),
+                    std::make_pair(action.proc, action.id));
+      if (it != timers_.end()) timers_.erase(it);
       protocols_[action.proc]->on_timer(action.id);
       break;
     }
@@ -231,9 +240,12 @@ std::vector<VerifyAction> Execution::enabled() const {
                          invoke_order_[p][next_invoke_[p]]});
     }
   }
-  for (const auto& [key, queue] : channels_) {
+  const std::size_t n = scenario_->n_processes;
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    const auto& queue = channels_[c];
     if (queue.empty()) continue;
-    const auto [src, dst] = key;
+    const auto src = static_cast<ProcessId>(c / n);
+    const auto dst = static_cast<ProcessId>(c % n);
     if (model_ == ChannelModel::kFifo) {
       actions.push_back(
           {VerifyAction::Kind::kDeliver, dst, src, queue.front().uid});
@@ -244,9 +256,10 @@ std::vector<VerifyAction> Execution::enabled() const {
     }
   }
   if (model_ == ChannelModel::kLossy && drops_used_ < max_drops_) {
-    for (const auto& [key, queue] : channels_) {
-      const auto [src, dst] = key;
-      for (const InFlight& f : queue) {
+    for (std::size_t c = 0; c < channels_.size(); ++c) {
+      const auto src = static_cast<ProcessId>(c / n);
+      const auto dst = static_cast<ProcessId>(c % n);
+      for (const InFlight& f : channels_[c]) {
         actions.push_back({VerifyAction::Kind::kDrop, dst, src, f.uid});
       }
     }
@@ -264,13 +277,6 @@ std::vector<VerifyAction> Execution::enabled() const {
   return actions;
 }
 
-bool Execution::all_invoked() const {
-  for (ProcessId p = 0; p < scenario_->n_processes; ++p) {
-    if (next_invoke_[p] < invoke_order_[p].size()) return false;
-  }
-  return true;
-}
-
 bool Execution::protocols_quiescent() const {
   for (const auto& protocol : protocols_) {
     if (!protocol->quiescent()) return false;
@@ -279,7 +285,7 @@ bool Execution::protocols_quiescent() const {
 }
 
 bool Execution::user_packets_in_flight() const {
-  for (const auto& [key, queue] : channels_) {
+  for (const auto& queue : channels_) {
     for (const InFlight& f : queue) {
       if (!f.packet.is_control) return true;
     }
@@ -287,49 +293,68 @@ bool Execution::user_packets_in_flight() const {
   return false;
 }
 
+void Execution::put_history(std::string& out, ProcessId p) const {
+  codec::put_u32(out, static_cast<std::uint32_t>(histories_[p].size()));
+  for (const ScheduleStep& s : histories_[p]) {
+    codec::put_u32(out, s.msg);
+    codec::put_u8(out, s.kind == UserEventKind::kSend ? 0 : 1);
+  }
+}
+
+void Execution::history_key(std::string& out) const {
+  out.clear();
+  for (ProcessId p = 0; p < scenario_->n_processes; ++p) {
+    put_history(out, p);
+  }
+}
+
 bool Execution::fingerprint(std::string& out) const {
+  out.clear();
   for (const auto& protocol : protocols_) {
-    std::string snap;
-    if (!protocol->snapshot(snap)) return false;
-    codec::put_str(out, snap);
+    // Same bytes as codec::put_str of a separate snapshot string: a u32
+    // length patched in once the snapshot is appended behind it.
+    const std::size_t at = out.size();
+    codec::put_u32(out, 0);
+    if (!protocol->snapshot(out)) return false;
+    const auto len = static_cast<std::uint32_t>(out.size() - at - 4);
+    for (std::size_t i = 0; i < 4; ++i) {
+      out[at + i] = static_cast<char>((len >> (8 * i)) & 0xff);
+    }
   }
   for (ProcessId p = 0; p < scenario_->n_processes; ++p) {
     codec::put_u32(out, static_cast<std::uint32_t>(next_invoke_[p]));
-    codec::put_u32(out, static_cast<std::uint32_t>(histories_[p].size()));
-    for (const ScheduleStep& s : histories_[p]) {
-      codec::put_u32(out, s.msg);
-      codec::put_u8(out, s.kind == UserEventKind::kSend ? 0 : 1);
-    }
+    put_history(out, p);
   }
   std::uint32_t nonempty = 0;
-  for (const auto& [key, queue] : channels_) {
+  for (const auto& queue : channels_) {
     if (!queue.empty()) ++nonempty;
   }
   codec::put_u32(out, nonempty);
-  for (const auto& [key, queue] : channels_) {
+  const std::size_t n = scenario_->n_processes;
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    const auto& queue = channels_[c];
     if (queue.empty()) continue;  // drained channels are not state
-    codec::put_u32(out, key.first);
-    codec::put_u32(out, key.second);
+    codec::put_u32(out, static_cast<std::uint32_t>(c / n));
+    codec::put_u32(out, static_cast<std::uint32_t>(c % n));
     codec::put_u32(out, static_cast<std::uint32_t>(queue.size()));
     // Per-packet digests: content identity, never emission uids (the
     // same state reached with different emission histories must
     // coincide, or idle control cycles would never close).
-    std::vector<std::uint64_t> digests;
-    digests.reserve(queue.size());
+    digests_.clear();
     for (const InFlight& f : queue) {
       std::uint64_t h = codec::kFnvOffset;
       h = codec::fnv1a(h, f.packet.is_control ? 1 : 0);
       h = codec::fnv1a_bytes(h, f.packet.kind);
       h = codec::fnv1a(h, f.packet.user_msg);
       h = codec::fnv1a(h, f.packet.content_key);
-      digests.push_back(h);
+      digests_.push_back(h);
     }
     if (model_ != ChannelModel::kFifo) {
       // Queue order is invisible to a reordering channel: canonicalize
       // to the sorted multiset.
-      std::sort(digests.begin(), digests.end());
+      std::sort(digests_.begin(), digests_.end());
     }
-    for (const std::uint64_t d : digests) codec::put_u64(out, d);
+    for (const std::uint64_t d : digests_) codec::put_u64(out, d);
   }
   codec::put_u32(out, static_cast<std::uint32_t>(timers_.size()));
   for (const auto& [p, cookie] : timers_) {
@@ -338,18 +363,6 @@ bool Execution::fingerprint(std::string& out) const {
   }
   codec::put_u32(out, static_cast<std::uint32_t>(drops_used_));
   return true;
-}
-
-std::uint64_t Execution::history_digest() const {
-  std::string enc;
-  for (const auto& history : histories_) {
-    codec::put_u32(enc, static_cast<std::uint32_t>(history.size()));
-    for (const ScheduleStep& s : history) {
-      codec::put_u32(enc, s.msg);
-      codec::put_u8(enc, s.kind == UserEventKind::kSend ? 0 : 1);
-    }
-  }
-  return codec::digest(enc);
 }
 
 std::optional<UserRun> Execution::user_run(std::string* error) const {

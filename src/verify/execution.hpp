@@ -12,10 +12,15 @@
 //                verified schedule and a simulated run execute
 //                identical protocol code,
 //   replay(s)  — reset and re-execute a schedule prefix (the stateless
-//                backtracking step), and
+//                backtracking step, which the verifier takes lazily:
+//                only right before a sibling action runs), and
 //   fingerprint() — a canonical encoding of the full state for the
 //                visited-state set, built from the protocols' own
 //                snapshot() hooks plus channel/timer/history digests.
+//
+// The per-step bookkeeping does not allocate once warmed up: hosts are
+// built once, and reset() clears channels, histories and the trace in
+// place so they keep their capacity across the DFS's many replays.
 //
 // Time is the step index: action k executes at SimTime k, which keeps
 // hold-attribution segment arithmetic exact and gives counterexample
@@ -23,12 +28,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/attribution.hpp"
@@ -77,11 +80,17 @@ class Execution {
  public:
   Execution(const Scenario& scenario, const ProtocolFactory& factory,
             ChannelModel model, std::size_t max_drops);
+  /// The hosts hold `this` for the execution's lifetime.
+  Execution(const Execution&) = delete;
+  Execution& operator=(const Execution&) = delete;
   ~Execution();
 
-  /// Back to the initial state (fresh protocol instances).
+  /// Back to the initial state: fresh protocol instances, empty
+  /// channels and histories (cleared in place, capacity kept).
   void reset();
-  /// reset() then apply every action of `schedule` in order.
+  /// reset() then apply every action of `schedule` in order.  The state
+  /// reached depends only on the schedule, so replaying a prefix lands
+  /// exactly where the DFS left that prefix.
   void replay(const std::vector<VerifyAction>& schedule);
   void apply(const VerifyAction& action);
 
@@ -95,31 +104,29 @@ class Execution {
   bool all_delivered() const {
     return delivered_count_ == scenario_->messages.size();
   }
-  bool all_invoked() const;
   /// Every protocol instance reports no outstanding obligations.
   bool protocols_quiescent() const;
   /// A user packet is still sitting in some channel.
   bool user_packets_in_flight() const;
 
-  /// Canonical full-state encoding for the visited-state set; false
-  /// when some protocol instance does not support snapshots (the
+  /// Canonical full-state encoding for the visited-state set, written
+  /// over `out` (pass the same buffer each time to reuse its storage);
+  /// false when some protocol instance does not support snapshots (the
   /// verifier then runs uncached).  Excludes packet uids and the step
   /// counter so idle control cycles (a circulating token) close.
   bool fingerprint(std::string& out) const;
 
-  /// Digest of the user-event histories alone (spec-check memo key).
-  std::uint64_t history_digest() const;
+  /// The user-event histories alone, written over `out`: the full
+  /// (collision-free) spec-check memo key.  Each process's block is
+  /// encoded exactly as in fingerprint().
+  void history_key(std::string& out) const;
 
   /// The delivered run as a user-view poset (needs all_delivered()).
   std::optional<UserRun> user_run(std::string* error) const;
 
   const Trace& trace() const { return trace_; }
   const DelayAttribution& attribution() const { return attribution_; }
-  const std::vector<std::vector<ScheduleStep>>& histories() const {
-    return histories_;
-  }
   std::size_t steps() const { return step_; }
-  std::size_t drops_used() const { return drops_used_; }
 
   /// Attach a tracelog writer: every subsequent record/hold is
   /// appended (counterexample replay).  Caller keeps ownership and
@@ -135,6 +142,10 @@ class Execution {
     std::uint64_t uid = 0;
   };
 
+  void put_history(std::string& out, ProcessId p) const;
+  std::vector<InFlight>& channel(ProcessId src, ProcessId dst) {
+    return channels_[src * scenario_->n_processes + dst];
+  }
   void record(ProcessId at, SystemEvent e);
   void on_hold(ProcessId at, MessageId msg, const HoldReason& reason);
   void send_from(ProcessId from, Packet packet);
@@ -147,10 +158,12 @@ class Execution {
 
   std::vector<std::unique_ptr<ProcHost>> hosts_;
   std::vector<std::unique_ptr<Protocol>> protocols_;
-  /// In-flight packets per channel (src, dst), in emission order.
-  std::map<std::pair<ProcessId, ProcessId>, std::deque<InFlight>> channels_;
-  /// Armed timers as (process, cookie); re-arming is idempotent.
-  std::set<std::pair<ProcessId, std::uint64_t>> timers_;
+  /// In-flight packets per channel, indexed src * n + dst (so a scan
+  /// visits channels in (src, dst) order), each in emission order.
+  std::vector<std::vector<InFlight>> channels_;
+  /// Armed timers as (process, cookie), sorted and unique; re-arming is
+  /// idempotent.
+  std::vector<std::pair<ProcessId, std::uint64_t>> timers_;
   /// Per-process invoke program and progress cursor.
   std::vector<std::vector<MessageId>> invoke_order_;
   std::vector<std::size_t> next_invoke_;
@@ -158,8 +171,13 @@ class Execution {
   std::vector<std::uint8_t> send_seen_;
   std::vector<std::uint8_t> receive_seen_;
   std::vector<std::vector<ScheduleStep>> histories_;
+  /// Initial-state copies that reset() assigns from (reusing storage).
+  const Trace blank_trace_;
+  const DelayAttribution blank_attribution_;
   Trace trace_;
   DelayAttribution attribution_;
+  /// Per-channel packet digests, reused by fingerprint().
+  mutable std::vector<std::uint64_t> digests_;
   std::size_t delivered_count_ = 0;
   std::size_t drops_used_ = 0;
   std::size_t step_ = 0;

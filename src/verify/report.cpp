@@ -13,9 +13,13 @@ void write_verify_json(JsonWriter& w,
   std::string verdict = "verified";
   std::size_t states_total = 0;
   std::size_t transitions_total = 0;
+  std::size_t replays_total = 0;
+  std::size_t replayed_actions_total = 0;
   for (const StackReport& report : reports) {
     states_total += report.states_total;
     transitions_total += report.transitions_total;
+    replays_total += report.replays_total;
+    replayed_actions_total += report.replayed_actions_total;
     if (!report.ok()) {
       verdict = "failed";
     } else if (report.verdict == "bounded" && verdict == "verified") {
@@ -36,6 +40,9 @@ void write_verify_json(JsonWriter& w,
   w.kv("states_total", static_cast<std::uint64_t>(states_total));
   w.kv("transitions_total",
        static_cast<std::uint64_t>(transitions_total));
+  w.kv("replays_total", static_cast<std::uint64_t>(replays_total));
+  w.kv("replayed_actions_total",
+       static_cast<std::uint64_t>(replayed_actions_total));
   w.key("stacks").begin_array();
   for (const StackReport& report : reports) {
     w.begin_object();
@@ -44,6 +51,9 @@ void write_verify_json(JsonWriter& w,
     w.kv("states", static_cast<std::uint64_t>(report.states_total));
     w.kv("transitions",
          static_cast<std::uint64_t>(report.transitions_total));
+    w.kv("replays", static_cast<std::uint64_t>(report.replays_total));
+    w.kv("replayed_actions",
+         static_cast<std::uint64_t>(report.replayed_actions_total));
     w.key("scenarios").begin_array();
     for (const ScenarioResult& s : report.scenarios) {
       w.begin_object();
@@ -57,6 +67,9 @@ void write_verify_json(JsonWriter& w,
       w.kv("complete_states",
            static_cast<std::uint64_t>(s.complete_states));
       w.kv("max_depth", static_cast<std::uint64_t>(s.max_depth_seen));
+      w.kv("replays", static_cast<std::uint64_t>(s.replays));
+      w.kv("replayed_actions",
+           static_cast<std::uint64_t>(s.replayed_actions));
       if (s.uncached) w.kv("uncached", true);
       if (s.counterexample.has_value()) {
         w.key("counterexample").begin_object();
@@ -107,10 +120,7 @@ bool replay_counterexample(const Scenario& scenario,
   exec.set_tracelog(&writer);
   // Replay from a FRESH reset so the tracelog sees everything,
   // including constructor-time control traffic.
-  exec.reset();
-  for (const VerifyAction& action : counterexample.schedule) {
-    exec.apply(action);
-  }
+  exec.replay(counterexample.schedule);
   writer.append_note("counterexample (" + counterexample.property +
                          " in scenario " + scenario.name + "): " +
                          counterexample.detail,

@@ -8,7 +8,6 @@
 #include "src/checker/violation.hpp"
 #include "src/obs/hold_soundness.hpp"
 #include "src/protocols/reliable.hpp"
-#include "src/protocols/state_codec.hpp"
 
 namespace msgorder {
 
@@ -26,19 +25,6 @@ bool subset_of(const std::vector<VerifyAction>& z,
     if (!contains(sleep, a)) return false;
   }
   return true;
-}
-
-/// Full (collision-free) spec-memo key: the complete user histories.
-std::string history_key(const Execution& exec) {
-  std::string key;
-  for (const auto& history : exec.histories()) {
-    codec::put_u32(key, static_cast<std::uint32_t>(history.size()));
-    for (const ScheduleStep& s : history) {
-      codec::put_u32(key, s.msg);
-      codec::put_u8(key, s.kind == UserEventKind::kSend ? 0 : 1);
-    }
-  }
-  return key;
 }
 
 std::string join(const std::vector<std::string>& parts,
@@ -99,6 +85,14 @@ ScenarioResult verify_scenario(const Scenario& scenario,
 
   std::vector<VerifyAction> schedule;
   std::vector<Frame> stack;
+  /// Key buffers reused across states (fingerprint, spec-memo key).
+  std::string fp;
+  std::string hkey;
+  /// `exec` is not at the state `schedule` leads to: a child was
+  /// explored since.  Backtracking only sets this; the prefix is
+  /// re-executed right before the next sibling action runs, so a frame
+  /// that pops, or whose remaining actions all sleep, costs nothing.
+  bool stale = false;
 
   // Inspect the current state; push a frame when it has successors to
   // explore.  Returns false for leaves (terminal / pruned / budget).
@@ -112,7 +106,7 @@ ScenarioResult verify_scenario(const Scenario& scenario,
       if (exec.protocols_quiescent() && !exec.user_packets_in_flight()) {
         saw_quiescent_complete = true;
       }
-      const std::string hkey = history_key(exec);
+      exec.history_key(hkey);
       if (spec_ok.find(hkey) == spec_ok.end()) {
         std::string err;
         const std::optional<UserRun> run = exec.user_run(&err);
@@ -179,7 +173,6 @@ ScenarioResult verify_scenario(const Scenario& scenario,
       return false;
     }
     if (caching) {
-      std::string fp;
       if (exec.fingerprint(fp)) {
         std::vector<std::vector<VerifyAction>>& stored = visited[fp];
         for (const std::vector<VerifyAction>& z : stored) {
@@ -205,7 +198,7 @@ ScenarioResult verify_scenario(const Scenario& scenario,
         schedule.pop_back();
         if (!stack.empty()) {
           stack.back().sleep.push_back(last);
-          exec.replay(schedule);
+          stale = true;
         }
       }
       continue;
@@ -218,6 +211,12 @@ ScenarioResult verify_scenario(const Scenario& scenario,
         if (independent_actions(a, b)) child_sleep.push_back(b);
       }
     }
+    if (stale) {
+      exec.replay(schedule);
+      ++res.replays;
+      res.replayed_actions += schedule.size();
+      stale = false;
+    }
     exec.apply(a);
     ++res.transitions;
     schedule.push_back(a);
@@ -225,7 +224,7 @@ ScenarioResult verify_scenario(const Scenario& scenario,
       if (ce.has_value()) break;
       schedule.pop_back();
       stack.back().sleep.push_back(a);
-      exec.replay(schedule);
+      stale = true;
     }
   }
 
@@ -266,6 +265,8 @@ StackReport verify_stack(const std::string& stack_name,
         verify_scenario(scenario, factory, spec, options);
     report.states_total += result.states;
     report.transitions_total += result.transitions;
+    report.replays_total += result.replays;
+    report.replayed_actions_total += result.replayed_actions;
     if (verdict_rank(result.verdict) > verdict_rank(report.verdict)) {
       report.verdict = result.verdict;
     }

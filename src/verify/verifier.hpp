@@ -15,8 +15,12 @@
 //     reachable (a circulating idle token is fine; an undelivered
 //     buffered message or unacked exchange is not).
 //
-// Exploration is depth-first over re-executed schedules (stateless: the
-// only stored state is the visited-set fingerprints), reduced by
+// Exploration is depth-first and stateless: the only stored state is the
+// visited-set fingerprints, and backtracking re-executes the schedule
+// prefix.  It does so lazily — only right before a sibling action runs
+// — so a frame that pops, or whose remaining actions are all asleep,
+// costs no replay.  Deferring is exact because the state an execution
+// enters depends only on its schedule.  The search is reduced by
 //
 //   * sleep sets keyed on per-process independence — actions at
 //     different processes touch disjoint protocol state and disjoint
@@ -87,6 +91,10 @@ struct ScenarioResult {
   /// >= 1 whenever the scenario is completable at all.
   std::size_t complete_states = 0;
   std::size_t max_depth_seen = 0;
+  /// Backtracking cost: prefix re-executions, and the actions they
+  /// re-applied (a replay of the empty prefix is a bare reset).
+  std::size_t replays = 0;
+  std::size_t replayed_actions = 0;
   /// State caching was requested but some protocol lacks snapshot().
   bool uncached = false;
   std::optional<VerifyCounterexample> counterexample;
@@ -101,6 +109,8 @@ struct StackReport {
   std::vector<ScenarioResult> scenarios;
   std::size_t states_total = 0;
   std::size_t transitions_total = 0;
+  std::size_t replays_total = 0;
+  std::size_t replayed_actions_total = 0;
 
   bool ok() const { return verdict == "verified" || verdict == "bounded"; }
 };

@@ -191,6 +191,24 @@ TEST(StatsSummary, DispatchesOnSchema) {
   EXPECT_NE(tsummary.find("lifecycle: 2"), std::string::npos);
 }
 
+TEST(StatsSummary, SummarizesVerifyArtifactWithReplayCounters) {
+  const auto doc = json_parse(
+      "{\"schema\": \"msgorder.verify/1\", \"verdict\": \"verified\","
+      " \"scope\": {\"processes\": 3, \"messages\": 4},"
+      " \"channel_model\": \"reorder\", \"por\": true,"
+      " \"states_total\": 120, \"transitions_total\": 110,"
+      " \"replays_total\": 40, \"replayed_actions_total\": 150,"
+      " \"stacks\": [{\"stack\": \"fifo\", \"verdict\": \"verified\","
+      " \"states\": 120, \"replays\": 40, \"scenarios\": []}]}");
+  ASSERT_TRUE(doc.has_value());
+  const std::string summary = stats_summary(*doc);
+  EXPECT_NE(summary.find("verdict=verified scope=3p/4m"), std::string::npos);
+  EXPECT_NE(summary.find("transitions=110 replays=40 replayed_actions=150"),
+            std::string::npos);
+  EXPECT_NE(summary.find("fifo: verified states=120 replays=40"),
+            std::string::npos);
+}
+
 TEST(StatsSummary, SummarizesLintArtifact) {
   const auto lint = json_parse(
       "{\"schema\": \"msgorder.lint/1\", \"clean\": false,"

@@ -110,6 +110,13 @@ TEST(VerifyReport, ArtifactIsValidJson) {
             std::string::npos);
   EXPECT_NE(w.str().find("\"verdict\":\"failed\""), std::string::npos);
   EXPECT_NE(w.str().find("\"counterexample\""), std::string::npos);
+  // Backtracking cost rides along per scenario, per stack and in total.
+  std::size_t replays = 0;
+  for (const StackReport& report : reports) replays += report.replays_total;
+  EXPECT_NE(w.str().find("\"replays_total\":" + std::to_string(replays)),
+            std::string::npos);
+  EXPECT_NE(w.str().find("\"replayed_actions_total\""), std::string::npos);
+  EXPECT_NE(w.str().find("\"replays\""), std::string::npos);
 }
 
 TEST(VerifyLossy, ReliabilityWrapMasksDropsOnTheFifoStack) {

@@ -183,10 +183,13 @@ int main(int argc, char** argv) {
     if (target.is_mutant) {
       note = report.ok() ? "  [MUTANT NOT FLAGGED]" : "  [mutant flagged]";
     }
-    std::printf("%-24s %-14s %zu scenarios, %zu states, %zu transitions%s\n",
-                report.stack.c_str(), report.verdict.c_str(),
-                report.scenarios.size(), report.states_total,
-                report.transitions_total, note);
+    std::printf(
+        "%-24s %-14s %zu scenarios, %zu states, %zu transitions, "
+        "%zu replays (%zu actions)%s\n",
+        report.stack.c_str(), report.verdict.c_str(),
+        report.scenarios.size(), report.states_total,
+        report.transitions_total, report.replays_total,
+        report.replayed_actions_total, note);
     for (const ScenarioResult& s : report.scenarios) {
       if (s.counterexample.has_value()) {
         std::printf("  counterexample in %s: %s (%zu-step schedule)\n",
