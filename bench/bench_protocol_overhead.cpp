@@ -69,8 +69,9 @@ SimOptions bench_sim_options() {
 /// The tentpole's zero-cost promise: with SimOptions::observability left
 /// at nullptr (the default) the instrumentation must be invisible.  This
 /// microbench times the same simulation disabled vs fully enabled
-/// (metrics + span tracer + hold attribution + flight recorder +
-/// engine profiler, ISSUEs 4/7); the *disabled* configuration is the
+/// (metrics + hold attribution + flight recorder + engine profiler;
+/// the Chrome trace is rendered from the finished run, so it adds
+/// nothing here); the *disabled* configuration is the
 /// one the driver compares
 /// against the seed revision (< 2% budget) — here we report both so a
 /// regression of the disabled path shows up as its time converging
@@ -102,8 +103,7 @@ int overhead_guard() {
 
   const double disabled = time_run(nullptr);
   if (disabled < 0) return 1;
-  Observability obs({.tracing = true,
-                     .attribution = true,
+  Observability obs({.attribution = true,
                      .profiling = true,
                      .flight_recorder = true,
                      .label = "fifo"});
@@ -112,7 +112,7 @@ int overhead_guard() {
 
   const double ratio = enabled / disabled;
   std::printf("observability off: %.4fs   "
-              "on (metrics+tracer+attribution+recorder): %.4fs   "
+              "on (metrics+attribution+profiler+recorder): %.4fs   "
               "ratio %.3f\n",
               disabled, enabled, ratio);
   // Generous bound: even the fully *enabled* path must stay cheap; the
@@ -130,8 +130,7 @@ int overhead_guard() {
   // writing to disk.  The log pays real I/O, so its budget is looser —
   // it only has to stay in the same order of magnitude, not be free.
   const std::string log_path = "overhead_guard.tracelog";
-  Observability obs_log({.tracing = true,
-                         .attribution = true,
+  Observability obs_log({.attribution = true,
                          .profiling = true,
                          .flight_recorder = true,
                          .tracelog = log_path,

@@ -22,6 +22,7 @@
 #include "src/obs/json.hpp"
 #include "src/obs/observability.hpp"
 #include "src/obs/report.hpp"
+#include "src/obs/tracer.hpp"
 #include "src/poset/diagram.hpp"
 #include "src/sim/simulator.hpp"
 
@@ -52,7 +53,6 @@ VariantOutcome run_variant(bool fifo_markers,
   SnapshotProtocol::Options options;
   options.fifo_markers = fifo_markers;
   ObservabilityOptions oopts;
-  oopts.tracing = !trace_path.empty();
   oopts.profiling = !profile_path.empty();
   oopts.flight_recorder = !flight_path.empty();
   oopts.tracelog = tracelog_path;
@@ -88,7 +88,7 @@ VariantOutcome run_variant(bool fifo_markers,
               outcome.channels_account ? "yes" : "NO");
   if (!trace_path.empty()) {
     std::string io_error;
-    if (!obs.tracer()->write_chrome_trace(trace_path, &io_error)) {
+    if (!write_chrome_trace(trace_path, result.trace, obs, &io_error)) {
       std::printf("could not write %s: %s\n", trace_path.c_str(),
                   io_error.c_str());
     } else {

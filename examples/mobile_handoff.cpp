@@ -18,7 +18,7 @@
 #include "src/checker/violation.hpp"
 #include "src/obs/cli.hpp"
 #include "src/obs/json.hpp"
-#include "src/obs/observability.hpp"
+#include "src/obs/tracer.hpp"
 #include "src/protocols/causal_rst.hpp"
 #include "src/protocols/sync_sequencer.hpp"
 #include "src/sim/simulator.hpp"
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
     std::printf("wrote report %s\n", cli.json_path.c_str());
   }
   if (!cli.trace_path.empty()) {
-    Observability obs({.tracing = true, .label = "sync-sequencer"});
+    Observability obs({.label = "sync-sequencer"});
     SimOptions sopts;
     sopts.seed = 1;
     sopts.network.jitter_mean = 3.0;
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
     const SimResult result = simulate(
         handoff_workload(1), SyncSequencerProtocol::factory(), 4, sopts);
     if (!result.completed ||
-        !obs.tracer()->write_chrome_trace(cli.trace_path, &io_error)) {
+        !write_chrome_trace(cli.trace_path, result.trace, obs, &io_error)) {
       std::printf("could not write %s: %s\n", cli.trace_path.c_str(),
                   (result.completed ? io_error : result.error).c_str());
       return 1;

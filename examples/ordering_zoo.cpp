@@ -21,6 +21,7 @@
 #include "src/obs/cli.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/observability.hpp"
+#include "src/obs/tracer.hpp"
 #include "src/protocols/registry.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/spec/library.hpp"
@@ -137,7 +138,7 @@ int main(int argc, char** argv) {
     // deliveries wait for their causal predecessors.
     for (const RegisteredProtocol& rp : protocols) {
       if (rp.name != "causal-rst") continue;
-      Observability obs({.tracing = true, .label = rp.name});
+      Observability obs({.label = rp.name});
       SimOptions sopts;
       sopts.seed = 1;
       sopts.network.jitter_mean = 3.0;
@@ -148,7 +149,8 @@ int main(int argc, char** argv) {
         std::printf("traced run failed: %s\n", result.error.c_str());
         return 1;
       }
-      if (!obs.tracer()->write_chrome_trace(cli.trace_path, &io_error)) {
+      if (!write_chrome_trace(cli.trace_path, result.trace, obs,
+                              &io_error)) {
         std::printf("could not write %s: %s\n", cli.trace_path.c_str(),
                     io_error.c_str());
         return 1;

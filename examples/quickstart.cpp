@@ -26,6 +26,7 @@
 #include "src/obs/cli.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/report.hpp"
+#include "src/obs/tracer.hpp"
 #include "src/protocols/synthesized.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/spec/library.hpp"
@@ -86,7 +87,6 @@ int main(int argc, char** argv) {
   const Workload workload = random_workload(wopts, rng);
 
   ObservabilityOptions oopts;
-  oopts.tracing = !cli.trace_path.empty();
   oopts.profiling = !cli.profile_path.empty();
   oopts.flight_recorder = !cli.flight_path.empty();
   oopts.tracelog = cli.tracelog_path;
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
     std::printf("wrote run report %s\n", cli.json_path.c_str());
   }
   if (!cli.trace_path.empty()) {
-    if (!obs.tracer()->write_chrome_trace(cli.trace_path, &io_error)) {
+    if (!write_chrome_trace(cli.trace_path, result.trace, obs, &io_error)) {
       std::printf("could not write %s: %s\n", cli.trace_path.c_str(),
                   io_error.c_str());
       return 1;

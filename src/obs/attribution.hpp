@@ -110,6 +110,8 @@ class DelayAttribution {
     return totals_by_kind_;
   }
   std::uint64_t segment_count() const { return closed_.size(); }
+  /// Every closed segment of the run, in closing order.
+  const std::vector<HoldSegment>& closed_segments() const { return closed_; }
   /// True iff `msg` has a hold segment that was never closed by a
   /// release — in a complete run this means the engine recorded no
   /// matching send/delivery for a reported inhibition.

@@ -1,6 +1,6 @@
 // Shared flag parsing for the example binaries (ISSUE 2):
 //   --json <path>             write a machine-readable report
-//   --trace <path>            write a Chrome-trace JSON of a traced run
+//   --trace <path>            write a Chrome-trace JSON of the run
 //   --flight-recorder <path>  arm the flight recorder; dump a post-mortem
 //                             JSON there when the run goes red (ISSUE 4)
 //   --profile <path>          enable the engine profiler and write its

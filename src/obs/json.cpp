@@ -1,7 +1,6 @@
 #include "src/obs/json.hpp"
 
 #include <cassert>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -142,244 +141,6 @@ JsonWriter& JsonWriter::null() {
   comma();
   out_ += "null";
   return *this;
-}
-
-namespace {
-
-/// Recursive-descent JSON checker (no value materialization).
-class Validator {
- public:
-  explicit Validator(std::string_view text) : text_(text) {}
-
-  bool run(std::string* error) {
-    skip_ws();
-    if (!value()) return fail(error);
-    skip_ws();
-    if (pos_ != text_.size()) {
-      error_ = "trailing characters";
-      return fail(error);
-    }
-    return true;
-  }
-
- private:
-  bool fail(std::string* error) {
-    if (error != nullptr) {
-      *error = (error_.empty() ? std::string("invalid JSON") : error_) +
-               " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) {
-      error_ = "invalid literal";
-      return false;
-    }
-    pos_ += lit.size();
-    return true;
-  }
-
-  bool value() {
-    if (++depth_ > 256) {
-      error_ = "nesting too deep";
-      return false;
-    }
-    bool ok = false;
-    if (pos_ >= text_.size()) {
-      error_ = "unexpected end of input";
-    } else {
-      switch (text_[pos_]) {
-        case '{':
-          ok = object();
-          break;
-        case '[':
-          ok = array();
-          break;
-        case '"':
-          ok = string();
-          break;
-        case 't':
-          ok = literal("true");
-          break;
-        case 'f':
-          ok = literal("false");
-          break;
-        case 'n':
-          ok = literal("null");
-          break;
-        default:
-          ok = number();
-      }
-    }
-    --depth_;
-    return ok;
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (!string()) {
-        error_ = "expected object key";
-        return false;
-      }
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        error_ = "expected ':'";
-        return false;
-      }
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      error_ = "expected ',' or '}'";
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      error_ = "expected ',' or ']'";
-      return false;
-    }
-  }
-
-  bool string() {
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      error_ = "expected string";
-      return false;
-    }
-    ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        error_ = "unescaped control character in string";
-        return false;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 1; i <= 4; ++i) {
-            if (pos_ + i >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_ + i]))) {
-              error_ = "bad \\u escape";
-              return false;
-            }
-          }
-          pos_ += 4;
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          error_ = "bad escape";
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    error_ = "unterminated string";
-    return false;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (pos_ >= text_.size() ||
-        !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      error_ = "expected value";
-      return false;
-    }
-    if (text_[pos_] == '0') {
-      ++pos_;
-    } else {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        error_ = "bad fraction";
-        return false;
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        error_ = "bad exponent";
-        return false;
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    return pos_ > start;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  std::string error_;
-};
-
-}  // namespace
-
-bool json_validate(std::string_view text, std::string* error) {
-  return Validator(text).run(error);
 }
 
 bool write_text_file(const std::string& path, std::string_view contents,

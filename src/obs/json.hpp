@@ -1,8 +1,7 @@
 // Minimal dependency-free JSON support for the observability layer: a
-// streaming writer (used by the metrics registry, the span tracer, and
-// the run/bench reports) and a strict validator (used by tests to prove
-// every emitted artifact is well-formed before it is fed to external
-// consumers such as Perfetto).
+// streaming writer, used by the metrics registry, the Chrome-trace
+// renderer and the run/bench reports.  The reader side — one strict
+// grammar for tools and tests alike — is json_parse (json_value.hpp).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +25,7 @@ std::string json_escape(std::string_view s);
 ///
 /// The writer never validates nesting beyond an assert-level depth
 /// check; callers are expected to produce balanced documents (tests
-/// back this with json_validate).
+/// back this with json_parse).
 class JsonWriter {
  public:
   JsonWriter& begin_object();
@@ -69,12 +68,6 @@ class JsonWriter {
   std::string stack_;
   bool pending_key_ = false;
 };
-
-/// Strict recursive-descent validation of a complete JSON document.
-/// Returns true iff `text` is exactly one valid JSON value (with
-/// whitespace allowed around it).  On failure `error` (if non-null)
-/// receives a short description with the byte offset.
-bool json_validate(std::string_view text, std::string* error = nullptr);
 
 /// Write `contents` to `path` atomically enough for reports (truncate +
 /// write + close).  Returns false and fills `error` on I/O failure.

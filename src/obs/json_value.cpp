@@ -33,6 +33,9 @@ std::optional<bool> JsonValue::bool_at(std::string_view key) const {
 
 namespace {
 
+/// Deepest accepted nesting of values (json_parse's contract).
+constexpr int kJsonMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -88,7 +91,16 @@ class Parser {
     return true;
   }
 
+  /// Every value, scalars included, counts one nesting level.
   bool parse_value(JsonValue& out) {
+    if (depth_ == kJsonMaxDepth) return fail("nesting too deep");
+    ++depth_;
+    const bool ok = parse_value_body(out);
+    --depth_;
+    return ok;
+  }
+
+  bool parse_value_body(JsonValue& out) {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
@@ -229,9 +241,11 @@ class Parser {
     if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       return fail("invalid number");
     }
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
+    if (!consume('0')) {
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+        ++pos_;
+      }
     }
     if (consume('.')) {
       if (pos_ >= text_.size() ||
@@ -264,6 +278,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 

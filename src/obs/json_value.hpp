@@ -2,9 +2,12 @@
 // parser (ISSUE 4): the reader side of the observability layer.  The
 // writer side (json.hpp) streams; this side loads the emitted artifacts
 // — run reports, bench reports, flight-recorder dumps, Chrome traces —
-// back in for the msgorder_stats analysis CLI and its tests.  Same
-// grammar as json_validate: one complete value, UTF-8 passed through,
-// \uXXXX escapes decoded.
+// back in for the msgorder_stats and msgorder_query CLIs and the tests
+// (which check every emitted artifact with it).  The grammar is strict:
+// one complete value, no leading zeros, UTF-8 passed through,
+// \uXXXX escapes decoded, and nesting bounded at 256 levels so a
+// hostile document fails with an error instead of overflowing the
+// stack.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +78,10 @@ class JsonValue {
 };
 
 /// Parse exactly one JSON value (whitespace allowed around it).
-/// nullopt on malformed input; `error` (if non-null) then receives a
-/// short description with the byte offset.
+/// nullopt on malformed or too deeply nested input (every value counts
+/// one level and 256 levels parse, so 256 nested empty arrays do but a
+/// scalar inside 256 arrays does not); `error` (if non-null) then
+/// receives a short description with the byte offset.
 std::optional<JsonValue> json_parse(std::string_view text,
                                     std::string* error = nullptr);
 

@@ -39,7 +39,6 @@ Observability::Observability(ObservabilityOptions options)
     : options_(std::move(options)),
       instruments_(SimInstruments::create(metrics_, options_.label,
                                           options_.delay_histogram)) {
-  if (options_.tracing) tracer_.emplace(options_.tracer);
   if (options_.flight_recorder) {
     recorder_.emplace(options_.flight_recorder_capacity);
   }

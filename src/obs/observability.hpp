@@ -1,16 +1,17 @@
 // The per-run observability bundle (ISSUE 2 tentpole): one object that
 // owns a metrics registry wired with the simulator's standard
-// instruments and, optionally, the causal span tracer.  Attach it via
+// instruments plus the optional attribution table, engine profiler,
+// flight recorder and trace log.  Attach it via
 // SimOptions::observability; the default (nullptr) keeps the simulator
 // on its zero-cost path (a single pointer test per event, verified to
 // cost < 2% on bench_protocol_overhead).
 //
-//   Observability obs({.tracing = true, .label = "fifo"});
+//   Observability obs({.label = "fifo"});
 //   SimOptions sopts;
 //   sopts.observability = &obs;
 //   const SimResult result = simulate(workload, factory, n, sopts);
-//   obs.metrics().to_json();                       // metrics dump
-//   obs.tracer()->write_chrome_trace("run.json");  // open in Perfetto
+//   obs.metrics().to_json();                            // metrics dump
+//   write_chrome_trace("run.json", result.trace, obs);  // open in Perfetto
 #pragma once
 
 #include <array>
@@ -22,7 +23,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/profile.hpp"
 #include "src/obs/tracelog.hpp"
-#include "src/obs/tracer.hpp"
 
 namespace msgorder {
 
@@ -61,20 +61,18 @@ struct SimInstruments {
 };
 
 struct ObservabilityOptions {
-  /// Attach the causal span tracer (off by default; metrics are always
-  /// collected once an Observability is attached at all).
-  bool tracing = false;
   /// Collect per-message inhibition attribution (ISSUE 4): hold
   /// reasons reported by the protocols become per-reason histograms,
-  /// tracer hold slices, and the run report's attribution table.  On by
-  /// default — attribution is the point of attaching observability; the
-  /// zero-cost path is "no Observability at all".
+  /// Chrome-trace inhibit slices, and the run report's attribution
+  /// table.  On by default — attribution is the point of attaching
+  /// observability (metrics are always collected once one is attached
+  /// at all); the zero-cost path is "no Observability at all".
   bool attribution = true;
   /// Collect the engine profiler's per-shard window/stall/ring/barrier
   /// counters (ISSUE 7; off by default).  The profile describes the most
   /// recent run and is embedded in msgorder.run_report/1 as the
-  /// "profile" section; with tracing also on, per-window samples render
-  /// as Perfetto counter tracks.
+  /// "profile" section; its per-window samples render as Perfetto
+  /// counter tracks in chrome_trace_json (src/obs/tracer.hpp).
   bool profiling = false;
   /// Attach a flight recorder of the last `flight_recorder_capacity`
   /// records, dumped post-mortem on red runs (off by default).
@@ -90,7 +88,6 @@ struct ObservabilityOptions {
   std::string label;
   /// Bucket layout shared by the three delay histograms.
   HistogramOptions delay_histogram = {};
-  SpanTracerOptions tracer = {};
 };
 
 class Observability {
@@ -102,10 +99,6 @@ class Observability {
 
   SimInstruments& instruments() { return instruments_; }
   const SimInstruments& instruments() const { return instruments_; }
-
-  /// nullptr unless tracing was enabled in the options.
-  SpanTracer* tracer() { return tracer_ ? &*tracer_ : nullptr; }
-  const SpanTracer* tracer() const { return tracer_ ? &*tracer_ : nullptr; }
 
   /// nullptr unless attribution was enabled AND a run attached (the
   /// simulator calls begin_run with the universe size; the table always
@@ -153,7 +146,6 @@ class Observability {
   ObservabilityOptions options_;
   MetricsRegistry metrics_;
   SimInstruments instruments_;
-  std::optional<SpanTracer> tracer_;
   std::optional<DelayAttribution> attribution_;
   std::optional<FlightRecorder> recorder_;
   std::optional<SimProfile> profile_;

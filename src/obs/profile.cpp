@@ -1,18 +1,15 @@
 #include "src/obs/profile.hpp"
 
 #include "src/obs/json.hpp"
-#include "src/obs/tracer.hpp"
 
 namespace msgorder {
 
 void SimProfile::begin_run(const char* engine, std::size_t n_shards,
-                           std::size_t n_workers, SimTime lookahead,
-                           bool sampling) {
+                           std::size_t n_workers, SimTime lookahead) {
   engine_ = engine;
   shards_.assign(n_shards, ShardProfileRow{});
   workers_.assign(n_workers, WorkerProfileRow{});
   lookahead_ = lookahead;
-  sampling_ = sampling;
   windows_ = 0;
   prev_window_start_ = 0;
   advance_sum_ = 0;
@@ -133,20 +130,6 @@ std::string SimProfile::to_json() const {
   JsonWriter w;
   write_json(w);
   return w.take();
-}
-
-void SimProfile::emit_counter_tracks(SpanTracer& tracer) const {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::string prefix = "shard" + std::to_string(s);
-    const std::string entries_track = prefix + ".entries_per_window";
-    const std::string heap_track = prefix + ".heap_depth";
-    for (const ProfileSample& sample : shards_[s].samples) {
-      tracer.add_counter_sample(entries_track, sample.time,
-                                static_cast<double>(sample.entries));
-      tracer.add_counter_sample(heap_track, sample.time,
-                                static_cast<double>(sample.heap_depth));
-    }
-  }
 }
 
 }  // namespace msgorder

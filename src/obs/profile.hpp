@@ -18,7 +18,7 @@
 // Output: a "msgorder.profile/1" JSON section (embedded in
 // msgorder.run_report/1 and writable standalone via the examples'
 // --profile flag) plus Perfetto counter tracks ("C" phase events)
-// through the span tracer when tracing is enabled alongside profiling.
+// rendered from the retained samples by chrome_trace_json.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,6 @@
 namespace msgorder {
 
 class JsonWriter;
-class SpanTracer;
 
 /// One per-window measurement retained for the Perfetto counter tracks
 /// (bounded per shard; overflow is counted, never silently dropped).
@@ -85,10 +84,9 @@ class SimProfile {
   static constexpr std::size_t kMaxSamplesPerShard = 4096;
 
   /// Called by the engine that owns this run: resets every row and
-  /// records the topology.  `sampling` retains per-window samples for
-  /// the Perfetto counter tracks (enabled when a tracer is attached).
+  /// records the topology.
   void begin_run(const char* engine, std::size_t n_shards,
-                 std::size_t n_workers, SimTime lookahead, bool sampling);
+                 std::size_t n_workers, SimTime lookahead);
 
   ShardProfileRow& shard(std::size_t s) { return shards_[s]; }
   const ShardProfileRow& shard(std::size_t s) const { return shards_[s]; }
@@ -97,7 +95,6 @@ class SimProfile {
   std::size_t shard_count() const { return shards_.size(); }
   std::size_t worker_count() const { return workers_.size(); }
 
-  bool sampling() const { return sampling_; }
   /// Retain one per-window sample for shard `s` (bounded; single writer
   /// per shard, same as the row counters).
   void sample(std::size_t s, SimTime window_end, std::uint64_t entries,
@@ -123,16 +120,11 @@ class SimProfile {
   /// The section as a complete standalone JSON document.
   std::string to_json() const;
 
-  /// Render the retained samples as Perfetto counter tracks
-  /// ("shard<i>.entries_per_window" and "shard<i>.heap_depth").
-  void emit_counter_tracks(SpanTracer& tracer) const;
-
  private:
   std::string engine_ = "sequential";
   std::vector<ShardProfileRow> shards_;
   std::vector<WorkerProfileRow> workers_;
   SimTime lookahead_ = 0;
-  bool sampling_ = false;
   // Window aggregates, written only by the reduction.
   std::uint64_t windows_ = 0;
   SimTime prev_window_start_ = 0;

@@ -12,10 +12,16 @@ namespace msgorder {
 namespace {
 
 /// Deterministic short rendering of a double (no locale, no trailing
-/// noise) — the golden-file test depends on this being stable.
+/// noise) — the golden-file test depends on this being stable.  Counts
+/// print exactly: an integral value below 2^53 (where doubles are still
+/// exact integers) never falls into %.6g's scientific notation.
 std::string fmt(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  if (std::fabs(v) < 9007199254740992.0 && v == std::trunc(v)) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+  }
   return buf;
 }
 

@@ -126,8 +126,7 @@ QueryOutput query_error(std::string_view subcommand, const std::string& error,
 
 }  // namespace
 
-TraceLogIndex TraceLogIndex::build(const LoadedTraceLog& log,
-                                   std::size_t dense_limit) {
+TraceLogIndex TraceLogIndex::build(const LoadedTraceLog& log) {
   TraceLogIndex index;
   index.log_ = &log;
   const std::size_t n = log.events.size();
@@ -153,16 +152,6 @@ TraceLogIndex TraceLogIndex::build(const LoadedTraceLog& log,
         add_edge(it->second, ei);
       }
     }
-  }
-  if (n > 0 && n <= dense_limit) {
-    index.dense_ = true;
-    BitMatrix m(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const std::uint32_t j : index.succ_[i]) m.set(i, j);
-    }
-    m.transitive_closure();
-    index.ancestors_ = m.transposed();
-    index.descendants_ = std::move(m);
   }
   return index;
 }
@@ -199,23 +188,11 @@ std::vector<std::size_t> TraceLogIndex::bfs(std::size_t ev,
 }
 
 std::vector<std::size_t> TraceLogIndex::causal_past(std::size_t ev) const {
-  if (!dense_) return bfs(ev, false);
-  std::vector<std::size_t> out;
-  ancestors_.for_each_set(ev, [&out](std::size_t j) { out.push_back(j); });
-  if (!std::binary_search(out.begin(), out.end(), ev)) {
-    out.insert(std::upper_bound(out.begin(), out.end(), ev), ev);
-  }
-  return out;
+  return bfs(ev, false);
 }
 
 std::vector<std::size_t> TraceLogIndex::causal_future(std::size_t ev) const {
-  if (!dense_) return bfs(ev, true);
-  std::vector<std::size_t> out;
-  descendants_.for_each_set(ev, [&out](std::size_t j) { out.push_back(j); });
-  if (!std::binary_search(out.begin(), out.end(), ev)) {
-    out.insert(std::upper_bound(out.begin(), out.end(), ev), ev);
-  }
-  return out;
+  return bfs(ev, true);
 }
 
 CutResult cut_at(const TraceLogIndex& index, SimTime t) {

@@ -1,11 +1,9 @@
 // Index + query engine over a causal trace log (ISSUE 9): the loaded
 // log's event records become a poset — per-process program order plus
 // the send -> receive channel edge of every message — and the queries
-// are reachability questions on it, answered the same way the checker
-// answers them: dense BitMatrix transitive closure with transposed
-// ancestor rows (src/util/bitmatrix.hpp, the WitnessEngine idiom) when
-// the event count is small enough, plain BFS over the adjacency lists
-// beyond that.
+// are reachability questions on it, answered by BFS over the adjacency
+// lists: O(E) per cone, which is all a one-query tool needs (a dense
+// closure would cost O(n²) bits before answering anything).
 //
 // Four query families, each with a text and a msgorder.query/1 JSON
 // rendering shared by tools/msgorder_query.cpp and the golden tests:
@@ -27,7 +25,6 @@
 #include <vector>
 
 #include "src/obs/tracelog.hpp"
-#include "src/util/bitmatrix.hpp"
 
 namespace msgorder {
 
@@ -36,15 +33,11 @@ namespace msgorder {
 /// pointer to the log: the log must outlive the index.
 class TraceLogIndex {
  public:
-  /// Build program-order + channel edges; close them densely via
-  /// BitMatrix when the event count is <= dense_limit (0 forces BFS —
-  /// the tests use that to prove both paths agree).
-  static TraceLogIndex build(const LoadedTraceLog& log,
-                             std::size_t dense_limit = 16384);
+  /// Build the program-order + channel edges.
+  static TraceLogIndex build(const LoadedTraceLog& log);
 
   const LoadedTraceLog& log() const { return *log_; }
   std::size_t event_count() const { return succ_.size(); }
-  bool dense() const { return dense_; }
   const TraceLogRecord& event(std::size_t ev) const {
     return log_->records[log_->events[ev]];
   }
@@ -69,9 +62,6 @@ class TraceLogIndex {
   const LoadedTraceLog* log_ = nullptr;
   std::vector<std::vector<std::uint32_t>> succ_;
   std::vector<std::vector<std::uint32_t>> pred_;
-  bool dense_ = false;
-  BitMatrix descendants_;  // closed reachability, row = descendant set
-  BitMatrix ancestors_;    // its transpose, row = ancestor set
 };
 
 /// The consistent cut at time t.

@@ -8,6 +8,13 @@ namespace msgorder {
 
 namespace {
 
+/// Chrome traces are denominated in microseconds; SimTime is an
+/// abstract unit rendered as one millisecond, so typical runs span a
+/// readable few seconds.
+constexpr double kTimeScale = 1000.0;
+/// Track name of the whole simulation ("process" in trace terms).
+constexpr const char* kProcessName = "msgorder simulation";
+
 /// Common fields of every emitted trace event.
 void event_head(JsonWriter& w, const char* phase, ProcessId tid, double ts) {
   w.begin_object();
@@ -17,80 +24,14 @@ void event_head(JsonWriter& w, const char* phase, ProcessId tid, double ts) {
   w.kv("ts", ts);
 }
 
-}  // namespace
-
-SpanTracer::SpanTracer(SpanTracerOptions options)
-    : options_(std::move(options)) {}
-
-SpanTracer::Lifecycle& SpanTracer::lifecycle(MessageId m) {
-  if (m >= lifecycles_.size()) lifecycles_.resize(m + 1);
-  return lifecycles_[m];
-}
-
-void SpanTracer::on_event(ProcessId p, SystemEvent e, SimTime t) {
-  if (p + 1 > n_processes_) n_processes_ = p + 1;
-  Lifecycle& lc = lifecycle(e.msg);
-  switch (e.kind) {
-    case EventKind::kInvoke:
-      lc.invoke = t;
-      lc.sender = p;
-      break;
-    case EventKind::kSend:
-      lc.send = t;
-      lc.sender = p;
-      break;
-    case EventKind::kReceive:
-      lc.receive = t;
-      lc.receiver = p;
-      break;
-    case EventKind::kDeliver:
-      lc.deliver = t;
-      lc.receiver = p;
-      break;
-  }
-}
-
-void SpanTracer::on_hold_segment(const HoldSegment& segment) {
-  if (segment.process + 1 > n_processes_) n_processes_ = segment.process + 1;
-  hold_segments_.push_back(segment);
-}
-
-void SpanTracer::add_counter_sample(const std::string& name, SimTime t,
-                                    double value) {
-  // Few distinct tracks (two per shard): a scan spares a string copy per
-  // sample.
-  auto it = std::find(counter_tracks_.begin(), counter_tracks_.end(), name);
-  if (it == counter_tracks_.end()) {
-    counter_tracks_.push_back(name);
-    it = counter_tracks_.end() - 1;
-  }
-  counters_.push_back(
-      {static_cast<std::size_t>(it - counter_tracks_.begin()), t, value});
-}
-
-std::size_t SpanTracer::complete_span_count() const {
-  std::size_t n = 0;
-  for (const Lifecycle& lc : lifecycles_) {
-    if (lc.invoke && lc.send && lc.receive && lc.deliver) ++n;
-  }
-  return n;
-}
-
-std::string SpanTracer::chrome_trace_json() const {
-  const double scale = options_.time_scale;
-  JsonWriter w;
-  w.begin_object();
-  w.kv("displayTimeUnit", "ms");
-  w.key("traceEvents").begin_array();
-
-  // Track metadata: one named thread per simulated process.
+void write_track_metadata(JsonWriter& w, std::size_t n_tracks) {
   w.begin_object();
   w.kv("ph", "M");
   w.kv("pid", 1);
   w.kv("name", "process_name");
-  w.key("args").begin_object().kv("name", options_.process_name).end_object();
+  w.key("args").begin_object().kv("name", kProcessName).end_object();
   w.end_object();
-  for (std::size_t p = 0; p < n_processes_; ++p) {
+  for (std::size_t p = 0; p < n_tracks; ++p) {
     w.begin_object();
     w.kv("ph", "M");
     w.kv("pid", 1);
@@ -109,123 +50,164 @@ std::string SpanTracer::chrome_trace_json() const {
     w.key("args").begin_object().kv("sort_index", p).end_object();
     w.end_object();
   }
+}
 
-  for (MessageId m = 0; m < lifecycles_.size(); ++m) {
-    const Lifecycle& lc = lifecycles_[m];
-    const std::string label = "x" + std::to_string(m);
+void write_message(JsonWriter& w, MessageId m, const Message& msg,
+                   const MessageTimes& mt) {
+  const std::string label = "x" + std::to_string(m);
 
-    // Lifecycle instants, in the paper's notation.
-    struct Point {
-      const std::optional<SimTime>& t;
-      const char* suffix;
-      ProcessId at;
-    };
-    const Point points[] = {
-        {lc.invoke, ".s*", lc.sender},
-        {lc.send, ".s", lc.sender},
-        {lc.receive, ".r*", lc.receiver},
-        {lc.deliver, ".r", lc.receiver},
-    };
-    for (const Point& pt : points) {
-      if (!pt.t) continue;
-      event_head(w, "i", pt.at, *pt.t * scale);
-      w.kv("s", "t");  // thread-scoped instant
-      w.kv("name", label + pt.suffix);
-      w.kv("cat", "lifecycle");
-      w.end_object();
-    }
-
-    // Protocol hold interval at the sender: x.s* -> x.s.
-    if (lc.invoke && lc.send) {
-      event_head(w, "X", lc.sender, *lc.invoke * scale);
-      w.kv("dur", (*lc.send - *lc.invoke) * scale);
-      w.kv("name", label + " hold");
-      w.kv("cat", "hold");
-      w.key("args")
-          .begin_object()
-          .kv("msg", m)
-          .kv("invoke", *lc.invoke)
-          .kv("send", *lc.send)
-          .end_object();
-      w.end_object();
-    }
-
-    // Protocol buffer interval at the receiver: x.r* -> x.r.  The args
-    // carry the complete four-event span.
-    if (lc.receive && lc.deliver) {
-      event_head(w, "X", lc.receiver, *lc.receive * scale);
-      w.kv("dur", (*lc.deliver - *lc.receive) * scale);
-      w.kv("name", label + " buffer");
-      w.kv("cat", "buffer");
-      w.key("args").begin_object();
-      w.kv("msg", m);
-      w.kv("src", static_cast<std::uint64_t>(lc.sender));
-      w.kv("dst", static_cast<std::uint64_t>(lc.receiver));
-      if (lc.invoke) w.kv("invoke", *lc.invoke);
-      if (lc.send) w.kv("send", *lc.send);
-      w.kv("receive", *lc.receive);
-      w.kv("deliver", *lc.deliver);
-      if (lc.invoke) w.kv("latency", *lc.deliver - *lc.invoke);
-      w.end_object();
-      w.end_object();
-    }
-
-    // Flow arrow along the causal send -> receive edge.
-    if (lc.send && lc.receive) {
-      event_head(w, "s", lc.sender, *lc.send * scale);
-      w.kv("id", m);
-      w.kv("name", label);
-      w.kv("cat", "causal");
-      w.end_object();
-      event_head(w, "f", lc.receiver, *lc.receive * scale);
-      w.kv("bp", "e");
-      w.kv("id", m);
-      w.kv("name", label);
-      w.kv("cat", "causal");
-      w.end_object();
-    }
+  // Lifecycle instants, in the paper's notation.
+  struct Point {
+    const std::optional<SimTime>& t;
+    const char* suffix;
+    ProcessId at;
+  };
+  const Point points[] = {
+      {mt.invoke, ".s*", msg.src},
+      {mt.send, ".s", msg.src},
+      {mt.receive, ".r*", msg.dst},
+      {mt.deliver, ".r", msg.dst},
+  };
+  for (const Point& pt : points) {
+    if (!pt.t) continue;
+    event_head(w, "i", pt.at, *pt.t * kTimeScale);
+    w.kv("s", "t");  // thread-scoped instant
+    w.kv("name", label + pt.suffix);
+    w.kv("cat", "lifecycle");
+    w.end_object();
   }
 
-  // Attribution segments: an "inhibit" slice per closed hold segment,
-  // named after the reason, nested inside the message's hold/buffer
-  // slice on the same track (ISSUE 4).
-  for (const HoldSegment& seg : hold_segments_) {
-    event_head(w, "X", seg.process, seg.begin * scale);
-    w.kv("dur", seg.duration() * scale);
-    w.kv("name", "x" + std::to_string(seg.msg) +
-                     " inhibit:" + to_string(seg.reason.kind));
-    w.kv("cat", "inhibit");
+  // Protocol hold interval at the sender: x.s* -> x.s.
+  if (mt.invoke && mt.send) {
+    event_head(w, "X", msg.src, *mt.invoke * kTimeScale);
+    w.kv("dur", (*mt.send - *mt.invoke) * kTimeScale);
+    w.kv("name", label + " hold");
+    w.kv("cat", "hold");
+    w.key("args")
+        .begin_object()
+        .kv("msg", m)
+        .kv("invoke", *mt.invoke)
+        .kv("send", *mt.send)
+        .end_object();
+    w.end_object();
+  }
+
+  // Protocol buffer interval at the receiver: x.r* -> x.r.  The args
+  // carry the complete four-event span.
+  if (mt.receive && mt.deliver) {
+    event_head(w, "X", msg.dst, *mt.receive * kTimeScale);
+    w.kv("dur", (*mt.deliver - *mt.receive) * kTimeScale);
+    w.kv("name", label + " buffer");
+    w.kv("cat", "buffer");
     w.key("args").begin_object();
-    w.kv("msg", seg.msg);
-    w.kv("phase", to_string(seg.phase));
-    w.kv("reason", to_string(seg.reason.kind));
-    if (seg.reason.blocking_msg) w.kv("blocking_msg", *seg.reason.blocking_msg);
-    if (seg.reason.blocking_proc) {
-      w.kv("blocking_proc",
-           static_cast<std::uint64_t>(*seg.reason.blocking_proc));
+    w.kv("msg", m);
+    w.kv("src", static_cast<std::uint64_t>(msg.src));
+    w.kv("dst", static_cast<std::uint64_t>(msg.dst));
+    if (mt.invoke) w.kv("invoke", *mt.invoke);
+    if (mt.send) w.kv("send", *mt.send);
+    w.kv("receive", *mt.receive);
+    w.kv("deliver", *mt.deliver);
+    if (mt.invoke) w.kv("latency", *mt.deliver - *mt.invoke);
+    w.end_object();
+    w.end_object();
+  }
+
+  // Flow arrow along the causal send -> receive edge.
+  if (mt.send && mt.receive) {
+    event_head(w, "s", msg.src, *mt.send * kTimeScale);
+    w.kv("id", m);
+    w.kv("name", label);
+    w.kv("cat", "causal");
+    w.end_object();
+    event_head(w, "f", msg.dst, *mt.receive * kTimeScale);
+    w.kv("bp", "e");
+    w.kv("id", m);
+    w.kv("name", label);
+    w.kv("cat", "causal");
+    w.end_object();
+  }
+}
+
+/// An "inhibit" slice per closed hold segment, named after the reason,
+/// nested inside the message's hold/buffer slice on the same track.
+void write_inhibit(JsonWriter& w, const HoldSegment& seg) {
+  event_head(w, "X", seg.process, seg.begin * kTimeScale);
+  w.kv("dur", seg.duration() * kTimeScale);
+  w.kv("name", "x" + std::to_string(seg.msg) +
+                   " inhibit:" + to_string(seg.reason.kind));
+  w.kv("cat", "inhibit");
+  w.key("args").begin_object();
+  w.kv("msg", seg.msg);
+  w.kv("phase", to_string(seg.phase));
+  w.kv("reason", to_string(seg.reason.kind));
+  if (seg.reason.blocking_msg) w.kv("blocking_msg", *seg.reason.blocking_msg);
+  if (seg.reason.blocking_proc) {
+    w.kv("blocking_proc",
+         static_cast<std::uint64_t>(*seg.reason.blocking_proc));
+  }
+  w.end_object();
+  w.end_object();
+}
+
+/// One Chrome "C" (counter) event; Perfetto plots each distinct name as
+/// its own counter graph above the process tracks.
+void write_counter(JsonWriter& w, const std::string& track, SimTime t,
+                   double value) {
+  event_head(w, "C", 0, t * kTimeScale);
+  w.kv("name", track);
+  w.kv("cat", "profile");
+  w.key("args").begin_object().kv("value", value).end_object();
+  w.end_object();
+}
+
+}  // namespace
+
+std::string chrome_trace_json(const Trace& trace, const Observability& obs) {
+  const DelayAttribution* attribution = obs.attribution();
+  const std::vector<HoldSegment> no_segments;
+  const std::vector<HoldSegment>& segments =
+      attribution != nullptr ? attribution->closed_segments() : no_segments;
+
+  // One track per process up to the highest one the run touched.
+  std::size_t n_tracks = 0;
+  for (std::size_t p = 0; p < trace.logs().size(); ++p) {
+    if (!trace.logs()[p].empty()) n_tracks = p + 1;
+  }
+  for (const HoldSegment& seg : segments) {
+    n_tracks = std::max<std::size_t>(n_tracks, seg.process + 1);
+  }
+
+  JsonWriter w;
+  w.begin_object();
+  w.kv("displayTimeUnit", "ms");
+  w.key("traceEvents").begin_array();
+  write_track_metadata(w, n_tracks);
+  const std::vector<Message>& universe = trace.universe();
+  for (MessageId m = 0; m < universe.size(); ++m) {
+    write_message(w, m, universe[m], trace.times(m));
+  }
+  for (const HoldSegment& seg : segments) write_inhibit(w, seg);
+  if (const SimProfile* profile = obs.profile()) {
+    for (std::size_t s = 0; s < profile->shard_count(); ++s) {
+      const std::string prefix = "shard" + std::to_string(s);
+      const std::string entries_track = prefix + ".entries_per_window";
+      const std::string heap_track = prefix + ".heap_depth";
+      for (const ProfileSample& sample : profile->shard(s).samples) {
+        write_counter(w, entries_track, sample.time,
+                      static_cast<double>(sample.entries));
+        write_counter(w, heap_track, sample.time,
+                      static_cast<double>(sample.heap_depth));
+      }
     }
-    w.end_object();
-    w.end_object();
   }
-
-  // Profiler counter tracks (ISSUE 7): Chrome counter events; Perfetto
-  // renders each distinct name as its own counter plot.
-  for (const CounterSample& cs : counters_) {
-    event_head(w, "C", 0, cs.time * scale);
-    w.kv("name", counter_tracks_[cs.track]);
-    w.kv("cat", "profile");
-    w.key("args").begin_object().kv("value", cs.value).end_object();
-    w.end_object();
-  }
-
   w.end_array();
   w.end_object();
   return w.take();
 }
 
-bool SpanTracer::write_chrome_trace(const std::string& path,
-                                    std::string* error) const {
-  return write_text_file(path, chrome_trace_json(), error);
+bool write_chrome_trace(const std::string& path, const Trace& trace,
+                        const Observability& obs, std::string* error) {
+  return write_text_file(path, chrome_trace_json(trace, obs), error);
 }
 
 }  // namespace msgorder

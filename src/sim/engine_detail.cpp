@@ -10,7 +10,6 @@ ObsSink::ObsSink(Observability* observability, const ObserverMux* observers,
   // (if any) persists across runs by design.
   observability->begin_run(n_messages);
   instruments_ = &observability->instruments();
-  tracer_ = observability->tracer();
   attribution_ = observability->attribution();
   recorder_ = observability->flight_recorder();
   profile_ = observability->profile();
@@ -46,14 +45,8 @@ void ObsSink::finish_tracelog() {
   }
 }
 
-void ObsSink::publish_profile() {
-  if (profile_ != nullptr && tracer_ != nullptr) {
-    profile_->emit_counter_tracks(*tracer_);
-  }
-}
-
 void ObsSink::record(ProcessId at, SystemEvent e, SimTime t,
-                     std::uint64_t tiebreak, bool merge_only) {
+                     std::uint64_t tiebreak) {
   if (tracelog_ != nullptr) {
     // The peer is the channel's other endpoint: the destination before
     // the message crosses (invoke/send), the source after (receive/
@@ -66,7 +59,6 @@ void ObsSink::record(ProcessId at, SystemEvent e, SimTime t,
                             m.color);
   }
   if (instruments_ != nullptr) update_instruments(e);
-  if (tracer_ != nullptr) tracer_->on_event(at, e, t);
   if (recorder_ != nullptr) recorder_->on_event(at, e, t);
   if (attribution_ != nullptr) {
     // The inhibited event executing closes its open hold segment, so
@@ -77,13 +69,7 @@ void ObsSink::record(ProcessId at, SystemEvent e, SimTime t,
       publish_closed(attribution_->on_release(e.msg, HoldPhase::kDelivery, t));
     }
   }
-  if (observers_ != nullptr) {
-    if (merge_only) {
-      observers_->notify_merge_phase(at, e, t);
-    } else {
-      observers_->notify(at, e, t);
-    }
-  }
+  if (observers_ != nullptr) observers_->notify(at, e, t);
 }
 
 void ObsSink::hold(ProcessId at, MessageId msg, const HoldReason& reason,
@@ -124,8 +110,7 @@ void ObsSink::replay(const std::vector<ObsItem>& items,
       if (item.event.kind == EventKind::kReceive) {
         received[item.event.msg] = 1;
       }
-      record(item.at, item.event, item.time, item.entry_tiebreak,
-             /*merge_only=*/true);
+      record(item.at, item.event, item.time, item.entry_tiebreak);
     }
   }
 }
@@ -162,7 +147,6 @@ void ObsSink::publish_closed(const HoldSegment* seg) {
       instruments_->hold_time[k]->record(seg->duration());
     }
   }
-  if (tracer_ != nullptr) tracer_->on_hold_segment(*seg);
   if (recorder_ != nullptr) recorder_->on_hold_segment(*seg);
 }
 

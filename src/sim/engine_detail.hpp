@@ -133,12 +133,11 @@ struct ObsItem {
   HoldReason reason;        // is_hold
 };
 
-/// Fans recorded events out to instruments, tracer, flight recorder,
-/// delay attribution, and observers.  A one-shard run feeds it inline
-/// per event; with several shards the engine feeds thread-safe observers
-/// live and everything else through replay() in merge order.  Trace
-/// writes stay in the engines — the sink only *reads* trace times for
-/// the latency histograms.
+/// Fans recorded events out to instruments, flight recorder, delay
+/// attribution, trace log and observers.  A one-shard run feeds it
+/// inline per event; with several shards the engine feeds it through
+/// replay() in merge order.  Trace writes stay in the engines — the sink
+/// only *reads* trace times for the latency histograms.
 class ObsSink {
  public:
   /// Wires up the sink and (when observability is attached) calls
@@ -165,31 +164,20 @@ class ObsSink {
   /// ObservabilityOptions::profiling was set.  The owning engine resets
   /// it with the run topology and fills the rows directly.
   SimProfile* profile() const { return profile_; }
-  /// True when profiling should retain per-window samples for the
-  /// Perfetto counter tracks (profiling + tracing both attached).
-  bool profile_sampling() const {
-    return profile_ != nullptr && tracer_ != nullptr;
-  }
-  /// Render the retained profile samples as tracer counter tracks;
-  /// call once, after the run (no-op without both profile and tracer).
-  void publish_profile();
 
   /// True when a run with several shards must buffer ObsItems: some
   /// consumer needs events in the deterministic merge order.
   bool buffering_needed() const {
-    return instruments_ != nullptr || tracer_ != nullptr ||
-           recorder_ != nullptr || attribution_ != nullptr ||
-           tracelog_ != nullptr ||
-           (observers_ != nullptr && observers_->has_merge_phase());
+    return instruments_ != nullptr || recorder_ != nullptr ||
+           attribution_ != nullptr || tracelog_ != nullptr ||
+           (observers_ != nullptr && !observers_->empty());
   }
 
   /// Dispatch one recorded event.  `tiebreak` is the deterministic key
   /// of the queue entry being handled (logged verbatim in the
-  /// tracelog).  merge_only limits observer fan-out to merge-phase
-  /// observers (replay path: thread-safe observers were already
-  /// notified live by the shard).
+  /// tracelog).
   void record(ProcessId at, SystemEvent e, SimTime t,
-              std::uint64_t tiebreak, bool merge_only);
+              std::uint64_t tiebreak);
 
   /// Dispatch one hold report.  `received` — whether x.r* was already
   /// recorded for msg — selects the attribution phase.
@@ -215,7 +203,6 @@ class ObsSink {
   const ObserverMux* observers_ = nullptr;
   const Trace* trace_ = nullptr;
   SimInstruments* instruments_ = nullptr;
-  SpanTracer* tracer_ = nullptr;
   DelayAttribution* attribution_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
   SimProfile* profile_ = nullptr;

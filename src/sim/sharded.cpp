@@ -213,7 +213,6 @@ class Shard {
   /// buffer ObsItems for the merge replay instead.
   ObsSink* inline_sink_ = nullptr;
   bool buffering_ = false;
-  bool live_observers_ = false;
   /// Profiler row for this shard (nullptr when profiling is off); the
   /// only writer is the worker driving this shard.
   SimProfile* profile_ = nullptr;
@@ -249,8 +248,7 @@ class ShardedEngine {
     const char* engine = n_shards_ == 1 ? "sequential" : "sharded";
     profile_ = sink_.profile();
     if (profile_ != nullptr) {
-      profile_->begin_run(engine, n_shards_, n_workers_, lookahead_,
-                          sink_.profile_sampling());
+      profile_->begin_run(engine, n_shards_, n_workers_, lookahead_);
     }
     sink_.open_tracelog(engine, n_shards_, n_workers_, lookahead_,
                         options_.seed, n_processes_);
@@ -441,8 +439,8 @@ class ShardedEngine {
 
     // Deterministic observability replay: merge the per-shard buffers
     // on (time, entry key) — stable, so intra-entry order survives —
-    // and hand them to the instruments / tracer / recorder /
-    // attribution / merge-phase observers in key order.
+    // and hand them to the instruments / recorder / attribution /
+    // tracelog / observers in key order.
     if (n_shards_ > 1 && sink_.buffering_needed()) {
       std::size_t total_items = 0;
       for (auto& shard : shards_) total_items += shard->obs_items().size();
@@ -462,7 +460,6 @@ class ShardedEngine {
                        });
       sink_.replay(merged, universe_.size());
     }
-    sink_.publish_profile();
 
     std::string error;
     if (cap_hit_shard_ != kNoShard) {
@@ -529,8 +526,6 @@ Shard::Shard(ShardedEngine* engine, std::size_t id)
       inline_sink_(engine->n_shards_ == 1 ? &engine->sink_ : nullptr),
       buffering_(inline_sink_ == nullptr &&
                  engine->sink_.buffering_needed()),
-      live_observers_(inline_sink_ == nullptr &&
-                      engine->options_.observers.has_thread_safe()),
       profile_(engine->profile_) {
   if (profile_ != nullptr) prof_ = &profile_->shard(id);
   const std::size_t n_local =
@@ -579,9 +574,7 @@ void Shard::process_window(SimTime window_end) {
     // ring backpressure is only known once the inbox drains.
     pending_empty_stall_ = true;
   }
-  if (profile_->sampling()) {
-    profile_->sample(id_, window_end, n, heap_.size());
-  }
+  profile_->sample(id_, window_end, n, heap_.size());
 }
 
 void Shard::process_entries(SimTime window_end) {
@@ -680,13 +673,10 @@ void Shard::record(ProcessId at, SystemEvent e) {
   }
   if (prof_ != nullptr) ++prof_->events;
   if (inline_sink_ != nullptr) {
-    inline_sink_->record(at, e, now_, cur_tiebreak_, /*merge_only=*/false);
+    inline_sink_->record(at, e, now_, cur_tiebreak_);
     return;
   }
   if (buffering_) obs_.push_back({now_, cur_tiebreak_, at, false, e, 0, {}});
-  if (live_observers_) {
-    eng_->options_.observers.notify_thread_safe(at, e, now_);
-  }
 }
 
 void Shard::trip_cap() {

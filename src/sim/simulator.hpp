@@ -48,13 +48,13 @@ struct SimOptions {
   std::size_t cross_shard_ring_capacity = 2048;
   /// Observer fan-out, called after every recorded system event
   /// (invoke/send/receive/deliver): online monitors
-  /// (src/checker/monitor.hpp), tracers, and user callbacks all attach
-  /// here via observers.add(...).
+  /// (src/checker/monitor.hpp) and user callbacks all attach here via
+  /// observers.add(...).
   ObserverMux observers;
-  /// Optional metrics + span-tracing bundle, owned by the caller and
-  /// filled during the run (src/obs/observability.hpp).  nullptr — the
-  /// default — disables the whole layer at the cost of one pointer test
-  /// per event.
+  /// Optional metrics + attribution + profiling bundle, owned by the
+  /// caller and filled during the run (src/obs/observability.hpp).
+  /// nullptr — the default — disables the whole layer at the cost of one
+  /// pointer test per event.
   Observability* observability = nullptr;
 };
 

@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "src/obs/json.hpp"
+#include "src/obs/json_value.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace msgorder {
@@ -60,7 +61,7 @@ TEST(Histogram, EmptyHistogramSerializesNullPercentiles) {
   write_histogram_json(w, h);
   EXPECT_NE(w.str().find("\"p50\":null"), std::string::npos) << w.str();
   std::string error;
-  EXPECT_TRUE(json_validate(w.str(), &error)) << error;
+  EXPECT_TRUE(json_parse(w.str(), &error).has_value()) << error;
 }
 
 TEST(Histogram, ExactStatsAreExact) {
@@ -163,7 +164,7 @@ TEST(MetricsRegistry, ToJsonIsValidAndCarriesInstruments) {
   reg.histogram("lat").record(2.0);
   const std::string json = reg.to_json();
   std::string error;
-  EXPECT_TRUE(json_validate(json, &error)) << error << "\n" << json;
+  EXPECT_TRUE(json_parse(json, &error).has_value()) << error << "\n" << json;
   EXPECT_NE(json.find("\"sim.events\":5"), std::string::npos) << json;
   EXPECT_NE(json.find("msgorder.metrics/1"), std::string::npos);
   EXPECT_NE(json.find("\"depth\""), std::string::npos);
@@ -177,7 +178,7 @@ TEST(JsonWriter, EscapesStrings) {
   w.end_object();
   EXPECT_EQ(w.str(), "{\"k\":\"a\\\"b\\\\c\\nd\"}");
   std::string error;
-  EXPECT_TRUE(json_validate(w.str(), &error)) << error;
+  EXPECT_TRUE(json_parse(w.str(), &error).has_value()) << error;
 }
 
 TEST(JsonWriter, NestedContainersGetCommasRight) {
@@ -190,15 +191,45 @@ TEST(JsonWriter, NestedContainersGetCommasRight) {
   EXPECT_EQ(w.str(), "{\"a\":[1,2],\"b\":true,\"c\":{\"x\":1.5}}");
 }
 
-TEST(JsonValidate, AcceptsAndRejects) {
-  EXPECT_TRUE(json_validate("{\"a\": [1, 2.5, -3e2, null, true, \"x\"]}"));
-  EXPECT_TRUE(json_validate("  42  "));
+// The one JSON grammar (json_parse) on the inputs the removed second
+// grammar (json_validate) was tested with: same verdicts.
+TEST(JsonParse, AcceptsAndRejects) {
+  EXPECT_TRUE(
+      json_parse("{\"a\": [1, 2.5, -3e2, null, true, \"x\"]}").has_value());
+  EXPECT_TRUE(json_parse("  42  ").has_value());
+  EXPECT_TRUE(json_parse("[0, -0, 0.5, 10]").has_value());
   std::string error;
-  EXPECT_FALSE(json_validate("{\"a\":}", &error));
-  EXPECT_FALSE(json_validate("[1, 2", &error));
-  EXPECT_FALSE(json_validate("{\"a\":1} trailing", &error));
-  EXPECT_FALSE(json_validate("{'a':1}", &error));
-  EXPECT_FALSE(json_validate("", &error));
+  EXPECT_FALSE(json_parse("{\"a\":}", &error).has_value());
+  EXPECT_FALSE(json_parse("[1, 2", &error).has_value());
+  EXPECT_FALSE(json_parse("{\"a\":1} trailing", &error).has_value());
+  EXPECT_FALSE(json_parse("{'a':1}", &error).has_value());
+  EXPECT_FALSE(json_parse("", &error).has_value());
+  // RFC 8259 numbers have no leading zeros.
+  EXPECT_FALSE(json_parse("01", &error).has_value());
+  EXPECT_FALSE(json_parse("[-007]", &error).has_value());
+}
+
+// Hostile nesting fails with an error instead of overflowing the stack:
+// every value counts one level, 256 levels parse.
+TEST(JsonParse, NestingIsBoundedAt256) {
+  const auto nested = [](std::size_t depth, const std::string& inner) {
+    return std::string(depth, '[') + inner + std::string(depth, ']');
+  };
+  std::string error;
+  EXPECT_TRUE(json_parse(nested(256, ""), &error).has_value()) << error;
+  EXPECT_TRUE(json_parse(nested(255, "1"), &error).has_value()) << error;
+  EXPECT_FALSE(json_parse(nested(256, "1"), &error).has_value());
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  EXPECT_FALSE(json_parse(nested(257, ""), &error).has_value());
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  std::string objects;
+  for (int i = 0; i < 300; ++i) objects += "{\"k\":";
+  objects += "0" + std::string(300, '}');
+  EXPECT_FALSE(json_parse(objects, &error).has_value());
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  // Four million levels: far past any stack, still a clean error.
+  EXPECT_FALSE(json_parse(nested(4'000'000, ""), &error).has_value());
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
 }
 
 }  // namespace

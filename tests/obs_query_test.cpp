@@ -1,6 +1,6 @@
 // Tests for the trace-log index + query engine (ISSUE 9): causal cones
-// against a brute-force reachability check, dense BitMatrix vs BFS
-// parity, consistent cuts, why-blocked chains on a token protocol, the
+// (BFS over the event edges) against a brute-force reachability check,
+// consistent cuts, why-blocked chains on a token protocol, the
 // run-divergence bisector on identical and deliberately perturbed runs,
 // and the msgorder_query subcommand renderings the CI smoke tests grep.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/obs/json.hpp"
+#include "src/obs/json_value.hpp"
 #include "src/obs/tracelog.hpp"
 #include "src/obs/tracelog_index.hpp"
 #include "src/protocols/fifo.hpp"
@@ -102,44 +103,45 @@ bool reaches(const TraceLogIndex& index, std::size_t from, std::size_t to) {
   return false;
 }
 
-TEST(TraceLogIndex, ConesMatchBruteForceAndBfsMatchesDense) {
+TEST(TraceLogIndex, ConesMatchBruteForce) {
   const Fixture fx = record_sync_token("index_fixture.tracelog");
   ASSERT_FALSE(fx.log.events.empty());
-  const TraceLogIndex dense = TraceLogIndex::build(fx.log);
-  // dense_limit 0 forces the BFS path on the same log.
-  const TraceLogIndex sparse = TraceLogIndex::build(fx.log, 0);
-  ASSERT_TRUE(dense.dense());
-  ASSERT_FALSE(sparse.dense());
-  ASSERT_EQ(dense.event_count(), sparse.event_count());
+  const TraceLogIndex index = TraceLogIndex::build(fx.log);
 
-  // Both paths agree on every anchor; spot-check a few against the
-  // brute force (it is quadratic, so sample).
-  for (std::size_t ev = 0; ev < dense.event_count();
-       ev += dense.event_count() / 17 + 1) {
-    const auto past_d = dense.causal_past(ev);
-    const auto past_s = sparse.causal_past(ev);
-    EXPECT_EQ(past_d, past_s) << "past of " << ev;
-    const auto fut_d = dense.causal_future(ev);
-    const auto fut_s = sparse.causal_future(ev);
-    EXPECT_EQ(fut_d, fut_s) << "future of " << ev;
+  // Spot-check a few anchors' full cones against the brute force (it is
+  // quadratic, so sample).
+  for (std::size_t ev = 0; ev < index.event_count();
+       ev += index.event_count() / 17 + 1) {
+    const auto past = index.causal_past(ev);
+    const auto future = index.causal_future(ev);
+    EXPECT_TRUE(std::is_sorted(past.begin(), past.end()));
+    EXPECT_TRUE(std::is_sorted(future.begin(), future.end()));
     // The anchor is a member of both of its own cones.
-    EXPECT_TRUE(std::find(past_d.begin(), past_d.end(), ev) != past_d.end());
-    EXPECT_TRUE(std::find(fut_d.begin(), fut_d.end(), ev) != fut_d.end());
-    for (const std::size_t p : past_d) {
-      EXPECT_TRUE(reaches(dense, p, ev))
-          << p << " not an ancestor of " << ev;
+    EXPECT_TRUE(std::find(past.begin(), past.end(), ev) != past.end());
+    EXPECT_TRUE(std::find(future.begin(), future.end(), ev) != future.end());
+    for (const std::size_t p : past) {
+      EXPECT_TRUE(reaches(index, p, ev)) << p << " not an ancestor of " << ev;
+    }
+    for (const std::size_t f : future) {
+      EXPECT_TRUE(reaches(index, ev, f))
+          << f << " not a descendant of " << ev;
     }
   }
 
-  // Exhaustive pairwise check on a small prefix.
-  const std::size_t n = std::min<std::size_t>(dense.event_count(), 40);
+  // Exhaustive pairwise check on a small prefix, both directions.
+  const std::size_t n = std::min<std::size_t>(index.event_count(), 40);
   for (std::size_t a = 0; a < n; ++a) {
-    const auto past = dense.causal_past(a);
+    const auto past = index.causal_past(a);
+    const auto future = index.causal_future(a);
     for (std::size_t b = 0; b < n; ++b) {
-      const bool in_cone =
+      const bool in_past =
           std::find(past.begin(), past.end(), b) != past.end();
-      EXPECT_EQ(in_cone, reaches(dense, b, a))
+      EXPECT_EQ(in_past, reaches(index, b, a))
           << "cone membership of " << b << " in past(" << a << ")";
+      const bool in_future =
+          std::find(future.begin(), future.end(), b) != future.end();
+      EXPECT_EQ(in_future, reaches(index, a, b))
+          << "cone membership of " << b << " in future(" << a << ")";
     }
   }
 }
@@ -232,7 +234,7 @@ TEST(Queries, TextAndJsonRenderingsAreWellFormed) {
   EXPECT_NE(summary.text.find("engine sequential"), std::string::npos)
       << summary.text;
   EXPECT_NE(summary.text.find("events"), std::string::npos);
-  ASSERT_TRUE(json_validate(summary.json, &error)) << error;
+  ASSERT_TRUE(json_parse(summary.json, &error).has_value()) << error;
   EXPECT_NE(summary.json.find("\"schema\":\"msgorder.query/1\""),
             std::string::npos);
   EXPECT_NE(summary.json.find("\"subcommand\":\"summary\""),
@@ -242,19 +244,19 @@ TEST(Queries, TextAndJsonRenderingsAreWellFormed) {
       query_cone(fx.path, 0, EventKind::kDeliver, false, 0);
   EXPECT_EQ(cone.exit_code, 0);
   EXPECT_NE(cone.text.find("<- anchor"), std::string::npos);
-  ASSERT_TRUE(json_validate(cone.json, &error)) << error;
+  ASSERT_TRUE(json_parse(cone.json, &error).has_value()) << error;
 
   // A limit keeps the tail and reports what it dropped.
   const QueryOutput limited =
       query_cone(fx.path, 0, EventKind::kDeliver, false, 2);
   EXPECT_EQ(limited.exit_code, 0);
-  ASSERT_TRUE(json_validate(limited.json, &error)) << error;
+  ASSERT_TRUE(json_parse(limited.json, &error).has_value()) << error;
 
   const QueryOutput cut = query_cut(fx.path, 20.0);
   EXPECT_EQ(cut.exit_code, 0);
   EXPECT_NE(cut.text.find("cut at t="), std::string::npos) << cut.text;
   EXPECT_NE(cut.text.find("in flight"), std::string::npos);
-  ASSERT_TRUE(json_validate(cut.json, &error)) << error;
+  ASSERT_TRUE(json_parse(cut.json, &error).has_value()) << error;
 
   std::optional<MessageId> held;
   for (const TraceLogRecord& rec : fx.log.records) {
@@ -267,12 +269,12 @@ TEST(Queries, TextAndJsonRenderingsAreWellFormed) {
   const QueryOutput why = query_why(fx.path, *held);
   EXPECT_EQ(why.exit_code, 0);
   EXPECT_NE(why.text.find("wait_"), std::string::npos) << why.text;
-  ASSERT_TRUE(json_validate(why.json, &error)) << error;
+  ASSERT_TRUE(json_parse(why.json, &error).has_value()) << error;
 
   // Errors: missing file and unknown anchor exit 2 with an "error" key.
   const QueryOutput missing = query_summary(temp_path("nope.tracelog"));
   EXPECT_EQ(missing.exit_code, 2);
-  ASSERT_TRUE(json_validate(missing.json, &error)) << error;
+  ASSERT_TRUE(json_parse(missing.json, &error).has_value()) << error;
   EXPECT_NE(missing.json.find("\"error\""), std::string::npos);
   const QueryOutput bad_anchor =
       query_cone(fx.path, 9999, EventKind::kDeliver, false, 0);
@@ -303,7 +305,7 @@ TEST(Diverge, SequentialVsShardedIsCleanAndPerturbedIsBisected) {
   EXPECT_EQ(clean_q.exit_code, 0);
   EXPECT_NE(clean_q.text.find("no divergence"), std::string::npos);
   std::string error;
-  ASSERT_TRUE(json_validate(clean_q.json, &error)) << error;
+  ASSERT_TRUE(json_parse(clean_q.json, &error).has_value()) << error;
   EXPECT_NE(clean_q.json.find("\"diverged\":false"), std::string::npos);
 
   // Perturbed pair: the report must name the exact first index at which
@@ -331,7 +333,7 @@ TEST(Diverge, SequentialVsShardedIsCleanAndPerturbedIsBisected) {
   EXPECT_EQ(div_q.exit_code, 1);
   EXPECT_NE(div_q.text.find("diverge"), std::string::npos);
   EXPECT_NE(div_q.text.find("<- diverging record"), std::string::npos);
-  ASSERT_TRUE(json_validate(div_q.json, &error)) << error;
+  ASSERT_TRUE(json_parse(div_q.json, &error).has_value()) << error;
   EXPECT_NE(div_q.json.find("\"diverged\":true"), std::string::npos);
   EXPECT_NE(div_q.json.find("\"context_a\""), std::string::npos);
   EXPECT_NE(div_q.json.find("\"context_b\""), std::string::npos);
@@ -382,6 +384,32 @@ TEST(Diverge, MismatchedSetupsWarnAndMissingFilesError) {
 
   std::remove(a.path.c_str());
   std::remove(b_path.c_str());
+}
+
+// A hostile header — valid magic and length, then 400 KB of JSON nested
+// 200k deep — is a load error (exit 2), not a stack overflow in the
+// header parser.
+TEST(Queries, DeeplyNestedHeaderIsRejectedWithExitCode2) {
+  const std::string path = temp_path("deep_header.tracelog");
+  {
+    const std::string header =
+        std::string(200'000, '[') + std::string(200'000, ']');
+    std::string bytes = "MOTLOG1\n";
+    for (int i = 0; i < 4; ++i) {
+      bytes.push_back(static_cast<char>((header.size() >> (8 * i)) & 0xff));
+    }
+    bytes += header;
+    std::string io_error;
+    ASSERT_TRUE(write_text_file(path, bytes, &io_error)) << io_error;
+  }
+  std::string error;
+  EXPECT_FALSE(load_tracelog(path, &error).has_value());
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  const QueryOutput summary = query_summary(path);
+  EXPECT_EQ(summary.exit_code, 2);
+  EXPECT_NE(summary.text.find("bad header JSON"), std::string::npos)
+      << summary.text;
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -209,6 +209,37 @@ TEST(StatsSummary, SummarizesVerifyArtifactWithReplayCounters) {
             std::string::npos);
 }
 
+// Counts of a million and more print exactly, not as %.6g's lossy
+// "2.59833e+06"; non-integral values keep the short rendering.
+TEST(StatsSummary, LargeCountsPrintExactly) {
+  const auto doc = json_parse(
+      "{\"schema\": \"msgorder.verify/1\", \"verdict\": \"verified\","
+      " \"scope\": {\"processes\": 4, \"messages\": 6},"
+      " \"channel_model\": \"reorder\", \"por\": true,"
+      " \"states_total\": 1000000, \"transitions_total\": 690469,"
+      " \"replays_total\": 261955, \"replayed_actions_total\": 2598328,"
+      " \"stacks\": [{\"stack\": \"fifo\", \"verdict\": \"verified\","
+      " \"states\": 9007199254740991, \"replays\": 1, \"scenarios\": []}]}");
+  ASSERT_TRUE(doc.has_value());
+  const std::string summary = stats_summary(*doc);
+  EXPECT_NE(summary.find("states=1000000 transitions=690469 replays=261955 "
+                         "replayed_actions=2598328"),
+            std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find("fifo: verified states=9007199254740991 "),
+            std::string::npos)
+      << summary;
+  EXPECT_EQ(summary.find("e+"), std::string::npos) << summary;
+
+  const auto report = json_parse(
+      "{\"schema\": \"msgorder.run_report/1\", \"protocol\": \"fifo\","
+      " \"latency\": {\"mean\": 1234567.5, \"max\": 9007199254740992}}");
+  ASSERT_TRUE(report.has_value());
+  const std::string text = stats_summary(*report);
+  EXPECT_NE(text.find("mean=1.23457e+06 max=9.0072e+15"), std::string::npos)
+      << text;
+}
+
 TEST(StatsSummary, SummarizesLintArtifact) {
   const auto lint = json_parse(
       "{\"schema\": \"msgorder.lint/1\", \"clean\": false,"

@@ -1,13 +1,16 @@
-// Tests for the causal span tracer (ISSUE 2): a traced simulation must
-// produce well-formed Chrome Trace Event JSON with one named track per
-// process, the full four-event lifecycle of every delivered message,
-// and a flow arrow per causal send->receive edge.
+// Tests for the Chrome-trace renderer: the trace of a finished
+// simulation must be well-formed Chrome Trace Event JSON with one named
+// track per process, the full four-event lifecycle of every delivered
+// message, and a flow arrow per causal send->receive edge — rendered
+// from the run's Trace and attribution log alone, identically at every
+// shard count.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "src/obs/json.hpp"
+#include "src/obs/json_value.hpp"
 #include "src/obs/observability.hpp"
+#include "src/obs/tracer.hpp"
 #include "src/protocols/fifo.hpp"
 #include "src/sim/simulator.hpp"
 
@@ -27,51 +30,44 @@ std::size_t count_occurrences(const std::string& haystack,
 constexpr std::size_t kProcesses = 3;
 constexpr std::size_t kMessages = 25;
 
-SimResult traced_run(Observability& obs) {
+SimResult traced_run(Observability& obs, std::size_t shards = 1,
+                     std::size_t n_processes = kProcesses,
+                     std::size_t n_messages = kMessages) {
   Rng rng(5);
   WorkloadOptions wopts;
-  wopts.n_processes = kProcesses;
-  wopts.n_messages = kMessages;
+  wopts.n_processes = n_processes;
+  wopts.n_messages = n_messages;
   const Workload workload = random_workload(wopts, rng);
   SimOptions sopts;
   sopts.seed = 9;
+  sopts.shards = shards;
   sopts.network.jitter_mean = 2.0;
   sopts.observability = &obs;
-  return simulate(workload, FifoProtocol::factory(), kProcesses, sopts);
+  return simulate(workload, FifoProtocol::factory(), n_processes, sopts);
 }
 
-TEST(SpanTracer, TracerIsNullUnlessRequested) {
-  Observability without;
-  EXPECT_EQ(without.tracer(), nullptr);
-  ObservabilityOptions oopts;
-  oopts.tracing = true;
-  Observability with(oopts);
-  EXPECT_NE(with.tracer(), nullptr);
-}
-
-TEST(SpanTracer, EveryDeliveredMessageHasACompleteSpan) {
-  ObservabilityOptions oopts;
-  oopts.tracing = true;
-  Observability obs(oopts);
+TEST(ChromeTrace, EveryDeliveredMessageHasACompleteSpan) {
+  Observability obs;
   const SimResult result = traced_run(obs);
   ASSERT_TRUE(result.completed) << result.error;
 
-  const SpanTracer& tracer = *obs.tracer();
-  EXPECT_EQ(tracer.message_count(), kMessages);
-  EXPECT_EQ(tracer.complete_span_count(), kMessages);
-  EXPECT_EQ(tracer.process_count(), kProcesses);
+  const std::string json = chrome_trace_json(result.trace, obs);
+  EXPECT_EQ(count_occurrences(json, "\"name\":\"thread_name\""), kProcesses);
+  EXPECT_EQ(count_occurrences(json, "\"cat\":\"lifecycle\""), 4 * kMessages);
+  for (std::size_t m = 0; m < kMessages; ++m) {
+    const std::string label = "\"name\":\"x" + std::to_string(m);
+    EXPECT_EQ(count_occurrences(json, label + " buffer\""), 1u) << "x" << m;
+  }
 }
 
-TEST(SpanTracer, ChromeTraceIsValidJsonWithTracksSpansAndFlows) {
-  ObservabilityOptions oopts;
-  oopts.tracing = true;
-  Observability obs(oopts);
+TEST(ChromeTrace, IsValidJsonWithTracksSpansAndFlows) {
+  Observability obs;
   const SimResult result = traced_run(obs);
   ASSERT_TRUE(result.completed) << result.error;
 
-  const std::string json = obs.tracer()->chrome_trace_json();
+  const std::string json = chrome_trace_json(result.trace, obs);
   std::string error;
-  ASSERT_TRUE(json_validate(json, &error)) << error;
+  ASSERT_TRUE(json_parse(json, &error).has_value()) << error;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 
   // One named track (thread) per simulated process.
@@ -94,7 +90,7 @@ TEST(SpanTracer, ChromeTraceIsValidJsonWithTracksSpansAndFlows) {
   // run on a jittered network inevitably buffers some deliveries).
   EXPECT_EQ(count_occurrences(json, "\"cat\":\"hold\""), kMessages);
   EXPECT_EQ(count_occurrences(json, "\"cat\":\"buffer\""), kMessages);
-  const std::size_t inhibits = obs.tracer()->hold_segment_count();
+  const std::size_t inhibits = obs.attribution()->segment_count();
   EXPECT_GT(inhibits, 0u);
   EXPECT_EQ(count_occurrences(json, "\"cat\":\"inhibit\""), inhibits);
   EXPECT_NE(json.find("\"reason\":\"wait_predecessor\""), std::string::npos);
@@ -107,32 +103,46 @@ TEST(SpanTracer, ChromeTraceIsValidJsonWithTracksSpansAndFlows) {
   EXPECT_EQ(count_occurrences(json, "\"bp\":\"e\""), kMessages);
 }
 
-TEST(SpanTracer, TimeScaleStretchesTimestamps) {
-  SpanTracerOptions topts;
-  topts.time_scale = 10.0;
-  SpanTracer tracer(topts);
-  tracer.on_event(0, SystemEvent{0, EventKind::kInvoke}, 2.0);
-  tracer.on_event(0, SystemEvent{0, EventKind::kSend}, 3.0);
-  const std::string json = tracer.chrome_trace_json();
-  std::string error;
-  ASSERT_TRUE(json_validate(json, &error)) << error;
-  EXPECT_NE(json.find("\"ts\":20"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"ts\":30"), std::string::npos) << json;
-  EXPECT_EQ(tracer.complete_span_count(), 0u);
-  EXPECT_EQ(tracer.message_count(), 1u);
+TEST(ChromeTrace, ShardedRenderIsByteIdenticalToOneShard) {
+  constexpr std::size_t kShardedProcesses = 8;
+  constexpr std::size_t kShardedMessages = 400;
+  Observability seq;
+  Observability sharded;
+  const SimResult seq_result =
+      traced_run(seq, 1, kShardedProcesses, kShardedMessages);
+  const SimResult sharded_result =
+      traced_run(sharded, 4, kShardedProcesses, kShardedMessages);
+  ASSERT_TRUE(seq_result.completed) << seq_result.error;
+  ASSERT_TRUE(sharded_result.completed) << sharded_result.error;
+  ASSERT_EQ(sharded_result.shards_used, 4u);
+  ASSERT_NE(seq.attribution(), nullptr);
+  ASSERT_GT(seq.attribution()->segment_count(), 0u);
+
+  const std::string seq_json = chrome_trace_json(seq_result.trace, seq);
+  EXPECT_EQ(chrome_trace_json(sharded_result.trace, sharded), seq_json);
+  EXPECT_EQ(count_occurrences(seq_json, "\"cat\":\"inhibit\""),
+            seq.attribution()->segment_count());
 }
 
-TEST(SpanTracer, PartialLifecyclesNeverEmitFlowsOrBuffers) {
-  SpanTracer tracer;
-  // Only invoke+send observed: a hold slice and instants, but no
-  // receive-side artifacts.
-  tracer.on_event(1, SystemEvent{0, EventKind::kInvoke}, 1.0);
-  tracer.on_event(1, SystemEvent{0, EventKind::kSend}, 1.5);
-  const std::string json = tracer.chrome_trace_json();
+TEST(ChromeTrace, PartialLifecyclesNeverEmitFlowsOrBuffers) {
+  // Only x0's invoke+send happened: a hold slice and instants, but no
+  // receive-side artifacts, and x1 (never invoked) renders nothing.
+  Trace trace({Message{0, 1, 2}, Message{1, 0, 1}}, 3);
+  trace.record(1, SystemEvent{0, EventKind::kInvoke}, 1.0);
+  trace.record(1, SystemEvent{0, EventKind::kSend}, 1.5);
+  const Observability obs;
+  const std::string json = chrome_trace_json(trace, obs);
+  std::string error;
+  ASSERT_TRUE(json_parse(json, &error).has_value()) << error;
+  EXPECT_EQ(count_occurrences(json, "\"cat\":\"lifecycle\""), 2u);
   EXPECT_EQ(count_occurrences(json, "\"cat\":\"hold\""), 1u);
   EXPECT_EQ(count_occurrences(json, "\"cat\":\"buffer\""), 0u);
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"s\""), 0u);
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"f\""), 0u);
+  EXPECT_EQ(json.find("\"name\":\"x1"), std::string::npos);
+  // Tracks run up to the highest process the run touched (P1).
+  EXPECT_EQ(count_occurrences(json, "\"name\":\"thread_name\""), 2u);
+  EXPECT_NE(json.find("\"ts\":1500"), std::string::npos) << json;
 }
 
 }  // namespace

@@ -5,16 +5,12 @@
 // event logs with the same timestamps, same lifecycle times, same
 // overhead counters, same completion flag — at shards ∈ {1, 2, 4},
 // cooperative or threaded.  Plus: global event-cap enforcement naming
-// the shard, the zero-lookahead sequential fallback, observer safety
-// classes, and metrics/attribution equality.
+// the shard, the zero-lookahead sequential fallback, observers replayed
+// in the sequential order, and metrics/attribution equality.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
-#include <mutex>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/obs/observability.hpp"
@@ -210,7 +206,7 @@ TEST(ShardedEquivalence, MergePhaseObserverSeesSequentialOrder) {
     sopts.observers.add(
         [&out](ProcessId p, SystemEvent e, SimTime) {
           out.emplace_back(p, e);
-        });  // default safety: merge phase
+        });
     return simulate(workload, factory, 5, sopts);
   };
   std::vector<std::pair<ProcessId, SystemEvent>> seq_events;
@@ -219,73 +215,6 @@ TEST(ShardedEquivalence, MergePhaseObserverSeesSequentialOrder) {
   ASSERT_TRUE(capture(4, shard_events).completed);
   ASSERT_EQ(seq_events.size(), shard_events.size());
   EXPECT_EQ(seq_events, shard_events);  // identical global order
-}
-
-TEST(ShardedEquivalence, ThreadSafeObserverSeesEveryEventLive) {
-  const Workload workload = make_workload(5, 100, 7);
-  const ProtocolFactory factory = standard_protocols()[0].factory;
-  std::atomic<std::size_t> live_count{0};
-  std::size_t merge_count = 0;
-  SimOptions sopts = adversarial_options(29);
-  sopts.shards = 4;
-  sopts.shard_workers = 4;
-  sopts.observers
-      .add([&](ProcessId, SystemEvent, SimTime) { ++live_count; },
-           ObserverSafety::kThreadSafe)
-      .add([&](ProcessId, SystemEvent, SimTime) { ++merge_count; });
-  const SimResult result = simulate(workload, factory, 5, sopts);
-  ASSERT_TRUE(result.completed) << result.error;
-  // async: invoke + send + receive + deliver per message.
-  EXPECT_EQ(live_count.load(), 400u);
-  EXPECT_EQ(merge_count, 400u);
-}
-
-// ISSUE 7 satellite: a kThreadSafe observer is invoked from the shard
-// worker threads as the events happen, so it sees exactly the trace's
-// event population (as a multiset — cross-shard interleaving is
-// arbitrary) and, per process, nondecreasing timestamps (each process
-// is driven by exactly one shard, in time order).
-TEST(ShardedEquivalence, ThreadSafeObserverMatchesTraceMultiset) {
-  constexpr std::size_t kProcesses = 6;
-  const Workload workload = make_workload(kProcesses, 300, 19);
-  const ProtocolFactory factory = standard_protocols()[0].factory;
-  using Captured = std::tuple<ProcessId, MessageId, int, SimTime>;
-  std::mutex mu;
-  std::vector<Captured> live;
-  SimOptions sopts = adversarial_options(37);
-  sopts.shards = 4;
-  sopts.shard_workers = 4;
-  sopts.observers.add(
-      [&](ProcessId p, SystemEvent e, SimTime t) {
-        const std::lock_guard<std::mutex> lock(mu);
-        live.emplace_back(p, e.msg, static_cast<int>(e.kind), t);
-      },
-      ObserverSafety::kThreadSafe);
-  const SimResult result = simulate(workload, factory, kProcesses, sopts);
-  ASSERT_TRUE(result.completed) << result.error;
-
-  // Per process, the live capture order is the shard's execution order:
-  // timestamps never go backwards.
-  std::vector<SimTime> last(kProcesses,
-                            -std::numeric_limits<SimTime>::infinity());
-  for (const auto& [p, msg, kind, t] : live) {
-    EXPECT_GE(t, last[p]) << "process " << p << " msg " << msg;
-    last[p] = t;
-  }
-
-  // Multiset equality with the trace: same events, same processes,
-  // same (bit-identical) timestamps.
-  std::vector<Captured> traced;
-  for (ProcessId p = 0; p < static_cast<ProcessId>(result.trace.logs().size());
-       ++p) {
-    for (const TimedEvent& te : result.trace.logs()[p]) {
-      traced.emplace_back(p, te.event.msg, static_cast<int>(te.event.kind),
-                          te.time);
-    }
-  }
-  std::sort(live.begin(), live.end());
-  std::sort(traced.begin(), traced.end());
-  EXPECT_EQ(live, traced);
 }
 
 TEST(ShardedSimulator, ZeroLookaheadFallsBackToSequential) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/obs/json.hpp"
+#include "src/obs/json_value.hpp"
 #include "src/verify/report.hpp"
 #include "src/verify/scenario.hpp"
 #include "src/verify/stacks.hpp"
@@ -105,7 +106,7 @@ TEST(VerifyReport, ArtifactIsValidJson) {
   JsonWriter w;
   write_verify_json(w, reports, 2, 3, options);
   std::string error;
-  ASSERT_TRUE(json_validate(w.str(), &error)) << error;
+  ASSERT_TRUE(json_parse(w.str(), &error).has_value()) << error;
   EXPECT_NE(w.str().find("\"schema\":\"msgorder.verify/1\""),
             std::string::npos);
   EXPECT_NE(w.str().find("\"verdict\":\"failed\""), std::string::npos);
