@@ -4,6 +4,8 @@
 #include <cassert>
 #include <memory>
 
+#include "src/protocols/state_codec.hpp"
+
 namespace msgorder {
 
 Workload broadcast_workload(const BroadcastWorkloadOptions& options,
@@ -131,18 +133,17 @@ void CausalBroadcastBss::on_invoke(const Message& m) {
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
-  pkt.tag_bytes = own_clock_before_.byte_size();
-  pkt.content = Tag{own_clock_before_};
+  codec::put_vector_clock(pkt.payload, own_clock_before_);
   host_.send_packet(std::move(pkt));
 }
 
 bool CausalBroadcastBss::deliverable(const Buffered& b) const {
   // Next-in-sequence from its origin, and the origin's causal past of
   // delivered broadcasts is covered here.
-  if (delivered_[b.origin] != b.tag.clock[b.origin]) return false;
+  if (delivered_[b.origin] != b.clock[b.origin]) return false;
   for (std::size_t k = 0; k < delivered_.size(); ++k) {
     if (k == b.origin) continue;
-    if (delivered_[k] < b.tag.clock[k]) return false;
+    if (delivered_[k] < b.clock[k]) return false;
   }
   return true;
 }
@@ -165,8 +166,9 @@ void CausalBroadcastBss::drain() {
 
 void CausalBroadcastBss::on_packet(const Packet& packet) {
   if (packet.is_control) return;
-  buffer_.push_back({packet.user_msg, packet.src,
-                     std::any_cast<Tag>(packet.content)});
+  buffer_.push_back(
+      {packet.user_msg, packet.src,
+       codec::Reader(packet.payload).vector_clock(host_.process_count())});
   drain();
 }
 
@@ -192,8 +194,7 @@ void TotalOrderBroadcast::on_invoke(const Message& m) {
     req.dst = kSequencer;
     req.is_control = true;
     req.kind = "REQ";
-    req.tag_bytes = 8;
-    req.content = m.mcast;
+    codec::put_u32(req.payload, static_cast<std::uint32_t>(m.mcast));
     host_.send_packet(std::move(req));
   }
 }
@@ -207,8 +208,8 @@ void TotalOrderBroadcast::assign_order(int group) {
     order.dst = p;
     order.is_control = true;
     order.kind = "ORDER";
-    order.tag_bytes = 12;
-    order.content = std::make_pair(group, seq);
+    codec::put_u32(order.payload, static_cast<std::uint32_t>(group));
+    codec::put_u32(order.payload, seq);
     host_.send_packet(std::move(order));
   }
   learn_order(group, seq);
@@ -244,11 +245,11 @@ void TotalOrderBroadcast::on_packet(const Packet& packet) {
     return;
   }
   if (packet.kind == "REQ") {
-    assign_order(std::any_cast<int>(packet.content));
+    assign_order(static_cast<int>(codec::Reader(packet.payload).u32()));
   } else if (packet.kind == "ORDER") {
-    const auto [group, seq] =
-        std::any_cast<std::pair<int, std::uint32_t>>(packet.content);
-    learn_order(group, seq);
+    codec::Reader in(packet.payload);
+    const auto group = static_cast<int>(in.u32());
+    learn_order(group, in.u32());
   }
 }
 

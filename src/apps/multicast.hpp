@@ -84,15 +84,12 @@ class CausalBroadcastBss final : public Protocol {
   std::string name() const override { return "bcast-bss"; }
   static ProtocolFactory factory();
 
-  struct Tag {
-    VectorClock clock;  // sender's broadcast vector BEFORE this one
-  };
-
  private:
   struct Buffered {
     MessageId msg;
     ProcessId origin;
-    Tag tag;
+    /// The tag: the sender's broadcast vector BEFORE this one.
+    VectorClock clock;
   };
   bool deliverable(const Buffered& b) const;
   void drain();

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/protocols/state_codec.hpp"
+
 namespace msgorder {
 
 namespace {
@@ -111,8 +113,7 @@ void SnapshotProtocol::record_state_and_send_markers() {
     marker.dst = p;
     marker.is_control = true;
     marker.kind = "MARKER";
-    marker.tag_bytes = sizeof(std::uint32_t);
-    marker.content = next_out_seq_[p]++;
+    codec::put_u32(marker.payload, next_out_seq_[p]++);
     host_.send_packet(std::move(marker));
   }
 }
@@ -124,8 +125,7 @@ void SnapshotProtocol::on_invoke(const Message& m) {
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
-  pkt.tag_bytes = sizeof(std::uint32_t);
-  pkt.content = next_out_seq_[m.dst]++;
+  codec::put_u32(pkt.payload, next_out_seq_[m.dst]++);
   host_.send_packet(std::move(pkt));
 }
 
@@ -179,7 +179,7 @@ void SnapshotProtocol::on_packet(const Packet& packet) {
     accept(packet.src, is_marker, is_marker ? 0 : packet.user_msg);
     return;
   }
-  const auto seq = std::any_cast<std::uint32_t>(packet.content);
+  const std::uint32_t seq = codec::Reader(packet.payload).u32();
   in_[packet.src].buffer.emplace_back(
       seq, is_marker, is_marker ? 0 : packet.user_msg);
   drain(packet.src);

@@ -8,9 +8,10 @@
 namespace msgorder {
 
 const JsonValue* JsonValue::find(std::string_view key) const {
-  if (type_ != Type::kObject) return nullptr;
-  const auto it = object_.find(key);
-  return it == object_.end() ? nullptr : &it->second;
+  const auto* object = std::get_if<Object>(&value_);
+  if (object == nullptr) return nullptr;
+  const auto it = object->find(key);
+  return it == object->end() ? nullptr : &it->second;
 }
 
 std::optional<double> JsonValue::number_at(std::string_view key) const {

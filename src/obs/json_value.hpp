@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 namespace msgorder {
@@ -38,28 +39,28 @@ class JsonValue {
 
   JsonValue() = default;
   explicit JsonValue(std::nullptr_t) {}
-  explicit JsonValue(bool b) : type_(Type::kBool), bool_(b) {}
-  explicit JsonValue(double d) : type_(Type::kNumber), number_(d) {}
-  explicit JsonValue(std::string s)
-      : type_(Type::kString), string_(std::move(s)) {}
-  explicit JsonValue(Array a)
-      : type_(Type::kArray), array_(std::move(a)) {}
-  explicit JsonValue(Object o)
-      : type_(Type::kObject), object_(std::move(o)) {}
+  explicit JsonValue(bool b) : value_(b) {}
+  explicit JsonValue(double d) : value_(d) {}
+  explicit JsonValue(std::string s) : value_(std::move(s)) {}
+  explicit JsonValue(Array a) : value_(std::move(a)) {}
+  explicit JsonValue(Object o) : value_(std::move(o)) {}
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  /// The alternatives are declared in Type order.
+  Type type() const { return static_cast<Type>(value_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_number() const { return type() == Type::kNumber; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
 
-  bool as_bool() const { return bool_; }
-  double as_number() const { return number_; }
-  const std::string& as_string() const { return string_; }
-  const Array& as_array() const { return array_; }
-  const Object& as_object() const { return object_; }
+  /// Typed access; a value of another type reads as that type's empty
+  /// value (false, 0, "", [], {}).
+  bool as_bool() const { return get_or<bool>(); }
+  double as_number() const { return get_or<double>(); }
+  const std::string& as_string() const { return get_or<std::string>(); }
+  const Array& as_array() const { return get_or<Array>(); }
+  const Object& as_object() const { return get_or<Object>(); }
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;
@@ -69,12 +70,17 @@ class JsonValue {
   std::optional<bool> bool_at(std::string_view key) const;
 
  private:
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  double number_ = 0;
-  std::string string_;
-  Array array_;
-  Object object_;
+  template <class T>
+  const T& get_or() const {
+    static const T kEmpty{};
+    const T* v = std::get_if<T>(&value_);
+    return v != nullptr ? *v : kEmpty;
+  }
+
+  /// One node holds exactly one alternative, so a loaded document costs
+  /// about one variant per value rather than every container at once.
+  std::variant<std::monostate, bool, double, std::string, Array, Object>
+      value_;
 };
 
 /// Parse exactly one JSON value (whitespace allowed around it).

@@ -8,7 +8,6 @@ void AsyncProtocol::on_invoke(const Message& m) {
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
-  pkt.tag_bytes = 0;
   host_.send_packet(std::move(pkt));
 }
 

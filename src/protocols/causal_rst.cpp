@@ -1,28 +1,14 @@
 #include "src/protocols/causal_rst.hpp"
 
-#include <algorithm>
 #include <memory>
 
-#include "src/protocols/state_codec.hpp"
-
 namespace msgorder {
-
-namespace {
-std::uint64_t tag_key(const CausalRstProtocol::Tag& tag) {
-  std::string enc;
-  codec::put_matrix_clock(enc, tag.sent);
-  return codec::digest(enc);
-}
-}  // namespace
 
 void CausalRstProtocol::on_invoke(const Message& m) {
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
-  Tag tag{sent_};
-  pkt.tag_bytes = sent_.byte_size();
-  pkt.content = tag;
-  pkt.content_key = tag_key(tag);
+  Tag::encode(pkt.payload, sent_);
   // Record this send in the local knowledge *after* stamping the tag:
   // the tag describes the causal past of the send event.
   sent_.at(host_.self(), m.dst) += 1;
@@ -78,25 +64,20 @@ void CausalRstProtocol::drain() {
 void CausalRstProtocol::on_packet(const Packet& packet) {
   if (packet.is_control) return;
   buffer_.push_back({packet.user_msg, packet.src,
-                     std::any_cast<Tag>(packet.content)});
+                     Tag::decode(packet.payload, host_.process_count())});
   drain();
 }
 
 bool CausalRstProtocol::snapshot(std::string& out) const {
   codec::put_matrix_clock(out, sent_);
   for (const std::uint32_t d : delivered_) codec::put_u32(out, d);
-  // Buffer order is behaviorally irrelevant (the drain rescans); encode
-  // sorted by message id: canonical.
-  std::vector<const Buffered*> sorted;
-  sorted.reserve(buffer_.size());
-  for (const Buffered& b : buffer_) sorted.push_back(&b);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Buffered* a, const Buffered* b) { return a->msg < b->msg; });
+  const auto sorted =
+      codec::sorted_by(buffer_, [](const Buffered& b) { return b.msg; });
   codec::put_u32(out, static_cast<std::uint32_t>(sorted.size()));
   for (const Buffered* b : sorted) {
     codec::put_u32(out, b->msg);
     codec::put_u32(out, b->src);
-    codec::put_matrix_clock(out, b->tag.sent);
+    Tag::encode(out, b->tag.sent);
   }
   return true;
 }

@@ -8,10 +8,13 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/poset/clocks.hpp"
 #include "src/protocols/protocol.hpp"
+#include "src/protocols/state_codec.hpp"
 
 namespace msgorder {
 
@@ -34,6 +37,16 @@ class CausalRstProtocol final : public Protocol {
   /// The tag piggybacked on each user packet.
   struct Tag {
     MatrixClock sent;  // sender's knowledge BEFORE this message
+
+    /// The one encoding of a tag, on the wire and in snapshot(): the
+    /// matrix's n x n u32 entries (4n^2 bytes).
+    static void encode(std::string& out, const MatrixClock& sent) {
+      codec::put_matrix_clock(out, sent);
+    }
+    static Tag decode(std::string_view payload, std::size_t n) {
+      return Tag{codec::Reader(payload).matrix_clock(n)};
+    }
+    bool operator==(const Tag&) const = default;
   };
 
  private:

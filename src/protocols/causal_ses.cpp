@@ -1,39 +1,18 @@
 #include "src/protocols/causal_ses.hpp"
 
-#include <algorithm>
 #include <memory>
 
-#include "src/protocols/state_codec.hpp"
-
 namespace msgorder {
-
-namespace {
-void encode_tag(std::string& out, const CausalSesProtocol::Tag& tag) {
-  codec::put_vector_clock(out, tag.timestamp);
-  codec::put_u32(out, static_cast<std::uint32_t>(tag.last_sent.size()));
-  for (const auto& [dst, v] : tag.last_sent) {
-    codec::put_u32(out, dst);
-    codec::put_vector_clock(out, v);
-  }
-}
-}  // namespace
 
 void CausalSesProtocol::on_invoke(const Message& m) {
   // Stamp: this send is a new event of self.
   time_.tick(host_.self());
-  Tag tag;
-  tag.timestamp = time_;
-  tag.last_sent = last_sent_;  // knowledge EXCLUDING this message
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
-  pkt.tag_bytes = tag.byte_size(host_.process_count());
-  pkt.content = tag;
-  {
-    std::string enc;
-    encode_tag(enc, tag);
-    pkt.content_key = codec::digest(enc);
-  }
+  // The tag: this send's vector time, and last-sent knowledge EXCLUDING
+  // this message.
+  Tag::encode(pkt.payload, time_, last_sent_);
   // Now remember this message as the latest sent to m.dst.
   auto [it, inserted] = last_sent_.try_emplace(m.dst, time_);
   if (!inserted) it->second.merge(time_);
@@ -91,28 +70,21 @@ void CausalSesProtocol::drain() {
 
 void CausalSesProtocol::on_packet(const Packet& packet) {
   if (packet.is_control) return;
-  buffer_.push_back({packet.user_msg, std::any_cast<Tag>(packet.content)});
+  buffer_.push_back(
+      {packet.user_msg, Tag::decode(packet.payload, host_.process_count())});
   drain();
 }
 
 bool CausalSesProtocol::snapshot(std::string& out) const {
-  codec::put_vector_clock(out, time_);
   codec::put_u32(out, static_cast<std::uint32_t>(last_sent_.size()));
-  for (const auto& [dst, v] : last_sent_) {
-    codec::put_u32(out, dst);
-    codec::put_vector_clock(out, v);
-  }
-  // Buffer order is behaviorally irrelevant (the drain rescans); encode
-  // sorted by message id: canonical.
-  std::vector<const Buffered*> sorted;
-  sorted.reserve(buffer_.size());
-  for (const Buffered& b : buffer_) sorted.push_back(&b);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Buffered* a, const Buffered* b) { return a->msg < b->msg; });
+  Tag::encode(out, time_, last_sent_);
+  const auto sorted =
+      codec::sorted_by(buffer_, [](const Buffered& b) { return b.msg; });
   codec::put_u32(out, static_cast<std::uint32_t>(sorted.size()));
   for (const Buffered* b : sorted) {
     codec::put_u32(out, b->msg);
-    encode_tag(out, b->tag);
+    codec::put_u32(out, static_cast<std::uint32_t>(b->tag.last_sent.size()));
+    Tag::encode(out, b->tag.timestamp, b->tag.last_sent);
   }
   return true;
 }

@@ -12,10 +12,13 @@
 #pragma once
 
 #include <map>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/poset/clocks.hpp"
 #include "src/protocols/protocol.hpp"
+#include "src/protocols/state_codec.hpp"
 
 namespace msgorder {
 
@@ -40,10 +43,28 @@ class CausalSesProtocol final : public Protocol {
     /// to that destination (the V_SND set of the original paper).
     std::map<ProcessId, VectorClock> last_sent;
 
-    std::size_t byte_size(std::size_t n) const {
-      return (1 + last_sent.size()) * n * sizeof(std::uint32_t) +
-             last_sent.size() * sizeof(ProcessId);
+    /// The one encoding of a tag, on the wire and in snapshot(): the
+    /// timestamp, then each (destination, vector) pair, with no count —
+    /// (1 + |last_sent|) * 4n + 4 |last_sent| bytes.
+    static void encode(std::string& out, const VectorClock& timestamp,
+                       const std::map<ProcessId, VectorClock>& last_sent) {
+      codec::put_vector_clock(out, timestamp);
+      for (const auto& [dst, v] : last_sent) {
+        codec::put_u32(out, dst);
+        codec::put_vector_clock(out, v);
+      }
     }
+    static Tag decode(std::string_view payload, std::size_t n) {
+      codec::Reader in(payload);
+      Tag tag{in.vector_clock(n), {}};
+      while (!in.done()) {
+        const ProcessId dst = in.u32();
+        tag.last_sent.emplace_hint(tag.last_sent.end(), dst,
+                                   in.vector_clock(n));
+      }
+      return tag;
+    }
+    bool operator==(const Tag&) const = default;
   };
 
  private:

@@ -1,6 +1,5 @@
 #include "src/protocols/fifo.hpp"
 
-#include <algorithm>
 #include <memory>
 
 #include "src/protocols/state_codec.hpp"
@@ -11,16 +10,13 @@ void FifoProtocol::on_invoke(const Message& m) {
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
-  pkt.tag_bytes = sizeof(std::uint32_t);
-  const std::uint32_t seq = next_out_[m.dst]++;
-  pkt.content = seq;
-  pkt.content_key = seq;
+  codec::put_u32(pkt.payload, next_out_[m.dst]++);
   host_.send_packet(std::move(pkt));
 }
 
 void FifoProtocol::on_packet(const Packet& packet) {
   if (packet.is_control) return;
-  const auto seq = std::any_cast<std::uint32_t>(packet.content);
+  const std::uint32_t seq = codec::Reader(packet.payload).u32();
   auto& expected = next_in_[packet.src];
   auto& buffer = buffer_[packet.src];
   buffer.push_back({packet.user_msg, seq});
@@ -48,28 +44,16 @@ void FifoProtocol::on_packet(const Packet& packet) {
 }
 
 bool FifoProtocol::snapshot(std::string& out) const {
-  codec::put_u32(out, static_cast<std::uint32_t>(next_out_.size()));
-  for (const auto& [dst, seq] : next_out_) {
-    codec::put_u32(out, dst);
-    codec::put_u32(out, seq);
-  }
-  codec::put_u32(out, static_cast<std::uint32_t>(next_in_.size()));
-  for (const auto& [src, seq] : next_in_) {
-    codec::put_u32(out, src);
-    codec::put_u32(out, seq);
-  }
+  codec::put_u32_map(out, next_out_);
+  codec::put_u32_map(out, next_in_);
   codec::put_u32(out, static_cast<std::uint32_t>(buffer_.size()));
   for (const auto& [src, pendings] : buffer_) {
-    // Buffer arrival order is behaviorally irrelevant (the drain scans
-    // for the expected sequence), so encode sorted by seq: canonical.
-    std::vector<Pending> sorted = pendings;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Pending& a, const Pending& b) { return a.seq < b.seq; });
     codec::put_u32(out, src);
-    codec::put_u32(out, static_cast<std::uint32_t>(sorted.size()));
-    for (const Pending& p : sorted) {
-      codec::put_u32(out, p.msg);
-      codec::put_u32(out, p.seq);
+    codec::put_u32(out, static_cast<std::uint32_t>(pendings.size()));
+    for (const Pending* p :
+         codec::sorted_by(pendings, [](const Pending& x) { return x.seq; })) {
+      codec::put_u32(out, p->msg);
+      codec::put_u32(out, p->seq);
     }
   }
   return true;

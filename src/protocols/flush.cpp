@@ -1,9 +1,6 @@
 #include "src/protocols/flush.hpp"
 
-#include <algorithm>
 #include <memory>
-
-#include "src/protocols/state_codec.hpp"
 
 namespace msgorder {
 
@@ -33,11 +30,7 @@ void FlushChannelProtocol::on_invoke(const Message& m) {
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
-  pkt.tag_bytes = 2 * sizeof(std::uint32_t) + sizeof(int);
-  pkt.content = tag;
-  pkt.content_key = (static_cast<std::uint64_t>(tag.seq) << 34) |
-                    (static_cast<std::uint64_t>(tag.barrier) << 2) |
-                    static_cast<std::uint64_t>(tag.kind & 3);
+  tag.encode(pkt.payload);
   host_.send_packet(std::move(pkt));
 }
 
@@ -80,8 +73,7 @@ void FlushChannelProtocol::drain(ProcessId src, ChannelIn& in) {
 void FlushChannelProtocol::on_packet(const Packet& packet) {
   if (packet.is_control) return;
   ChannelIn& in = in_[packet.src];
-  in.buffer.emplace_back(packet.user_msg,
-                         std::any_cast<Tag>(packet.content));
+  in.buffer.emplace_back(packet.user_msg, Tag::decode(packet.payload));
   drain(packet.src, in);
 }
 
@@ -97,19 +89,12 @@ bool FlushChannelProtocol::snapshot(std::string& out) const {
     codec::put_u32(out, src);
     codec::put_u32(out, static_cast<std::uint32_t>(ch.delivered.size()));
     for (const bool d : ch.delivered) codec::put_u8(out, d ? 1 : 0);
-    // Buffer order is behaviorally irrelevant (the drain rescans);
-    // encode sorted by seq: canonical.
-    auto sorted = ch.buffer;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto& a, const auto& b) {
-                return a.second.seq < b.second.seq;
-              });
-    codec::put_u32(out, static_cast<std::uint32_t>(sorted.size()));
-    for (const auto& [msg, tag] : sorted) {
+    codec::put_u32(out, static_cast<std::uint32_t>(ch.buffer.size()));
+    for (const auto* entry : codec::sorted_by(
+             ch.buffer, [](const auto& x) { return x.second.seq; })) {
+      const auto& [msg, tag] = *entry;
       codec::put_u32(out, msg);
-      codec::put_u32(out, tag.seq);
-      codec::put_u32(out, tag.barrier);
-      codec::put_u32(out, static_cast<std::uint32_t>(tag.kind));
+      tag.encode(out);
     }
   }
   return true;

@@ -18,9 +18,12 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/protocols/protocol.hpp"
+#include "src/protocols/state_codec.hpp"
 
 namespace msgorder {
 
@@ -52,6 +55,21 @@ class FlushChannelProtocol final : public Protocol {
     int kind = kOrdinary;
 
     static constexpr std::uint32_t kNoBarrier = 0xffffffffu;
+
+    /// The one encoding of a tag, on the wire and in snapshot(): seq,
+    /// barrier, kind as u32s (12 bytes).
+    void encode(std::string& out) const {
+      codec::put_u32(out, seq);
+      codec::put_u32(out, barrier);
+      codec::put_u32(out, static_cast<std::uint32_t>(kind));
+    }
+    static Tag decode(std::string_view payload) {
+      codec::Reader in(payload);
+      const std::uint32_t seq = in.u32();
+      const std::uint32_t barrier = in.u32();
+      return Tag{seq, barrier, static_cast<int>(in.u32())};
+    }
+    bool operator==(const Tag&) const = default;
   };
 
  private:

@@ -1,39 +1,19 @@
 #include "src/protocols/global_flush.hpp"
 
-#include <algorithm>
 #include <memory>
-
-#include "src/protocols/state_codec.hpp"
 
 namespace msgorder {
 
-namespace {
-void encode_tag(std::string& out, const GlobalFlushProtocol::Tag& tag) {
-  codec::put_matrix_clock(out, tag.sent);
-  codec::put_matrix_clock(out, tag.red_frontier);
-  codec::put_u8(out, tag.red ? 1 : 0);
-}
-}  // namespace
-
 void GlobalFlushProtocol::on_invoke(const Message& m) {
-  Tag tag;
-  tag.red = (m.color == red_color_);
-  tag.sent = sent_;
-  if (tag.red) {
+  const bool red = (m.color == red_color_);
+  if (red) {
     // Everything known-sent so far must precede this message everywhere.
     red_frontier_.merge(sent_);
   }
-  tag.red_frontier = red_frontier_;
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
-  pkt.tag_bytes = tag.sent.byte_size() + tag.red_frontier.byte_size() + 1;
-  pkt.content = tag;
-  {
-    std::string enc;
-    encode_tag(enc, tag);
-    pkt.content_key = codec::digest(enc);
-  }
+  Tag::encode(pkt.payload, sent_, red_frontier_, red);
   sent_.at(host_.self(), m.dst) += 1;
   host_.send_packet(std::move(pkt));
 }
@@ -108,7 +88,7 @@ void GlobalFlushProtocol::drain() {
 void GlobalFlushProtocol::on_packet(const Packet& packet) {
   if (packet.is_control) return;
   buffer_.push_back({packet.user_msg, packet.src,
-                     std::any_cast<Tag>(packet.content)});
+                     Tag::decode(packet.payload, host_.process_count())});
   drain();
 }
 
@@ -121,18 +101,13 @@ bool GlobalFlushProtocol::snapshot(std::string& out) const {
     codec::put_u32(out, static_cast<std::uint32_t>(seqs.size()));
     for (const bool s : seqs) codec::put_u8(out, s ? 1 : 0);
   }
-  // Buffer order is behaviorally irrelevant (the drain rescans); encode
-  // sorted by message id: canonical.
-  std::vector<const Buffered*> sorted;
-  sorted.reserve(buffer_.size());
-  for (const Buffered& b : buffer_) sorted.push_back(&b);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Buffered* a, const Buffered* b) { return a->msg < b->msg; });
+  const auto sorted =
+      codec::sorted_by(buffer_, [](const Buffered& b) { return b.msg; });
   codec::put_u32(out, static_cast<std::uint32_t>(sorted.size()));
   for (const Buffered* b : sorted) {
     codec::put_u32(out, b->msg);
     codec::put_u32(out, b->src);
-    encode_tag(out, b->tag);
+    Tag::encode(out, b->tag.sent, b->tag.red_frontier, b->tag.red);
   }
   return true;
 }

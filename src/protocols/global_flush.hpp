@@ -28,10 +28,13 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/poset/clocks.hpp"
 #include "src/protocols/protocol.hpp"
+#include "src/protocols/state_codec.hpp"
 
 namespace msgorder {
 
@@ -57,6 +60,22 @@ class GlobalFlushProtocol final : public Protocol {
     MatrixClock sent;          // full knowledge (for merging + red check)
     MatrixClock red_frontier;  // pre-send knowledge of past red messages
     bool red = false;
+
+    /// The one encoding of a tag, on the wire and in snapshot(): both
+    /// matrices, then the red flag as one byte (8n^2 + 1 bytes).
+    static void encode(std::string& out, const MatrixClock& sent,
+                       const MatrixClock& red_frontier, bool red) {
+      codec::put_matrix_clock(out, sent);
+      codec::put_matrix_clock(out, red_frontier);
+      codec::put_u8(out, red ? 1 : 0);
+    }
+    static Tag decode(std::string_view payload, std::size_t n) {
+      codec::Reader in(payload);
+      MatrixClock sent = in.matrix_clock(n);
+      MatrixClock red_frontier = in.matrix_clock(n);
+      return Tag{std::move(sent), std::move(red_frontier), in.u8() != 0};
+    }
+    bool operator==(const Tag&) const = default;
   };
 
  private:

@@ -3,43 +3,22 @@
 #include <algorithm>
 #include <memory>
 
-#include "src/protocols/state_codec.hpp"
-
 namespace msgorder {
-
-namespace {
-void encode_chains(std::string& out,
-                   const std::map<MessageId,
-                                  KWeakerCausalProtocol::ChainEntry>& chains) {
-  codec::put_u32(out, static_cast<std::uint32_t>(chains.size()));
-  for (const auto& [msg, entry] : chains) {
-    codec::put_u32(out, msg);
-    codec::put_u32(out, entry.dst);
-    codec::put_u32(out, entry.depth);
-  }
-}
-}  // namespace
 
 void KWeakerCausalProtocol::on_invoke(const Message& m) {
   // chainlen(x, m) = d(x) + 1 for every known x: the longest chain to a
-  // send in our causal past extends by this new send.
-  Tag tag;
-  for (const auto& [msg, entry] : known_) {
-    tag.chains.emplace(msg, ChainEntry{entry.dst, entry.depth + 1});
-  }
+  // send in our causal past extends by this new send, and so does every
+  // chain that ends in our causal past.  The tag is known_ after that
+  // extension, encoded straight from it.
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
-  pkt.tag_bytes = tag.byte_size();
-  pkt.content = tag;
-  {
-    std::string enc;
-    encode_chains(enc, tag.chains);
-    pkt.content_key = codec::digest(enc);
+  pkt.payload.reserve(12 * known_.size());
+  for (auto& [msg, entry] : known_) {
+    entry.depth += 1;
+    Tag::put_chain(pkt.payload, msg, entry);
   }
-  // The new send joins our causal past with a self chain of length 1,
-  // and every previous chain now extends through it.
-  for (auto& [msg, entry] : known_) entry.depth += 1;
+  // The new send joins our causal past with a self chain of length 1.
   known_[m.id] = ChainEntry{m.dst, 1};
   host_.send_packet(std::move(pkt));
 }
@@ -89,7 +68,7 @@ void KWeakerCausalProtocol::drain() {
 
 void KWeakerCausalProtocol::on_packet(const Packet& packet) {
   if (packet.is_control) return;
-  const Tag tag = std::any_cast<Tag>(packet.content);
+  Tag tag = Tag::decode(packet.payload);
   // The receive event puts the sender's knowledge in our causal past.
   for (const auto& [msg, entry] : tag.chains) {
     auto [it, inserted] = known_.try_emplace(msg, entry);
@@ -101,26 +80,23 @@ void KWeakerCausalProtocol::on_packet(const Packet& packet) {
       known_.try_emplace(packet.user_msg, ChainEntry{m.dst, 1});
   if (!inserted) it->second.depth = std::max<std::uint32_t>(
       it->second.depth, 1);
-  buffer_.push_back({packet.user_msg, tag});
+  buffer_.push_back({packet.user_msg, std::move(tag)});
   drain();
 }
 
 bool KWeakerCausalProtocol::snapshot(std::string& out) const {
   codec::put_u64(out, k_);
-  encode_chains(out, known_);
+  codec::put_u32(out, static_cast<std::uint32_t>(known_.size()));
+  for (const auto& [msg, entry] : known_) Tag::put_chain(out, msg, entry);
   codec::put_u32(out, static_cast<std::uint32_t>(delivered_here_.size()));
   for (const MessageId msg : delivered_here_) codec::put_u32(out, msg);
-  // Buffer order is behaviorally irrelevant (the drain rescans); encode
-  // sorted by message id: canonical.
-  std::vector<const Buffered*> sorted;
-  sorted.reserve(buffer_.size());
-  for (const Buffered& b : buffer_) sorted.push_back(&b);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Buffered* a, const Buffered* b) { return a->msg < b->msg; });
+  const auto sorted =
+      codec::sorted_by(buffer_, [](const Buffered& b) { return b.msg; });
   codec::put_u32(out, static_cast<std::uint32_t>(sorted.size()));
   for (const Buffered* b : sorted) {
     codec::put_u32(out, b->msg);
-    encode_chains(out, b->tag.chains);
+    codec::put_u32(out, static_cast<std::uint32_t>(b->tag.chains.size()));
+    b->tag.encode(out);
   }
   return true;
 }

@@ -24,9 +24,13 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/protocols/protocol.hpp"
+#include "src/protocols/state_codec.hpp"
 
 namespace msgorder {
 
@@ -48,16 +52,39 @@ class KWeakerCausalProtocol final : public Protocol {
   struct ChainEntry {
     ProcessId dst = 0;         // destination of the past message
     std::uint32_t depth = 0;   // longest send chain ending at the tagged send
+
+    bool operator==(const ChainEntry&) const = default;
   };
 
   struct Tag {
-    /// chainlen(x, y) for every x in the causal past of the tagged y.
-    std::map<MessageId, ChainEntry> chains;
+    /// chainlen(x, y) for every x in the causal past of the tagged y,
+    /// sorted by x.
+    std::vector<std::pair<MessageId, ChainEntry>> chains;
 
-    std::size_t byte_size() const {
-      return chains.size() *
-             (sizeof(MessageId) + sizeof(ProcessId) + sizeof(std::uint32_t));
+    /// The one encoding of a chain entry, on the wire and in
+    /// snapshot(): message, destination, depth (12 bytes).  A tag is
+    /// its entries with no count; the payload's length fixes it.
+    static void put_chain(std::string& out, MessageId msg,
+                          const ChainEntry& entry) {
+      codec::put_u32(out, msg);
+      codec::put_u32(out, entry.dst);
+      codec::put_u32(out, entry.depth);
     }
+    void encode(std::string& out) const {
+      for (const auto& [msg, entry] : chains) put_chain(out, msg, entry);
+    }
+    static Tag decode(std::string_view payload) {
+      codec::Reader in(payload);
+      Tag tag;
+      tag.chains.reserve(payload.size() / 12);
+      while (!in.done()) {
+        const MessageId msg = in.u32();
+        const ProcessId dst = in.u32();
+        tag.chains.emplace_back(msg, ChainEntry{dst, in.u32()});
+      }
+      return tag;
+    }
+    bool operator==(const Tag&) const = default;
   };
 
  private:

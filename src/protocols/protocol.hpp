@@ -7,12 +7,11 @@
 //   receive x.r* : the packet arrives (on_packet),
 //   deliver x.r  : the protocol hands it to the application (host.deliver).
 //
-// Tagged protocols piggyback data on user packets (Packet::tag_bytes
-// accounts for it); general protocols additionally exchange control
-// packets (Packet::is_control).  Tagless protocols do neither.
+// Tagged protocols piggyback data on user packets (Packet::payload);
+// general protocols additionally exchange control packets
+// (Packet::is_control).  Tagless protocols do neither.
 #pragma once
 
-#include <any>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -85,17 +84,14 @@ struct Packet {
   MessageId user_msg = 0;
   /// Protocol-specific label for diagnostics ("REQ", "TOKEN", ...).
   std::string kind;
-  /// Bytes of piggybacked protocol data (tag on a user packet, or the
-  /// whole body of a control packet) — the overhead metric of bench E2.
-  std::size_t tag_bytes = 0;
-  /// Protocol-specific content.
-  std::any content;
-  /// Canonical 64-bit digest of `content`, set alongside it (std::any is
-  /// not hashable).  The exhaustive verifier (ISSUE 10) folds this into
-  /// its channel-state fingerprints: two in-flight packets for the same
-  /// message can carry different tags on different interleavings, and
-  /// the visited-state set must tell those states apart.
-  std::uint64_t content_key = 0;
+  /// Everything the protocol carries: the tag on a user packet, the
+  /// body of a control packet.  Written with the codec::put_* helpers
+  /// (src/protocols/state_codec.hpp) and read back with codec::Reader.
+  /// Its size is the overhead metric of bench E2 (tag bytes on user
+  /// packets, control bytes on control packets), and the verifier
+  /// digests it so in-flight packets that carry different data stay
+  /// different states.
+  std::string payload;
 };
 
 /// Services the simulator offers a protocol instance.
@@ -167,8 +163,9 @@ class Protocol {
   /// and counters that only grow with control chatter (emission counts,
   /// timer ids) must be left out so idle control cycles close in the
   /// visited-state set.  Returns false when the protocol does not
-  /// support canonical snapshots (the verifier then explores without
-  /// state caching — sound, just slower).
+  /// support canonical snapshots; the verifier then explores without
+  /// its state cache, which stays sound but is exponential on a stack
+  /// with control cycles.  Every registry stack implements it.
   virtual bool snapshot(std::string& out) const {
     (void)out;
     return false;

@@ -1,13 +1,6 @@
 #include "src/protocols/reliable.hpp"
 
-#include "src/protocols/state_codec.hpp"
-
 namespace msgorder {
-
-namespace {
-constexpr std::size_t kEnvelopeBytes = 12;  // seq + channel id
-constexpr std::size_t kAckBytes = 12;
-}  // namespace
 
 /// The Host facade handed to the inner protocol: deliveries, clocks and
 /// identity pass through; packets are intercepted and enveloped; timer
@@ -63,17 +56,9 @@ void ReliableProtocol::on_invoke(const Message& m) { inner_->on_invoke(m); }
 
 void ReliableProtocol::ship(Packet inner_packet) {
   const std::uint64_t seq = next_seq_++;
-  Envelope envelope;
-  envelope.seq = seq;
-  envelope.inner_content = std::move(inner_packet.content);
-  inner_packet.content = envelope;
-  // Fold the envelope sequence number into the inner payload's digest so
-  // distinct (re)transmissions of otherwise identical inner packets stay
-  // distinguishable to the verifier's visited-state set.
-  inner_packet.content_key =
-      codec::fnv1a(codec::fnv1a(codec::kFnvOffset, seq),
-                   inner_packet.content_key);
-  inner_packet.tag_bytes += kEnvelopeBytes;
+  std::string payload;
+  Envelope::encode(payload, seq, inner_packet.payload);
+  inner_packet.payload = std::move(payload);
   pending_[seq] = PendingPacket{inner_packet, 0, false};
   host_.send_packet(std::move(inner_packet));
   host_.set_timer(options_.retransmit_timeout, 2 * seq + 1);
@@ -103,25 +88,22 @@ void ReliableProtocol::on_timer(std::uint64_t cookie) {
 
 void ReliableProtocol::on_packet(const Packet& packet) {
   if (packet.is_control && packet.kind == "RACK") {
-    pending_.erase(std::any_cast<std::uint64_t>(packet.content));
+    pending_.erase(codec::Reader(packet.payload).u64());
     return;
   }
-  const auto envelope = std::any_cast<Envelope>(packet.content);
+  Envelope envelope = Envelope::decode(packet.payload);
   // Acknowledge every arrival (the original ACK may have been lost).
   Packet ack;
   ack.dst = packet.src;
   ack.is_control = true;
   ack.kind = "RACK";
-  ack.tag_bytes = kAckBytes;
-  ack.content = envelope.seq;
-  ack.content_key = envelope.seq;
+  codec::put_u64(ack.payload, envelope.seq);
   host_.send_packet(std::move(ack));
   // De-duplicate per source, then hand the restored packet up.
   if (!seen_[packet.src].insert(envelope.seq).second) return;
-  Packet restored = packet;
-  restored.content = envelope.inner_content;
-  restored.tag_bytes -= kEnvelopeBytes;
-  inner_->on_packet(restored);
+  inner_->on_packet({packet.src, packet.dst, packet.is_control,
+                     packet.user_msg, packet.kind,
+                     std::move(envelope.inner)});
 }
 
 bool ReliableProtocol::snapshot(std::string& out) const {

@@ -7,7 +7,7 @@
 // eventually delivered in a reliable system"); this layer is the
 // substrate that discharges that assumption over a faulty network, so
 // the ordering protocols above it remain oblivious to loss.  It adds a
-// per-packet 12-byte envelope, one ACK per received packet, and
+// per-packet 8-byte envelope, one 8-byte ACK per received packet, and
 // timer-driven retransmissions; it does NOT reorder traffic (the inner
 // protocol still sees arrival order), so it adds no ordering guarantee
 // of its own — composition with the ordering stacks is orthogonal.
@@ -17,8 +17,11 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "src/protocols/protocol.hpp"
+#include "src/protocols/state_codec.hpp"
 
 namespace msgorder {
 
@@ -47,13 +50,29 @@ class ReliableProtocol final : public Protocol {
   static ProtocolFactory wrap(ProtocolFactory inner,
                               ReliableOptions options = {});
 
+  /// The payload of every shipped packet: the shipment's sequence
+  /// number as a u64, then the inner payload unchanged.  A RACK's
+  /// payload is the acked sequence number alone.
+  struct Envelope {
+    std::uint64_t seq = 0;
+    std::string inner;
+
+    static void encode(std::string& out, std::uint64_t seq,
+                       std::string_view inner) {
+      codec::put_u64(out, seq);
+      out.append(inner);
+    }
+    static Envelope decode(std::string_view payload) {
+      codec::Reader in(payload);
+      const std::uint64_t seq = in.u64();
+      return Envelope{seq, std::string(in.rest())};
+    }
+    bool operator==(const Envelope&) const = default;
+  };
+
  private:
   class InnerHost;
 
-  struct Envelope {
-    std::uint64_t seq = 0;
-    std::any inner_content;
-  };
   struct PendingPacket {
     Packet packet;  // the enveloped packet, ready to re-send
     std::size_t retransmissions = 0;

@@ -8,10 +8,6 @@
 
 namespace msgorder {
 
-namespace {
-constexpr std::size_t kControlBytes = 8;
-}
-
 void SyncLocksProtocol::on_invoke(const Message& m) {
   pending_.push_back(m.id);
   if (!active_.has_value()) start_next_exchange();
@@ -50,9 +46,7 @@ void SyncLocksProtocol::request_lock(ProcessId owner, MessageId msg) {
   req.dst = owner;
   req.is_control = true;
   req.kind = "LREQ";
-  req.tag_bytes = kControlBytes;
-  req.content = msg;
-  req.content_key = msg;
+  codec::put_u32(req.payload, msg);
   host_.send_packet(std::move(req));
 }
 
@@ -74,7 +68,6 @@ void SyncLocksProtocol::lock_granted(MessageId msg) {
   Packet pkt;
   pkt.dst = host_.message(msg).dst;
   pkt.user_msg = msg;
-  pkt.tag_bytes = 0;
   host_.send_packet(std::move(pkt));
 }
 
@@ -90,9 +83,7 @@ void SyncLocksProtocol::finish_exchange(MessageId msg) {
       rel.dst = owner;
       rel.is_control = true;
       rel.kind = "LREL";
-      rel.tag_bytes = kControlBytes;
-      rel.content = msg;
-      rel.content_key = msg;
+      codec::put_u32(rel.payload, msg);
       host_.send_packet(std::move(rel));
     }
     if (exchange.first_lock == exchange.second_lock) break;
@@ -129,9 +120,7 @@ void SyncLocksProtocol::send_grant(ProcessId requester, MessageId msg) {
   grant.dst = requester;
   grant.is_control = true;
   grant.kind = "LGRANT";
-  grant.tag_bytes = kControlBytes;
-  grant.content = msg;
-  grant.content_key = msg;
+  codec::put_u32(grant.payload, msg);
   host_.send_packet(std::move(grant));
 }
 
@@ -152,13 +141,11 @@ void SyncLocksProtocol::on_packet(const Packet& packet) {
     ack.dst = packet.src;
     ack.is_control = true;
     ack.kind = "MACK";
-    ack.tag_bytes = kControlBytes;
-    ack.content = packet.user_msg;
-    ack.content_key = packet.user_msg;
+    codec::put_u32(ack.payload, packet.user_msg);
     host_.send_packet(std::move(ack));
     return;
   }
-  const auto msg = std::any_cast<MessageId>(packet.content);
+  const MessageId msg = codec::Reader(packet.payload).u32();
   if (packet.kind == "LREQ") {
     enqueue_request(packet.src, msg);
   } else if (packet.kind == "LGRANT") {

@@ -7,10 +7,6 @@
 
 namespace msgorder {
 
-namespace {
-constexpr std::size_t kControlBytes = 8;
-}
-
 void SyncSequencerProtocol::on_invoke(const Message& m) {
   // Unless this is the idle sequencer granting itself, the message now
   // waits for the sequencer's grant; the segment the engine opens here
@@ -32,9 +28,7 @@ void SyncSequencerProtocol::request(MessageId msg) {
   req.dst = kSequencer;
   req.is_control = true;
   req.kind = "REQ";
-  req.tag_bytes = kControlBytes;
-  req.content = msg;
-  req.content_key = msg;
+  codec::put_u32(req.payload, msg);
   host_.send_packet(std::move(req));
 }
 
@@ -57,9 +51,7 @@ void SyncSequencerProtocol::try_grant() {
   grant.dst = requester;
   grant.is_control = true;
   grant.kind = "GRANT";
-  grant.tag_bytes = kControlBytes;
-  grant.content = msg;
-  grant.content_key = msg;
+  codec::put_u32(grant.payload, msg);
   host_.send_packet(std::move(grant));
 }
 
@@ -67,7 +59,6 @@ void SyncSequencerProtocol::granted(MessageId msg) {
   Packet pkt;
   pkt.dst = host_.message(msg).dst;
   pkt.user_msg = msg;
-  pkt.tag_bytes = 0;
   host_.send_packet(std::move(pkt));
 }
 
@@ -87,15 +78,14 @@ void SyncSequencerProtocol::on_packet(const Packet& packet) {
       done.dst = kSequencer;
       done.is_control = true;
       done.kind = "DONE";
-      done.tag_bytes = kControlBytes;
       host_.send_packet(std::move(done));
     }
     return;
   }
   if (packet.kind == "REQ") {
-    enqueue(packet.src, std::any_cast<MessageId>(packet.content));
+    enqueue(packet.src, codec::Reader(packet.payload).u32());
   } else if (packet.kind == "GRANT") {
-    granted(std::any_cast<MessageId>(packet.content));
+    granted(codec::Reader(packet.payload).u32());
   } else if (packet.kind == "DONE") {
     exchange_done();
   }

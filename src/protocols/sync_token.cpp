@@ -6,10 +6,6 @@
 
 namespace msgorder {
 
-namespace {
-constexpr std::size_t kControlBytes = 4;
-}
-
 SyncTokenProtocol::SyncTokenProtocol(Host& host)
     : host_(host), report_holds_(host.wants_hold_reasons()) {
   // Process 0 starts with the token and immediately begins circulation.
@@ -48,7 +44,6 @@ void SyncTokenProtocol::serve_or_pass() {
     Packet pkt;
     pkt.dst = host_.message(msg).dst;
     pkt.user_msg = msg;
-    pkt.tag_bytes = 0;
     awaiting_ack_ = true;
     host_.send_packet(std::move(pkt));
     return;
@@ -59,7 +54,6 @@ void SyncTokenProtocol::serve_or_pass() {
                                      host_.process_count());
   token.is_control = true;
   token.kind = "TOKEN";
-  token.tag_bytes = kControlBytes;
   host_.send_packet(std::move(token));
 }
 
@@ -70,7 +64,6 @@ void SyncTokenProtocol::on_packet(const Packet& packet) {
     ack.dst = packet.src;
     ack.is_control = true;
     ack.kind = "ACK";
-    ack.tag_bytes = kControlBytes;
     host_.send_packet(std::move(ack));
     return;
   }

@@ -644,11 +644,11 @@ void Shard::handle_heap_top() {
                     switch (cls) {
                       case sim_detail::ArrivalClass::kControl:
                         ++counts_.trace.control_packets;
-                        counts_.trace.control_bytes += pkt.tag_bytes;
+                        counts_.trace.control_bytes += pkt.payload.size();
                         break;
                       case sim_detail::ArrivalClass::kFirstUser:
                         ++counts_.trace.user_packets;
-                        counts_.trace.tag_bytes += pkt.tag_bytes;
+                        counts_.trace.tag_bytes += pkt.payload.size();
                         record(pkt.dst,
                                {pkt.user_msg, EventKind::kReceive});
                         break;

@@ -170,8 +170,16 @@ void Execution::send_from(ProcessId from, Packet packet) {
       trace_.count_retransmission();
       break;
   }
+  // Content identity, never the emission uid: the same state reached
+  // with different emission histories must coincide, or idle control
+  // cycles would never close.
+  std::uint64_t digest = codec::kFnvOffset;
+  digest = codec::fnv1a(digest, packet.is_control ? 1 : 0);
+  digest = codec::fnv1a_bytes(digest, packet.kind);
+  digest = codec::fnv1a(digest, packet.user_msg);
+  digest = codec::fnv1a_bytes(digest, packet.payload);
   const ProcessId dst = packet.dst;
-  channel(from, dst).push_back({std::move(packet), next_uid_++});
+  channel(from, dst).push_back({std::move(packet), next_uid_++, digest});
 }
 
 void Execution::apply(const VerifyAction& action) {
@@ -207,10 +215,10 @@ void Execution::apply(const VerifyAction& action) {
           [&](sim_detail::ArrivalClass cls) {
             switch (cls) {
               case sim_detail::ArrivalClass::kControl:
-                trace_.count_control_packet(pkt.tag_bytes);
+                trace_.count_control_packet(pkt.payload.size());
                 break;
               case sim_detail::ArrivalClass::kFirstUser:
-                trace_.count_user_packet(pkt.tag_bytes);
+                trace_.count_user_packet(pkt.payload.size());
                 record(action.proc, {pkt.user_msg, EventKind::kReceive});
                 break;
               case sim_detail::ArrivalClass::kDuplicate:
@@ -337,18 +345,8 @@ bool Execution::fingerprint(std::string& out) const {
     codec::put_u32(out, static_cast<std::uint32_t>(c / n));
     codec::put_u32(out, static_cast<std::uint32_t>(c % n));
     codec::put_u32(out, static_cast<std::uint32_t>(queue.size()));
-    // Per-packet digests: content identity, never emission uids (the
-    // same state reached with different emission histories must
-    // coincide, or idle control cycles would never close).
     digests_.clear();
-    for (const InFlight& f : queue) {
-      std::uint64_t h = codec::kFnvOffset;
-      h = codec::fnv1a(h, f.packet.is_control ? 1 : 0);
-      h = codec::fnv1a_bytes(h, f.packet.kind);
-      h = codec::fnv1a(h, f.packet.user_msg);
-      h = codec::fnv1a(h, f.packet.content_key);
-      digests_.push_back(h);
-    }
+    for (const InFlight& f : queue) digests_.push_back(f.digest);
     if (model_ != ChannelModel::kFifo) {
       // Queue order is invisible to a reordering channel: canonicalize
       // to the sorted multiset.

@@ -140,6 +140,9 @@ class Execution {
   struct InFlight {
     Packet packet;
     std::uint64_t uid = 0;
+    /// The packet's channel digest, computed once as it enters the
+    /// channel: is_control, kind, user_msg and payload, never the uid.
+    std::uint64_t digest = 0;
   };
 
   void put_history(std::string& out, ProcessId p) const;
@@ -176,7 +179,7 @@ class Execution {
   const DelayAttribution blank_attribution_;
   Trace trace_;
   DelayAttribution attribution_;
-  /// Per-channel packet digests, reused by fingerprint().
+  /// One channel's packet digests while fingerprint() sorts them.
   mutable std::vector<std::uint64_t> digests_;
   std::size_t delivered_count_ = 0;
   std::size_t drops_used_ = 0;

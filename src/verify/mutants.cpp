@@ -1,12 +1,12 @@
 #include "src/verify/mutants.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "src/poset/clocks.hpp"
+#include "src/protocols/causal_rst.hpp"
 #include "src/protocols/state_codec.hpp"
 #include "src/spec/library.hpp"
 
@@ -27,16 +27,13 @@ class FifoOvertakeMutant final : public Protocol {
     Packet pkt;
     pkt.dst = m.dst;
     pkt.user_msg = m.id;
-    pkt.tag_bytes = sizeof(std::uint32_t);
-    const std::uint32_t seq = next_out_[m.dst]++;
-    pkt.content = seq;
-    pkt.content_key = seq;
+    codec::put_u32(pkt.payload, next_out_[m.dst]++);
     host_.send_packet(std::move(pkt));
   }
 
   void on_packet(const Packet& packet) override {
     if (packet.is_control) return;
-    const auto seq = std::any_cast<std::uint32_t>(packet.content);
+    const std::uint32_t seq = codec::Reader(packet.payload).u32();
     auto& expected = next_in_[packet.src];
     auto& buffer = buffer_[packet.src];
     if (seq < expected) {
@@ -94,28 +91,16 @@ class FifoOvertakeMutant final : public Protocol {
       std::string& out, const std::map<ProcessId, std::uint32_t>& next_out,
       const std::map<ProcessId, std::uint32_t>& next_in,
       const std::map<ProcessId, std::vector<Pending>>& buffers) {
-    codec::put_u32(out, static_cast<std::uint32_t>(next_out.size()));
-    for (const auto& [dst, seq] : next_out) {
-      codec::put_u32(out, dst);
-      codec::put_u32(out, seq);
-    }
-    codec::put_u32(out, static_cast<std::uint32_t>(next_in.size()));
-    for (const auto& [src, seq] : next_in) {
-      codec::put_u32(out, src);
-      codec::put_u32(out, seq);
-    }
+    codec::put_u32_map(out, next_out);
+    codec::put_u32_map(out, next_in);
     codec::put_u32(out, static_cast<std::uint32_t>(buffers.size()));
     for (const auto& [src, pendings] : buffers) {
-      std::vector<Pending> sorted = pendings;
-      std::sort(sorted.begin(), sorted.end(),
-                [](const Pending& a, const Pending& b) {
-                  return a.seq < b.seq;
-                });
       codec::put_u32(out, src);
-      codec::put_u32(out, static_cast<std::uint32_t>(sorted.size()));
-      for (const Pending& p : sorted) {
-        codec::put_u32(out, p.msg);
-        codec::put_u32(out, p.seq);
+      codec::put_u32(out, static_cast<std::uint32_t>(pendings.size()));
+      for (const Pending* p : codec::sorted_by(
+               pendings, [](const Pending& x) { return x.seq; })) {
+        codec::put_u32(out, p->msg);
+        codec::put_u32(out, p->seq);
       }
     }
   }
@@ -142,16 +127,13 @@ class FifoStuckMutant final : public Protocol {
     Packet pkt;
     pkt.dst = m.dst;
     pkt.user_msg = m.id;
-    pkt.tag_bytes = sizeof(std::uint32_t);
-    const std::uint32_t seq = next_out_[m.dst]++;
-    pkt.content = seq;
-    pkt.content_key = seq;
+    codec::put_u32(pkt.payload, next_out_[m.dst]++);
     host_.send_packet(std::move(pkt));
   }
 
   void on_packet(const Packet& packet) override {
     if (packet.is_control) return;
-    const auto seq = std::any_cast<std::uint32_t>(packet.content);
+    const std::uint32_t seq = codec::Reader(packet.payload).u32();
     auto& expected = next_in_[packet.src];
     auto& buffer = buffer_[packet.src];
     if (seq == expected) {
@@ -216,20 +198,13 @@ class CausalNoMergeMutant final : public Protocol {
         sent_(host.process_count()),
         delivered_(host.process_count(), 0) {}
 
-  struct Tag {
-    MatrixClock sent;
-  };
+  using Tag = CausalRstProtocol::Tag;
 
   void on_invoke(const Message& m) override {
     Packet pkt;
     pkt.dst = m.dst;
     pkt.user_msg = m.id;
-    Tag tag{sent_};
-    pkt.tag_bytes = sent_.byte_size();
-    pkt.content = tag;
-    std::string enc;
-    codec::put_matrix_clock(enc, tag.sent);
-    pkt.content_key = codec::digest(enc);
+    Tag::encode(pkt.payload, sent_);
     sent_.at(host_.self(), m.dst) += 1;
     host_.send_packet(std::move(pkt));
   }
@@ -237,7 +212,7 @@ class CausalNoMergeMutant final : public Protocol {
   void on_packet(const Packet& packet) override {
     if (packet.is_control) return;
     buffer_.push_back({packet.user_msg, packet.src,
-                       std::any_cast<Tag>(packet.content)});
+                       Tag::decode(packet.payload, host_.process_count())});
     drain();
   }
 
@@ -246,18 +221,13 @@ class CausalNoMergeMutant final : public Protocol {
   bool snapshot(std::string& out) const override {
     codec::put_matrix_clock(out, sent_);
     for (const std::uint32_t d : delivered_) codec::put_u32(out, d);
-    std::vector<const Buffered*> sorted;
-    sorted.reserve(buffer_.size());
-    for (const Buffered& b : buffer_) sorted.push_back(&b);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Buffered* a, const Buffered* b) {
-                return a->msg < b->msg;
-              });
+    const auto sorted =
+        codec::sorted_by(buffer_, [](const Buffered& b) { return b.msg; });
     codec::put_u32(out, static_cast<std::uint32_t>(sorted.size()));
     for (const Buffered* b : sorted) {
       codec::put_u32(out, b->msg);
       codec::put_u32(out, b->src);
-      codec::put_matrix_clock(out, b->tag.sent);
+      Tag::encode(out, b->tag.sent);
     }
     return true;
   }
@@ -358,7 +328,6 @@ class TokenEarlyReleaseMutant final : public Protocol {
       Packet pkt;
       pkt.dst = host_.message(msg).dst;
       pkt.user_msg = msg;
-      pkt.tag_bytes = 0;
       host_.send_packet(std::move(pkt));
     }
     holding_ = false;
@@ -367,7 +336,6 @@ class TokenEarlyReleaseMutant final : public Protocol {
                                        host_.process_count());
     token.is_control = true;
     token.kind = "TOKEN";
-    token.tag_bytes = 4;
     host_.send_packet(std::move(token));
   }
 

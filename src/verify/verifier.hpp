@@ -54,14 +54,18 @@ struct VerifyOptions {
   ChannelModel channel_model = ChannelModel::kReorder;
   /// Sleep-set partial-order reduction (sound to disable; slower).
   bool por = true;
-  /// Visited-state subsumption cache.  Disabling is sound only for
-  /// stacks without control cycles — a circulating token never
-  /// terminates without it (the run then ends "bounded" at max_depth).
+  /// Visited-state subsumption cache.  Turning it off is the test
+  /// oracle for acyclic targets (the exploration test compares the two
+  /// graphs), not a fallback: uncached exploration is exponential on a
+  /// stack with control cycles, since a circulating token re-explores
+  /// every cycle until max_depth and then ends "bounded".
   bool state_cache = true;
   /// Stop after this many states with a "bounded" verdict (0 = none):
   /// the --quick budget.  Never produces a false "verified".
   std::size_t max_states = 0;
-  /// Schedule-length safety net for uncached cyclic stacks.
+  /// Schedule-length cut-off for uncached runs, so an uncached cyclic
+  /// stack ends "bounded" instead of recursing forever.  A net for the
+  /// oracle runs, not a way to verify cyclic stacks uncached.
   std::size_t max_depth = 4096;
   /// Drop budget for ChannelModel::kLossy.
   std::size_t max_drops = 1;

@@ -6,11 +6,15 @@
 // "verified".
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/obs/json.hpp"
 #include "src/obs/json_value.hpp"
+#include "src/protocols/state_codec.hpp"
+#include "src/verify/execution.hpp"
 #include "src/verify/report.hpp"
 #include "src/verify/scenario.hpp"
 #include "src/verify/stacks.hpp"
@@ -139,6 +143,71 @@ TEST(VerifyLossy, ReliabilityWrapMasksDropsOnTheFifoStack) {
       verify_scenario(burst, target.factory, target.spec, options);
   EXPECT_TRUE(result.ok()) << result.verdict << ": " << result.detail;
   EXPECT_FALSE(result.counterexample.has_value());
+}
+
+/// Sends every message with a one-byte payload fixed at construction
+/// and keeps no state: two executions of it differ only in what their
+/// in-flight packets carry.
+class FixedPayloadProtocol final : public Protocol {
+ public:
+  FixedPayloadProtocol(Host& host, std::uint8_t byte)
+      : host_(host), byte_(byte) {}
+  void on_invoke(const Message& m) override {
+    Packet pkt;
+    pkt.dst = m.dst;
+    pkt.user_msg = m.id;
+    codec::put_u8(pkt.payload, byte_);
+    host_.send_packet(std::move(pkt));
+  }
+  void on_packet(const Packet& packet) override {
+    host_.deliver(packet.user_msg);
+  }
+  std::string name() const override { return "fixed-payload"; }
+  bool snapshot(std::string& out) const override {
+    (void)out;
+    return true;
+  }
+
+ private:
+  Host& host_;
+  std::uint8_t byte_;
+};
+
+ProtocolFactory fixed_payload(std::uint8_t byte) {
+  return [byte](Host& host) {
+    return std::make_unique<FixedPayloadProtocol>(host, byte);
+  };
+}
+
+TEST(VerifyExecution, InFlightPayloadIsPartOfTheFingerprint) {
+  Scenario one;
+  one.name = "one";
+  one.n_processes = 2;
+  one.messages.push_back({0, 0, 1, 0, -1});
+  const VerifyAction invoke{VerifyAction::Kind::kInvoke, 0, 0, 0};
+  Execution a(one, fixed_payload('a'), ChannelModel::kReorder, 0);
+  Execution a_again(one, fixed_payload('a'), ChannelModel::kReorder, 0);
+  Execution b(one, fixed_payload('b'), ChannelModel::kReorder, 0);
+  std::string key_a;
+  std::string key_a_again;
+  std::string key_b;
+  ASSERT_TRUE(a.fingerprint(key_a));
+  ASSERT_TRUE(b.fingerprint(key_b));
+  EXPECT_EQ(key_a, key_b);  // nothing in flight yet
+  for (Execution* e : {&a, &a_again, &b}) e->apply(invoke);
+  ASSERT_TRUE(a.fingerprint(key_a));
+  ASSERT_TRUE(a_again.fingerprint(key_a_again));
+  ASSERT_TRUE(b.fingerprint(key_b));
+  EXPECT_EQ(key_a, key_a_again);
+  EXPECT_NE(key_a, key_b);  // same packet, different payload
+  // Once the packet is delivered, the payload is no longer state.
+  const std::vector<VerifyAction> next = a.enabled();
+  ASSERT_EQ(next.size(), 1u);
+  a.apply(next[0]);
+  b.apply(b.enabled().at(0));
+  ASSERT_TRUE(a.fingerprint(key_a));
+  ASSERT_TRUE(b.fingerprint(key_b));
+  EXPECT_EQ(key_a, key_b);
 }
 
 }  // namespace
