@@ -401,6 +401,20 @@ std::string summarize_verify(const JsonValue& doc) {
       << " replays=" << fmt(doc.number_at("replays_total").value_or(0))
       << " replayed_actions="
       << fmt(doc.number_at("replayed_actions_total").value_or(0)) << "\n";
+  out << "  spec_checks="
+      << fmt(doc.number_at("spec_checks_total").value_or(0))
+      << " spec_memo_hits="
+      << fmt(doc.number_at("spec_memo_hits_total").value_or(0))
+      << " interned hosts="
+      << fmt(doc.number_at("interned_hosts_total").value_or(0))
+      << " channels="
+      << fmt(doc.number_at("interned_channels_total").value_or(0))
+      << " packets="
+      << fmt(doc.number_at("interned_packets_total").value_or(0))
+      << " history_nodes="
+      << fmt(doc.number_at("interned_history_nodes_total").value_or(0))
+      << " reinterned="
+      << fmt(doc.number_at("reinterned_total").value_or(0)) << "\n";
   if (const JsonValue* stacks = doc.find("stacks");
       stacks != nullptr && stacks->is_array()) {
     for (const JsonValue& stack : stacks->as_array()) {
@@ -408,7 +422,11 @@ std::string summarize_verify(const JsonValue& doc) {
       out << "  " << stack.string_at("stack").value_or("?") << ": "
           << stack.string_at("verdict").value_or("?")
           << " states=" << fmt(stack.number_at("states").value_or(0))
-          << " replays=" << fmt(stack.number_at("replays").value_or(0));
+          << " replays=" << fmt(stack.number_at("replays").value_or(0))
+          << " spec_checks="
+          << fmt(stack.number_at("spec_checks").value_or(0))
+          << " reinterned="
+          << fmt(stack.number_at("reinterned").value_or(0));
       if (const JsonValue* scenarios = stack.find("scenarios");
           scenarios != nullptr && scenarios->is_array()) {
         out << " scenarios=" << scenarios->as_array().size();

@@ -89,7 +89,7 @@ struct Packet {
   /// (src/protocols/state_codec.hpp) and read back with codec::Reader.
   /// Its size is the overhead metric of bench E2 (tag bytes on user
   /// packets, control bytes on control packets), and the verifier
-  /// digests it so in-flight packets that carry different data stay
+  /// interns it so in-flight packets that carry different data stay
   /// different states.
   std::string payload;
 };

@@ -130,22 +130,4 @@ std::vector<const T*> sorted_by(const std::vector<T>& items, Key key) {
   return sorted;
 }
 
-/// Incremental FNV-1a, used for the verifier's in-flight packet digests.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xff)) * kFnvPrime;
-  }
-  return h;
-}
-
-inline std::uint64_t fnv1a_bytes(std::uint64_t h, std::string_view s) {
-  for (const char c : s) {
-    h = (h ^ static_cast<std::uint8_t>(c)) * kFnvPrime;
-  }
-  return h;
-}
-
 }  // namespace msgorder::codec

@@ -46,7 +46,10 @@ class Execution::ProcHost final : public Host {
     auto& timers = exec_->timers_;
     const std::pair<ProcessId, std::uint64_t> timer{self_, cookie};
     const auto it = std::lower_bound(timers.begin(), timers.end(), timer);
-    if (it == timers.end() || *it != timer) timers.insert(it, timer);
+    if (it == timers.end() || *it != timer) {
+      timers.insert(it, timer);
+      exec_->timers_dirty_ = true;
+    }
   }
   void hold(MessageId msg, const HoldReason& reason) override {
     exec_->on_hold(self_, msg, reason);
@@ -80,6 +83,11 @@ Execution::Execution(const Scenario& scenario,
       trace_(blank_trace_),
       attribution_(blank_attribution_) {
   const std::size_t n = scenario.n_processes;
+  // Sized once; reset() marks every component dirty.
+  key_.resize(3 * n + n * n + 2);
+  host_dirty_.resize(n);
+  channel_dirty_.resize(n * n);
+  history_keyed_.resize(n);
   invoke_order_.resize(n);
   for (const Message& m : scenario.messages) {
     invoke_order_[m.src].push_back(m.id);
@@ -108,6 +116,7 @@ void Execution::reset() {
   drops_used_ = 0;
   step_ = 0;
   next_uid_ = 0;
+  invalidate_key();
   // Bookkeeping first: protocol constructors may already send (the
   // token ring starts circulating from its constructor).
   protocols_.clear();
@@ -170,16 +179,9 @@ void Execution::send_from(ProcessId from, Packet packet) {
       trace_.count_retransmission();
       break;
   }
-  // Content identity, never the emission uid: the same state reached
-  // with different emission histories must coincide, or idle control
-  // cycles would never close.
-  std::uint64_t digest = codec::kFnvOffset;
-  digest = codec::fnv1a(digest, packet.is_control ? 1 : 0);
-  digest = codec::fnv1a_bytes(digest, packet.kind);
-  digest = codec::fnv1a(digest, packet.user_msg);
-  digest = codec::fnv1a_bytes(digest, packet.payload);
   const ProcessId dst = packet.dst;
-  channel(from, dst).push_back({std::move(packet), next_uid_++, digest});
+  channel_dirty_[channel_index(from, dst)] = 1;
+  channel(from, dst).push_back({std::move(packet), next_uid_++});
 }
 
 void Execution::apply(const VerifyAction& action) {
@@ -191,6 +193,7 @@ void Execution::apply(const VerifyAction& action) {
       assert(next_invoke_[m.src] < invoke_order_[m.src].size() &&
              invoke_order_[m.src][next_invoke_[m.src]] == msg);
       ++next_invoke_[m.src];
+      host_dirty_[m.src] = 1;
       record(m.src, {msg, EventKind::kInvoke});
       protocols_[m.src]->on_invoke(m);
       break;
@@ -205,11 +208,13 @@ void Execution::apply(const VerifyAction& action) {
       assert(it != queue.end() && "scheduled packet not in flight");
       Packet pkt = std::move(it->packet);
       queue.erase(it);
+      channel_dirty_[channel_index(action.peer, action.proc)] = 1;
       if (action.kind == VerifyAction::Kind::kDrop) {
         ++drops_used_;
         trace_.count_drop();
         break;
       }
+      host_dirty_[action.proc] = 1;
       sim_detail::apply_arrival(
           *protocols_[action.proc], pkt, receive_seen_,
           [&](sim_detail::ArrivalClass cls) {
@@ -233,6 +238,8 @@ void Execution::apply(const VerifyAction& action) {
           std::find(timers_.begin(), timers_.end(),
                     std::make_pair(action.proc, action.id));
       if (it != timers_.end()) timers_.erase(it);
+      timers_dirty_ = true;
+      host_dirty_[action.proc] = 1;
       protocols_[action.proc]->on_timer(action.id);
       break;
     }
@@ -240,8 +247,8 @@ void Execution::apply(const VerifyAction& action) {
   ++step_;
 }
 
-std::vector<VerifyAction> Execution::enabled() const {
-  std::vector<VerifyAction> actions;
+void Execution::enabled(std::vector<VerifyAction>& actions) const {
+  actions.clear();
   for (ProcessId p = 0; p < scenario_->n_processes; ++p) {
     if (next_invoke_[p] < invoke_order_[p].size()) {
       actions.push_back({VerifyAction::Kind::kInvoke, p, 0,
@@ -282,7 +289,6 @@ std::vector<VerifyAction> Execution::enabled() const {
       actions.push_back({VerifyAction::Kind::kTimer, p, 0, cookie});
     }
   }
-  return actions;
 }
 
 bool Execution::protocols_quiescent() const {
@@ -301,66 +307,121 @@ bool Execution::user_packets_in_flight() const {
   return false;
 }
 
-void Execution::put_history(std::string& out, ProcessId p) const {
-  codec::put_u32(out, static_cast<std::uint32_t>(histories_[p].size()));
-  for (const ScheduleStep& s : histories_[p]) {
-    codec::put_u32(out, s.msg);
-    codec::put_u8(out, s.kind == UserEventKind::kSend ? 0 : 1);
+void Execution::invalidate_key() {
+  std::fill(host_dirty_.begin(), host_dirty_.end(), 1);
+  std::fill(channel_dirty_.begin(), channel_dirty_.end(), 1);
+  for (auto& queue : channels_) {
+    for (InFlight& f : queue) f.id = kUnkeyed;
   }
-}
-
-void Execution::history_key(std::string& out) const {
-  out.clear();
-  for (ProcessId p = 0; p < scenario_->n_processes; ++p) {
-    put_history(out, p);
-  }
-}
-
-bool Execution::fingerprint(std::string& out) const {
-  out.clear();
-  for (const auto& protocol : protocols_) {
-    // Same bytes as codec::put_str of a separate snapshot string: a u32
-    // length patched in once the snapshot is appended behind it.
-    const std::size_t at = out.size();
-    codec::put_u32(out, 0);
-    if (!protocol->snapshot(out)) return false;
-    const auto len = static_cast<std::uint32_t>(out.size() - at - 4);
-    for (std::size_t i = 0; i < 4; ++i) {
-      out[at + i] = static_cast<char>((len >> (8 * i)) & 0xff);
-    }
-  }
-  for (ProcessId p = 0; p < scenario_->n_processes; ++p) {
-    codec::put_u32(out, static_cast<std::uint32_t>(next_invoke_[p]));
-    put_history(out, p);
-  }
-  std::uint32_t nonempty = 0;
-  for (const auto& queue : channels_) {
-    if (!queue.empty()) ++nonempty;
-  }
-  codec::put_u32(out, nonempty);
+  timers_dirty_ = true;
   const std::size_t n = scenario_->n_processes;
-  for (std::size_t c = 0; c < channels_.size(); ++c) {
-    const auto& queue = channels_[c];
-    if (queue.empty()) continue;  // drained channels are not state
-    codec::put_u32(out, static_cast<std::uint32_t>(c / n));
-    codec::put_u32(out, static_cast<std::uint32_t>(c % n));
-    codec::put_u32(out, static_cast<std::uint32_t>(queue.size()));
-    digests_.clear();
-    for (const InFlight& f : queue) digests_.push_back(f.digest);
-    if (model_ != ChannelModel::kFifo) {
-      // Queue order is invisible to a reordering channel: canonicalize
-      // to the sorted multiset.
-      std::sort(digests_.begin(), digests_.end());
+  std::fill(key_.begin() + n, key_.begin() + 2 * n, 0);
+  std::fill(history_keyed_.begin(), history_keyed_.end(), 0);
+}
+
+void Execution::restore_key(std::span<const std::uint32_t> key) {
+  assert(key.size() == key_.size());
+  std::copy(key.begin(), key.end(), key_.begin());
+  std::fill(host_dirty_.begin(), host_dirty_.end(), 0);
+  std::fill(channel_dirty_.begin(), channel_dirty_.end(), 0);
+  timers_dirty_ = false;
+  for (ProcessId p = 0; p < scenario_->n_processes; ++p) {
+    history_keyed_[p] = histories_[p].size();
+  }
+}
+
+void Execution::key_histories() {
+  const std::size_t n = scenario_->n_processes;
+  for (ProcessId p = 0; p < n; ++p) {
+    const std::vector<ScheduleStep>& history = histories_[p];
+    std::uint32_t& id = key_[n + p];
+    for (std::size_t& k = history_keyed_[p]; k < history.size(); ++k) {
+      // Trie edge (parent, step); id 0 is the empty history.
+      const std::uint32_t edge[3] = {
+          id, history[k].msg,
+          history[k].kind == UserEventKind::kSend ? 0u : 1u};
+      id = history_trie_.intern(edge) + 1;
+      ++reinterned_;
     }
-    for (const std::uint64_t d : digests_) codec::put_u64(out, d);
   }
-  codec::put_u32(out, static_cast<std::uint32_t>(timers_.size()));
+}
+
+std::uint32_t Execution::key_channel(std::size_t c) {
+  std::vector<InFlight>& queue = channels_[c];
+  if (queue.empty()) return 0;  // drained channels are not state
+  words_.clear();
+  for (InFlight& f : queue) {
+    if (f.id == kUnkeyed) {
+      // Content identity, never the emission uid: the same state
+      // reached with different emission histories must coincide, or
+      // idle control cycles would never close.
+      const Packet& pkt = f.packet;
+      bytes_.clear();
+      codec::put_u8(bytes_, pkt.is_control ? 1 : 0);
+      codec::put_str(bytes_, pkt.kind);
+      codec::put_u32(bytes_, pkt.user_msg);
+      bytes_.append(pkt.payload);
+      f.id = packet_ids_.intern(bytes_);
+    }
+    words_.push_back(f.id);
+  }
+  if (model_ != ChannelModel::kFifo) {
+    // Queue order is invisible to a reordering channel: canonicalize
+    // to the sorted multiset.
+    std::sort(words_.begin(), words_.end());
+  }
+  return channel_ids_.intern(words_) + 1;
+}
+
+std::uint32_t Execution::key_timers() {
+  if (timers_.empty()) return 0;
+  bytes_.clear();
   for (const auto& [p, cookie] : timers_) {
-    codec::put_u32(out, p);
-    codec::put_u64(out, cookie);
+    codec::put_u32(bytes_, p);
+    codec::put_u64(bytes_, cookie);
   }
-  codec::put_u32(out, static_cast<std::uint32_t>(drops_used_));
+  return timer_ids_.intern(bytes_) + 1;
+}
+
+std::span<const std::uint32_t> Execution::history_ids() {
+  key_histories();
+  const std::size_t n = scenario_->n_processes;
+  return std::span<const std::uint32_t>(key_).subspan(n, n);
+}
+
+bool Execution::state_key(std::span<const std::uint32_t>* out) {
+  const std::size_t n = scenario_->n_processes;
+  for (ProcessId p = 0; p < n; ++p) {
+    if (host_dirty_[p] == 0) continue;
+    bytes_.clear();
+    if (!protocols_[p]->snapshot(bytes_)) return false;
+    key_[p] = host_ids_.intern(bytes_);
+    host_dirty_[p] = 0;
+    ++reinterned_;
+  }
+  key_histories();
+  for (ProcessId p = 0; p < n; ++p) {
+    key_[2 * n + p] = static_cast<std::uint32_t>(next_invoke_[p]);
+  }
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    if (channel_dirty_[c] == 0) continue;
+    key_[3 * n + c] = key_channel(c);
+    channel_dirty_[c] = 0;
+    ++reinterned_;
+  }
+  if (timers_dirty_) {
+    key_[3 * n + n * n] = key_timers();
+    timers_dirty_ = false;
+    ++reinterned_;
+  }
+  key_[3 * n + n * n + 1] = static_cast<std::uint32_t>(drops_used_);
+  *out = key_;
   return true;
+}
+
+Execution::KeyStats Execution::key_stats() const {
+  return {host_ids_.size(), channel_ids_.size(), packet_ids_.size(),
+          history_trie_.size(), reinterned_};
 }
 
 std::optional<UserRun> Execution::user_run(std::string* error) const {

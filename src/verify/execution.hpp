@@ -14,9 +14,28 @@
 //   replay(s)  — reset and re-execute a schedule prefix (the stateless
 //                backtracking step, which the verifier takes lazily:
 //                only right before a sibling action runs), and
-//   fingerprint() — a canonical encoding of the full state for the
-//                visited-state set, built from the protocols' own
-//                snapshot() hooks plus channel/timer/history digests.
+//   state_key() — the exact key of the full state for the visited-state
+//                set: a fixed-width tuple of component ids (see below).
+//
+// State keys are interned per component, as SPIN's COLLAPSE compression
+// does.  Each host's snapshot(), each in-flight packet, each non-empty
+// channel's contents and the armed-timer set get an id from an exact
+// table (src/verify/intern.hpp) the execution owns, and each process's
+// user-event history gets an id from a trie, id(parent, step).  The key
+// is the tuple
+//
+//   host ids[n] | history ids[n] | next_invoke[n] | channel ids[n*n] |
+//   timer-set id | drops used
+//
+// with 0 for an empty channel, history or timer set.  Every entry is an
+// exact id, never a hash, so two states share a key iff they are equal.
+// Keys are incremental: an action marks dirty only what it can change
+// (its own process's host, the channel it receives from, the channels
+// it sends into, the timer set), and state_key() re-interns just those.
+// A packet is interned the first time its channel is, a history grows
+// its trie id from the steps appended since the last key, and
+// restore_key() resumes the caches after a replay without re-interning
+// anything.
 //
 // The per-step bookkeeping does not allocate once warmed up: hosts are
 // built once, and reset() clears channels, histories and the trace in
@@ -30,6 +49,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +59,7 @@
 #include "src/poset/user_run.hpp"
 #include "src/protocols/protocol.hpp"
 #include "src/sim/trace.hpp"
+#include "src/verify/intern.hpp"
 #include "src/verify/scenario.hpp"
 
 namespace msgorder {
@@ -94,12 +115,13 @@ class Execution {
   void replay(const std::vector<VerifyAction>& schedule);
   void apply(const VerifyAction& action);
 
-  /// The schedulable actions of the current state, in deterministic
-  /// order.  Timers are enabled only when no invoke/deliver/drop is —
-  /// the verifier's timer abstraction (timeouts fire only once the
-  /// system is otherwise idle; retransmission timers are the only
-  /// registry use and only need to fire after a drop starved the run).
-  std::vector<VerifyAction> enabled() const;
+  /// The schedulable actions of the current state, written over
+  /// `actions` in deterministic order.  Timers are enabled only when no
+  /// invoke/deliver/drop is — the verifier's timer abstraction
+  /// (timeouts fire only once the system is otherwise idle;
+  /// retransmission timers are the only registry use and only need to
+  /// fire after a drop starved the run).
+  void enabled(std::vector<VerifyAction>& actions) const;
 
   bool all_delivered() const {
     return delivered_count_ == scenario_->messages.size();
@@ -109,17 +131,40 @@ class Execution {
   /// A user packet is still sitting in some channel.
   bool user_packets_in_flight() const;
 
-  /// Canonical full-state encoding for the visited-state set, written
-  /// over `out` (pass the same buffer each time to reuse its storage);
-  /// false when some protocol instance does not support snapshots (the
-  /// verifier then runs uncached).  Excludes packet uids and the step
-  /// counter so idle control cycles (a circulating token) close.
-  bool fingerprint(std::string& out) const;
+  /// The exact key of the current state (the tuple described at the
+  /// top of this file), re-interning only the components dirtied since
+  /// the last key; false when some protocol instance does not support
+  /// snapshots (the verifier then runs uncached).  Excludes packet uids
+  /// and the step counter so idle control cycles (a circulating token)
+  /// close.  The span stays valid until the next mutating call.
+  bool state_key(std::span<const std::uint32_t>* out);
 
-  /// The user-event histories alone, written over `out`: the full
-  /// (collision-free) spec-check memo key.  Each process's block is
-  /// encoded exactly as in fingerprint().
-  void history_key(std::string& out) const;
+  /// The per-process history ids alone: the spec-memo key.  Equal ids
+  /// mean equal user views, since the trie is exact.
+  std::span<const std::uint32_t> history_ids();
+
+  /// Resume the key caches at `key`, the state_key() this execution's
+  /// current state had when it was first reached.  Call it right after
+  /// replay() rebuilt that state: the state depends only on the
+  /// schedule, so its components are the ones `key` names, and nothing
+  /// needs re-interning.
+  void restore_key(std::span<const std::uint32_t> key);
+
+  /// Mark every component dirty: the next state_key() re-interns all of
+  /// them (reset() does this; tests compare the result with the
+  /// incremental key).
+  void invalidate_key();
+
+  /// Counts for msgorder.verify/1: distinct entries of the component
+  /// tables, and component lookups made while keying.
+  struct KeyStats {
+    std::size_t interned_hosts = 0;
+    std::size_t interned_channels = 0;
+    std::size_t interned_packets = 0;
+    std::size_t interned_history_nodes = 0;
+    std::size_t reinterned = 0;
+  };
+  KeyStats key_stats() const;
 
   /// The delivered run as a user-view poset (needs all_delivered()).
   std::optional<UserRun> user_run(std::string* error) const;
@@ -137,18 +182,25 @@ class Execution {
   class ProcHost;
   friend class ProcHost;
 
+  static constexpr std::uint32_t kUnkeyed = UINT32_MAX;
+
   struct InFlight {
     Packet packet;
     std::uint64_t uid = 0;
-    /// The packet's channel digest, computed once as it enters the
-    /// channel: is_control, kind, user_msg and payload, never the uid.
-    std::uint64_t digest = 0;
+    /// The packet's interned id (is_control, kind, user_msg and
+    /// payload, never the uid), set when its channel is first keyed.
+    std::uint32_t id = kUnkeyed;
   };
 
-  void put_history(std::string& out, ProcessId p) const;
-  std::vector<InFlight>& channel(ProcessId src, ProcessId dst) {
-    return channels_[src * scenario_->n_processes + dst];
+  std::size_t channel_index(ProcessId src, ProcessId dst) const {
+    return src * scenario_->n_processes + dst;
   }
+  std::vector<InFlight>& channel(ProcessId src, ProcessId dst) {
+    return channels_[channel_index(src, dst)];
+  }
+  void key_histories();
+  std::uint32_t key_channel(std::size_t c);
+  std::uint32_t key_timers();
   void record(ProcessId at, SystemEvent e);
   void on_hold(ProcessId at, MessageId msg, const HoldReason& reason);
   void send_from(ProcessId from, Packet packet);
@@ -179,8 +231,24 @@ class Execution {
   const DelayAttribution blank_attribution_;
   Trace trace_;
   DelayAttribution attribution_;
-  /// One channel's packet digests while fingerprint() sorts them.
-  mutable std::vector<std::uint64_t> digests_;
+
+  /// The exact component tables, one set per execution.
+  Interner host_ids_;
+  Interner packet_ids_;
+  Interner channel_ids_;
+  Interner timer_ids_;
+  Interner history_trie_;
+  /// The current state key, valid for every component not marked dirty.
+  std::vector<std::uint32_t> key_;
+  std::vector<std::uint8_t> host_dirty_;
+  std::vector<std::uint8_t> channel_dirty_;
+  bool timers_dirty_ = true;
+  /// Per process: how many history steps key_'s history id covers.
+  std::vector<std::size_t> history_keyed_;
+  std::size_t reinterned_ = 0;
+  /// Encoding buffers reused across keys.
+  std::string bytes_;
+  std::vector<std::uint32_t> words_;
   std::size_t delivered_count_ = 0;
   std::size_t drops_used_ = 0;
   std::size_t step_ = 0;

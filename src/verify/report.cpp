@@ -6,6 +6,26 @@
 
 namespace msgorder {
 
+namespace {
+
+/// The cost counters, with `suffix` appended to each key ("_total" at
+/// the top level).
+void write_counters(JsonWriter& w, const VerifyCounters& c,
+                    const std::string& suffix) {
+  const auto kv = [&](const char* key, std::size_t value) {
+    w.kv(key + suffix, static_cast<std::uint64_t>(value));
+  };
+  kv("spec_checks", c.spec_checks);
+  kv("spec_memo_hits", c.spec_memo_hits);
+  kv("interned_hosts", c.interned_hosts);
+  kv("interned_channels", c.interned_channels);
+  kv("interned_packets", c.interned_packets);
+  kv("interned_history_nodes", c.interned_history_nodes);
+  kv("reinterned", c.reinterned);
+}
+
+}  // namespace
+
 void write_verify_json(JsonWriter& w,
                        const std::vector<StackReport>& reports,
                        std::size_t n_processes, std::size_t n_messages,
@@ -15,11 +35,13 @@ void write_verify_json(JsonWriter& w,
   std::size_t transitions_total = 0;
   std::size_t replays_total = 0;
   std::size_t replayed_actions_total = 0;
+  VerifyCounters counters_total;
   for (const StackReport& report : reports) {
     states_total += report.states_total;
     transitions_total += report.transitions_total;
     replays_total += report.replays_total;
     replayed_actions_total += report.replayed_actions_total;
+    counters_total += report.counters_total;
     if (!report.ok()) {
       verdict = "failed";
     } else if (report.verdict == "bounded" && verdict == "verified") {
@@ -43,6 +65,7 @@ void write_verify_json(JsonWriter& w,
   w.kv("replays_total", static_cast<std::uint64_t>(replays_total));
   w.kv("replayed_actions_total",
        static_cast<std::uint64_t>(replayed_actions_total));
+  write_counters(w, counters_total, "_total");
   w.key("stacks").begin_array();
   for (const StackReport& report : reports) {
     w.begin_object();
@@ -54,6 +77,7 @@ void write_verify_json(JsonWriter& w,
     w.kv("replays", static_cast<std::uint64_t>(report.replays_total));
     w.kv("replayed_actions",
          static_cast<std::uint64_t>(report.replayed_actions_total));
+    write_counters(w, report.counters_total, "");
     w.key("scenarios").begin_array();
     for (const ScenarioResult& s : report.scenarios) {
       w.begin_object();
@@ -70,6 +94,7 @@ void write_verify_json(JsonWriter& w,
       w.kv("replays", static_cast<std::uint64_t>(s.replays));
       w.kv("replayed_actions",
            static_cast<std::uint64_t>(s.replayed_actions));
+      write_counters(w, s.counters, "");
       if (s.uncached) w.kv("uncached", true);
       if (s.counterexample.has_value()) {
         w.key("counterexample").begin_object();

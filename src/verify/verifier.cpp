@@ -1,13 +1,13 @@
 #include "src/verify/verifier.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/checker/violation.hpp"
 #include "src/obs/hold_soundness.hpp"
 #include "src/protocols/reliable.hpp"
+#include "src/verify/intern.hpp"
 
 namespace msgorder {
 
@@ -19,13 +19,63 @@ bool contains(const std::vector<VerifyAction>& set,
 }
 
 /// z ⊆ sleep: the stored exploration already covered at least as much.
-bool subset_of(const std::vector<VerifyAction>& z,
+bool subset_of(std::span<const VerifyAction> z,
                const std::vector<VerifyAction>& sleep) {
   for (const VerifyAction& a : z) {
     if (!contains(sleep, a)) return false;
   }
   return true;
 }
+
+/// The visited set: exact state keys, each with the sleep sets it was
+/// explored with (subsumption).  The sleep sets live in one arena, one
+/// record per (state, sleep set) chained newest first.
+class VisitedSet {
+ public:
+  /// True when `key` was already explored with a sleep set contained in
+  /// `sleep`; otherwise records `sleep` for it.
+  bool covered_or_add(std::span<const std::uint32_t> key,
+                      const std::vector<VerifyAction>& sleep) {
+    // Stored 7 bits a byte, the high bit marking "more": an injective
+    // encoding, and most component ids are small, so a stored key takes
+    // about a third of its 4-bytes-per-id width.
+    packed_.clear();
+    for (std::uint32_t v : key) {
+      for (; v >= 0x80; v >>= 7) packed_.push_back(static_cast<char>(v | 0x80));
+      packed_.push_back(static_cast<char>(v));
+    }
+    bool inserted = false;
+    const std::uint32_t state = keys_.intern(packed_, &inserted);
+    if (inserted) newest_.push_back(kNone);
+    for (std::uint32_t r = newest_[state]; r != kNone; r = records_[r].older) {
+      const Record& rec = records_[r];
+      if (subset_of(std::span(arena_).subspan(rec.begin, rec.size), sleep)) {
+        return true;
+      }
+    }
+    records_.push_back({static_cast<std::uint32_t>(arena_.size()),
+                        static_cast<std::uint32_t>(sleep.size()),
+                        newest_[state]});
+    newest_[state] = static_cast<std::uint32_t>(records_.size() - 1);
+    arena_.insert(arena_.end(), sleep.begin(), sleep.end());
+    return false;
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+  struct Record {
+    std::uint32_t begin;
+    std::uint32_t size;
+    std::uint32_t older;
+  };
+
+  Interner keys_;
+  std::string packed_;
+  /// Per state id: its newest record.
+  std::vector<std::uint32_t> newest_;
+  std::vector<Record> records_;
+  std::vector<VerifyAction> arena_;
+};
 
 std::string join(const std::vector<std::string>& parts,
                  std::size_t limit) {
@@ -70,11 +120,9 @@ ScenarioResult verify_scenario(const Scenario& scenario,
   res.scenario = scenario.name;
 
   bool caching = options.state_cache;
-  /// fingerprint -> sleep sets it was explored with (subsumption).
-  std::unordered_map<std::string, std::vector<std::vector<VerifyAction>>>
-      visited;
-  /// Histories already proven to satisfy the spec.
-  std::unordered_set<std::string> spec_ok;
+  VisitedSet visited;
+  /// Complete user views (history-id tuples) already spec-checked.
+  Interner spec_memo;
 
   bool bounded = false;
   bool state_budget_hit = false;
@@ -84,19 +132,25 @@ ScenarioResult verify_scenario(const Scenario& scenario,
   std::optional<VerifyCounterexample> ce;
 
   std::vector<VerifyAction> schedule;
+  /// Frames [0, depth) are the DFS stack; the ones above it are kept
+  /// only so their vectors' storage is reused.
   std::vector<Frame> stack;
-  /// Key buffers reused across states (fingerprint, spec-memo key).
-  std::string fp;
-  std::string hkey;
+  std::size_t depth = 0;
+  /// The state key of every frame on the stack, back to back (frame d
+  /// at d * key_width), for restore_key() after a replay.
+  std::vector<std::uint32_t> frame_keys;
+  std::size_t key_width = 0;
   /// `exec` is not at the state `schedule` leads to: a child was
   /// explored since.  Backtracking only sets this; the prefix is
   /// re-executed right before the next sibling action runs, so a frame
   /// that pops, or whose remaining actions all sleep, costs nothing.
   bool stale = false;
 
-  // Inspect the current state; push a frame when it has successors to
-  // explore.  Returns false for leaves (terminal / pruned / budget).
-  auto enter = [&](std::vector<VerifyAction> sleep) -> bool {
+  // Inspect the current state, whose sleep set the caller put in
+  // stack[depth]; make that frame the top when the state has successors
+  // to explore.  Returns false for leaves (terminal / pruned / budget).
+  auto enter = [&]() -> bool {
+    Frame& frame = stack[depth];
     ++res.states;
     res.max_depth_seen = std::max(res.max_depth_seen, schedule.size());
     if (exec.all_delivered()) {
@@ -106,8 +160,12 @@ ScenarioResult verify_scenario(const Scenario& scenario,
       if (exec.protocols_quiescent() && !exec.user_packets_in_flight()) {
         saw_quiescent_complete = true;
       }
-      exec.history_key(hkey);
-      if (spec_ok.find(hkey) == spec_ok.end()) {
+      bool new_view = false;
+      spec_memo.intern(exec.history_ids(), &new_view);
+      if (!new_view) {
+        ++res.counters.spec_memo_hits;
+      } else {
+        ++res.counters.spec_checks;
         std::string err;
         const std::optional<UserRun> run = exec.user_run(&err);
         if (!run.has_value()) {
@@ -123,11 +181,12 @@ ScenarioResult verify_scenario(const Scenario& scenario,
             return false;
           }
         }
-        if (!satisfies(*run, spec)) {
-          ce = {"violation", "counting predicate exceeded", schedule};
-          return false;
+        for (const CountingPredicate& counting : spec.counting) {
+          if (exceeds_concurrency(*run, counting)) {
+            ce = {"violation", "counting predicate exceeded", schedule};
+            return false;
+          }
         }
-        spec_ok.insert(hkey);
       }
       const std::vector<std::string> unsound =
           hold_soundness_violations(exec.trace(), exec.attribution());
@@ -136,8 +195,8 @@ ScenarioResult verify_scenario(const Scenario& scenario,
         return false;
       }
     }
-    std::vector<VerifyAction> actions = exec.enabled();
-    if (actions.empty()) {
+    exec.enabled(frame.actions);
+    if (frame.actions.empty()) {
       if (!exec.all_delivered()) {
         std::ostringstream detail;
         detail << "terminal state with undelivered messages:";
@@ -173,31 +232,34 @@ ScenarioResult verify_scenario(const Scenario& scenario,
       return false;
     }
     if (caching) {
-      if (exec.fingerprint(fp)) {
-        std::vector<std::vector<VerifyAction>>& stored = visited[fp];
-        for (const std::vector<VerifyAction>& z : stored) {
-          if (subset_of(z, sleep)) return false;  // already covered
-        }
-        stored.push_back(sleep);
+      std::span<const std::uint32_t> key;
+      if (exec.state_key(&key)) {
+        if (visited.covered_or_add(key, frame.sleep)) return false;
+        key_width = key.size();
+        frame_keys.resize(depth * key_width);
+        frame_keys.insert(frame_keys.end(), key.begin(), key.end());
       } else {
         caching = false;  // sound fallback: explore uncached
         res.uncached = true;
       }
     }
-    stack.push_back({std::move(actions), std::move(sleep), 0});
+    frame.next = 0;
+    ++depth;
     return true;
   };
 
-  enter({});
-  while (!stack.empty() && !ce.has_value() && !state_budget_hit) {
-    Frame& f = stack.back();
+  stack.emplace_back();
+  enter();
+  while (depth > 0 && !ce.has_value() && !state_budget_hit) {
+    if (stack.size() == depth) stack.emplace_back();
+    Frame& f = stack[depth - 1];
     if (f.next >= f.actions.size()) {
-      stack.pop_back();
+      --depth;
       if (!schedule.empty()) {
         const VerifyAction last = schedule.back();
         schedule.pop_back();
-        if (!stack.empty()) {
-          stack.back().sleep.push_back(last);
+        if (depth > 0) {
+          stack[depth - 1].sleep.push_back(last);
           stale = true;
         }
       }
@@ -205,7 +267,8 @@ ScenarioResult verify_scenario(const Scenario& scenario,
     }
     const VerifyAction a = f.actions[f.next++];
     if (options.por && contains(f.sleep, a)) continue;
-    std::vector<VerifyAction> child_sleep;
+    std::vector<VerifyAction>& child_sleep = stack[depth].sleep;
+    child_sleep.clear();
     if (options.por) {
       for (const VerifyAction& b : f.sleep) {
         if (independent_actions(a, b)) child_sleep.push_back(b);
@@ -213,6 +276,11 @@ ScenarioResult verify_scenario(const Scenario& scenario,
     }
     if (stale) {
       exec.replay(schedule);
+      if (caching) {
+        // The frame's key names exactly the state the replay rebuilt.
+        exec.restore_key(std::span(frame_keys).subspan(
+            (depth - 1) * key_width, key_width));
+      }
       ++res.replays;
       res.replayed_actions += schedule.size();
       stale = false;
@@ -220,13 +288,20 @@ ScenarioResult verify_scenario(const Scenario& scenario,
     exec.apply(a);
     ++res.transitions;
     schedule.push_back(a);
-    if (!enter(std::move(child_sleep))) {
+    if (!enter()) {
       if (ce.has_value()) break;
       schedule.pop_back();
-      stack.back().sleep.push_back(a);
+      f.sleep.push_back(a);
       stale = true;
     }
   }
+
+  const Execution::KeyStats keys = exec.key_stats();
+  res.counters.interned_hosts = keys.interned_hosts;
+  res.counters.interned_channels = keys.interned_channels;
+  res.counters.interned_packets = keys.interned_packets;
+  res.counters.interned_history_nodes = keys.interned_history_nodes;
+  res.counters.reinterned = keys.reinterned;
 
   if (ce.has_value()) {
     res.verdict = ce->property;
@@ -267,6 +342,7 @@ StackReport verify_stack(const std::string& stack_name,
     report.transitions_total += result.transitions;
     report.replays_total += result.replays;
     report.replayed_actions_total += result.replayed_actions;
+    report.counters_total += result.counters;
     if (verdict_rank(result.verdict) > verdict_rank(report.verdict)) {
       report.verdict = result.verdict;
     }

@@ -16,11 +16,14 @@
 //     buffered message or unacked exchange is not).
 //
 // Exploration is depth-first and stateless: the only stored state is the
-// visited-set fingerprints, and backtracking re-executes the schedule
+// visited set of state keys, and backtracking re-executes the schedule
 // prefix.  It does so lazily — only right before a sibling action runs
 // — so a frame that pops, or whose remaining actions are all asleep,
 // costs no replay.  Deferring is exact because the state an execution
-// enters depends only on its schedule.  The search is reduced by
+// enters depends only on its schedule, and for the same reason each
+// frame keeps its state key and hands it back to the execution after a
+// replay (Execution::restore_key), so the keys stay incremental across
+// backtracking.  The search is reduced by
 //
 //   * sleep sets keyed on per-process independence — actions at
 //     different processes touch disjoint protocol state and disjoint
@@ -28,9 +31,10 @@
 //     everything because their enabledness is globally gated — and
 //   * visited-state subsumption: a state is pruned when it was already
 //     explored with a sleep set no larger than the current one.  Keys
-//     are the FULL canonical encodings (not hashes): a collision would
-//     silently prune unexplored behavior, and "verified" must mean
-//     verified.
+//     are exact tuples of interned component ids (execution.hpp), held
+//     in an open-addressing table that compares whole tuples, with the
+//     sleep sets in one arena: a collision would silently prune
+//     unexplored behavior, and "verified" must mean verified.
 //
 // Sleep sets alone (unlike persistent sets) still visit every reachable
 // state, so deadlock, leak, and quiescence detection remain exact; spec
@@ -71,6 +75,35 @@ struct VerifyOptions {
   std::size_t max_drops = 1;
 };
 
+/// Deterministic cost counters of one exploration (counts, not times,
+/// so msgorder.verify/1 stays byte-comparable across builds).
+struct VerifyCounters {
+  /// Spec-oracle runs (one per distinct complete user view) and
+  /// complete states answered by the spec memo instead.
+  std::size_t spec_checks = 0;
+  std::size_t spec_memo_hits = 0;
+  /// Distinct entries of the state-key tables: host snapshots, channel
+  /// contents, packets and history-trie nodes.
+  std::size_t interned_hosts = 0;
+  std::size_t interned_channels = 0;
+  std::size_t interned_packets = 0;
+  std::size_t interned_history_nodes = 0;
+  /// Component lookups made while keying: host snapshots, channels and
+  /// timer sets re-encoded, plus history steps added to the trie path.
+  std::size_t reinterned = 0;
+
+  VerifyCounters& operator+=(const VerifyCounters& o) {
+    spec_checks += o.spec_checks;
+    spec_memo_hits += o.spec_memo_hits;
+    interned_hosts += o.interned_hosts;
+    interned_channels += o.interned_channels;
+    interned_packets += o.interned_packets;
+    interned_history_nodes += o.interned_history_nodes;
+    reinterned += o.reinterned;
+    return *this;
+  }
+};
+
 /// A failing schedule: replayable into a msgorder.tracelog/1 log.
 struct VerifyCounterexample {
   std::string property;  // violation|deadlock|hold-unsound|control-leak
@@ -99,6 +132,7 @@ struct ScenarioResult {
   /// re-applied (a replay of the empty prefix is a bare reset).
   std::size_t replays = 0;
   std::size_t replayed_actions = 0;
+  VerifyCounters counters;
   /// State caching was requested but some protocol lacks snapshot().
   bool uncached = false;
   std::optional<VerifyCounterexample> counterexample;
@@ -115,6 +149,7 @@ struct StackReport {
   std::size_t transitions_total = 0;
   std::size_t replays_total = 0;
   std::size_t replayed_actions_total = 0;
+  VerifyCounters counters_total;
 
   bool ok() const { return verdict == "verified" || verdict == "bounded"; }
 };

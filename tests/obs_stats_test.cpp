@@ -198,15 +198,27 @@ TEST(StatsSummary, SummarizesVerifyArtifactWithReplayCounters) {
       " \"channel_model\": \"reorder\", \"por\": true,"
       " \"states_total\": 120, \"transitions_total\": 110,"
       " \"replays_total\": 40, \"replayed_actions_total\": 150,"
+      " \"spec_checks_total\": 7, \"spec_memo_hits_total\": 3,"
+      " \"interned_hosts_total\": 21, \"interned_channels_total\": 9,"
+      " \"interned_packets_total\": 5, \"interned_history_nodes_total\": 30,"
+      " \"reinterned_total\": 400,"
       " \"stacks\": [{\"stack\": \"fifo\", \"verdict\": \"verified\","
-      " \"states\": 120, \"replays\": 40, \"scenarios\": []}]}");
+      " \"states\": 120, \"replays\": 40, \"spec_checks\": 7,"
+      " \"reinterned\": 400, \"scenarios\": []}]}");
   ASSERT_TRUE(doc.has_value());
   const std::string summary = stats_summary(*doc);
   EXPECT_NE(summary.find("verdict=verified scope=3p/4m"), std::string::npos);
   EXPECT_NE(summary.find("transitions=110 replays=40 replayed_actions=150"),
             std::string::npos);
-  EXPECT_NE(summary.find("fifo: verified states=120 replays=40"),
-            std::string::npos);
+  EXPECT_NE(summary.find("spec_checks=7 spec_memo_hits=3 interned hosts=21 "
+                         "channels=9 packets=5 history_nodes=30 "
+                         "reinterned=400"),
+            std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find("fifo: verified states=120 replays=40 "
+                         "spec_checks=7 reinterned=400"),
+            std::string::npos)
+      << summary;
 }
 
 // Counts of a million and more print exactly, not as %.6g's lossy

@@ -12,6 +12,12 @@
 // must leave every row untouched; a change to the reduction itself has
 // to re-derive the table and say why the graph moved.
 //
+// The cost counters are pinned too.  The spec memo answers every
+// complete state whose user view was already checked, and the state-key
+// counters fix how much each exploration re-interns: a key that stopped
+// being incremental (say, a replay that no longer resumes from the
+// frame's key) moves `reinterned` without moving the graph.
+//
 // The replay counters are pinned separately: backtracking re-executes
 // the schedule prefix only when a sibling action actually runs, so a
 // scenario whose every state has exactly one enabled action never
@@ -241,6 +247,49 @@ TEST(VerifyExploration, LossyGraphIsPinned) {
   options.max_drops = 1;
   expect_graph({{"fifo", "verified", 12, 9590, 9578, 264, 5308}}, {}, 3, 3,
                options);
+}
+
+TEST(VerifyExploration, SpecAndKeyCountersArePinned) {
+  struct CounterPin {
+    const char* target;
+    VerifyCounters counters;
+  };
+  const std::vector<CounterPin> pins = {
+      {"fifo", {106, 42, 190, 84, 48, 228, 3970}},
+      {"sync-token", {64, 256, 184, 72, 72, 228, 9968}},
+      {"sync-locks", {64, 224, 440, 290, 240, 228, 15984}},
+  };
+  for (const CounterPin& pin : pins) {
+    SCOPED_TRACE(pin.target);
+    const StackReport report = run(pin.target, 3, 4, VerifyOptions{});
+    const VerifyCounters& c = report.counters_total;
+    EXPECT_EQ(c.spec_checks, pin.counters.spec_checks);
+    EXPECT_EQ(c.spec_memo_hits, pin.counters.spec_memo_hits);
+    EXPECT_EQ(c.interned_hosts, pin.counters.interned_hosts);
+    EXPECT_EQ(c.interned_channels, pin.counters.interned_channels);
+    EXPECT_EQ(c.interned_packets, pin.counters.interned_packets);
+    EXPECT_EQ(c.interned_history_nodes,
+              pin.counters.interned_history_nodes);
+    EXPECT_EQ(c.reinterned, pin.counters.reinterned);
+  }
+  // Every complete state is either checked or a memo hit, on every
+  // clean target.
+  for (const VerifyTarget& target : verify_targets(false)) {
+    SCOPED_TRACE(target.name);
+    const StackReport report = run(target.name, 3, 4, VerifyOptions{});
+    std::size_t complete_states = 0;
+    for (const ScenarioResult& s : report.scenarios) {
+      complete_states += s.complete_states;
+      EXPECT_EQ(s.counters.spec_checks + s.counters.spec_memo_hits,
+                s.complete_states)
+          << s.scenario;
+    }
+    VerifyCounters sum;
+    for (const ScenarioResult& s : report.scenarios) sum += s.counters;
+    EXPECT_EQ(sum.spec_checks, report.counters_total.spec_checks);
+    EXPECT_EQ(sum.reinterned, report.counters_total.reinterned);
+    EXPECT_GT(complete_states, 0u);
+  }
 }
 
 TEST(VerifyExploration, SingleSuccessorScenarioNeverReplays) {

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/obs/json.hpp"
 #include "src/obs/json_value.hpp"
+#include "src/protocols/reliable.hpp"
 #include "src/protocols/state_codec.hpp"
 #include "src/verify/execution.hpp"
 #include "src/verify/report.hpp"
@@ -122,6 +126,24 @@ TEST(VerifyReport, ArtifactIsValidJson) {
             std::string::npos);
   EXPECT_NE(w.str().find("\"replayed_actions_total\""), std::string::npos);
   EXPECT_NE(w.str().find("\"replays\""), std::string::npos);
+  // So do the spec-memo and state-key counters.
+  VerifyCounters total;
+  for (const StackReport& report : reports) total += report.counters_total;
+  EXPECT_GT(total.spec_checks, 0u);
+  EXPECT_GT(total.interned_hosts, 0u);
+  EXPECT_GT(total.reinterned, 0u);
+  EXPECT_NE(w.str().find("\"spec_checks_total\":" +
+                         std::to_string(total.spec_checks)),
+            std::string::npos);
+  EXPECT_NE(w.str().find("\"reinterned_total\":" +
+                         std::to_string(total.reinterned)),
+            std::string::npos);
+  for (const char* key :
+       {"\"spec_memo_hits\":", "\"interned_hosts\":",
+        "\"interned_channels\":", "\"interned_packets\":",
+        "\"interned_history_nodes\":", "\"reinterned\":"}) {
+    EXPECT_NE(w.str().find(key), std::string::npos) << key;
+  }
 }
 
 TEST(VerifyLossy, ReliabilityWrapMasksDropsOnTheFifoStack) {
@@ -145,12 +167,12 @@ TEST(VerifyLossy, ReliabilityWrapMasksDropsOnTheFifoStack) {
   EXPECT_FALSE(result.counterexample.has_value());
 }
 
-/// Sends every message with a one-byte payload fixed at construction
-/// and keeps no state: two executions of it differ only in what their
+/// Sends every message with a one-byte payload read from `byte` at send
+/// time and keeps no state: two runs of it differ only in what their
 /// in-flight packets carry.
-class FixedPayloadProtocol final : public Protocol {
+class PayloadByteProtocol final : public Protocol {
  public:
-  FixedPayloadProtocol(Host& host, std::uint8_t byte)
+  PayloadByteProtocol(Host& host, const std::uint8_t& byte)
       : host_(host), byte_(byte) {}
   void on_invoke(const Message& m) override {
     Packet pkt;
@@ -162,7 +184,7 @@ class FixedPayloadProtocol final : public Protocol {
   void on_packet(const Packet& packet) override {
     host_.deliver(packet.user_msg);
   }
-  std::string name() const override { return "fixed-payload"; }
+  std::string name() const override { return "payload-byte"; }
   bool snapshot(std::string& out) const override {
     (void)out;
     return true;
@@ -170,44 +192,128 @@ class FixedPayloadProtocol final : public Protocol {
 
  private:
   Host& host_;
-  std::uint8_t byte_;
+  const std::uint8_t& byte_;
 };
 
-ProtocolFactory fixed_payload(std::uint8_t byte) {
-  return [byte](Host& host) {
-    return std::make_unique<FixedPayloadProtocol>(host, byte);
-  };
+std::vector<std::uint32_t> key_of(Execution& exec) {
+  std::span<const std::uint32_t> key;
+  EXPECT_TRUE(exec.state_key(&key));
+  return {key.begin(), key.end()};
 }
 
-TEST(VerifyExecution, InFlightPayloadIsPartOfTheFingerprint) {
+TEST(VerifyExecution, InFlightPayloadIsPartOfTheStateKey) {
+  // Keys are ids from one execution's tables, so every state is reached
+  // in the same execution, switching the payload between replays.
   Scenario one;
   one.name = "one";
   one.n_processes = 2;
   one.messages.push_back({0, 0, 1, 0, -1});
+  std::uint8_t byte = 'a';
+  Execution exec(one,
+                 [&byte](Host& host) {
+                   return std::make_unique<PayloadByteProtocol>(host, byte);
+                 },
+                 ChannelModel::kReorder, 0);
   const VerifyAction invoke{VerifyAction::Kind::kInvoke, 0, 0, 0};
-  Execution a(one, fixed_payload('a'), ChannelModel::kReorder, 0);
-  Execution a_again(one, fixed_payload('a'), ChannelModel::kReorder, 0);
-  Execution b(one, fixed_payload('b'), ChannelModel::kReorder, 0);
-  std::string key_a;
-  std::string key_a_again;
-  std::string key_b;
-  ASSERT_TRUE(a.fingerprint(key_a));
-  ASSERT_TRUE(b.fingerprint(key_b));
-  EXPECT_EQ(key_a, key_b);  // nothing in flight yet
-  for (Execution* e : {&a, &a_again, &b}) e->apply(invoke);
-  ASSERT_TRUE(a.fingerprint(key_a));
-  ASSERT_TRUE(a_again.fingerprint(key_a_again));
-  ASSERT_TRUE(b.fingerprint(key_b));
-  EXPECT_EQ(key_a, key_a_again);
-  EXPECT_NE(key_a, key_b);  // same packet, different payload
+  const VerifyAction deliver{VerifyAction::Kind::kDeliver, 1, 0, 0};
+  const auto key_after = [&](std::uint8_t b,
+                             const std::vector<VerifyAction>& schedule) {
+    byte = b;
+    exec.replay(schedule);
+    return key_of(exec);
+  };
+  const auto empty = key_after('a', {});
+  const auto in_flight_a = key_after('a', {invoke});
+  const auto in_flight_b = key_after('b', {invoke});
+  EXPECT_EQ(key_after('a', {invoke}), in_flight_a);
+  EXPECT_NE(in_flight_a, in_flight_b);  // same packet, different payload
+  EXPECT_NE(in_flight_a, empty);
   // Once the packet is delivered, the payload is no longer state.
-  const std::vector<VerifyAction> next = a.enabled();
-  ASSERT_EQ(next.size(), 1u);
-  a.apply(next[0]);
-  b.apply(b.enabled().at(0));
-  ASSERT_TRUE(a.fingerprint(key_a));
-  ASSERT_TRUE(b.fingerprint(key_b));
-  EXPECT_EQ(key_a, key_b);
+  EXPECT_EQ(key_after('a', {invoke, deliver}),
+            key_after('b', {invoke, deliver}));
+}
+
+/// Walks every reachable state of `exec` (no reduction, deduplicated on
+/// the state key) and checks that the incremental key equals the key
+/// re-interned from scratch, both after an apply and after a replay
+/// resumed with restore_key(), the verifier's two paths into a state.
+/// Returns the number of distinct states.
+std::size_t expect_keys_exact(Execution& exec, const std::string& where) {
+  std::set<std::vector<std::uint32_t>> seen;
+  std::vector<VerifyAction> schedule;
+  std::function<void()> visit = [&] {
+    const std::vector<std::uint32_t> incremental = key_of(exec);
+    exec.invalidate_key();
+    const std::vector<std::uint32_t> full = key_of(exec);
+    if (incremental != full) {
+      std::string path;
+      for (const VerifyAction& a : schedule) path += " " + to_string(a);
+      ADD_FAILURE() << where << ": incremental key differs after" << path;
+    }
+    if (!seen.insert(full).second) return;
+    std::vector<VerifyAction> actions;
+    exec.enabled(actions);
+    for (std::size_t i = 0; i < actions.size(); ++i) {
+      if (i > 0) {
+        exec.replay(schedule);
+        exec.restore_key(full);
+      }
+      exec.apply(actions[i]);
+      schedule.push_back(actions[i]);
+      visit();
+      schedule.pop_back();
+    }
+  };
+  visit();
+  return seen.size();
+}
+
+TEST(VerifyStateKey, IncrementalKeyEqualsFullRekeyAtEveryState) {
+  for (const ChannelModel model :
+       {ChannelModel::kReorder, ChannelModel::kFifo}) {
+    for (const VerifyTarget& target : verify_targets(true)) {
+      for (const Scenario& scenario : standard_scenarios(kProcs, kMsgs)) {
+        Execution exec(scenario, target.factory, model, 0);
+        EXPECT_GT(expect_keys_exact(exec, target.name + " / " +
+                                              scenario.name + " / " +
+                                              to_string(model)),
+                  1u);
+      }
+    }
+  }
+  // Drops, retransmission timers and duplicates under the reliability
+  // wrap, as the verifier runs the lossy model.
+  const VerifyTarget fifo = *find_verify_target("fifo");
+  for (const Scenario& scenario : standard_scenarios(kProcs, 3)) {
+    Execution exec(scenario, ReliableProtocol::wrap(fifo.factory, {}),
+                   ChannelModel::kLossy, 1);
+    EXPECT_GT(expect_keys_exact(exec, "lossy fifo / " + scenario.name), 1u);
+  }
+}
+
+TEST(VerifySpec, ExceededCountingPredicateIsAViolation) {
+  // Two messages p0 -> p1 can both be in flight on a reordering
+  // channel, so "at most one concurrently" fails after the forbidden
+  // predicates pass, and at most two holds.
+  Scenario burst;
+  burst.name = "burst";
+  burst.n_processes = 2;
+  burst.messages.push_back({0, 0, 1, 0, -1});
+  burst.messages.push_back({1, 0, 1, 0, -1});
+  const VerifyTarget target = *find_verify_target("fifo");
+  CompositeSpec spec = target.spec;
+  ASSERT_FALSE(spec.predicates.empty());
+  spec.counting.push_back(CountingPredicate{std::nullopt, 1});
+  const ScenarioResult tight =
+      verify_scenario(burst, target.factory, spec, VerifyOptions{});
+  EXPECT_EQ(tight.verdict, "violation");
+  EXPECT_EQ(tight.detail, "counting predicate exceeded");
+  ASSERT_TRUE(tight.counterexample.has_value());
+  spec.counting.back().limit = 2;
+  const ScenarioResult loose =
+      verify_scenario(burst, target.factory, spec, VerifyOptions{});
+  EXPECT_EQ(loose.verdict, "verified") << loose.detail;
+  EXPECT_EQ(loose.counters.spec_checks, 1u);  // one delivered view
 }
 
 }  // namespace

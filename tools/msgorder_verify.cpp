@@ -190,6 +190,13 @@ int main(int argc, char** argv) {
         report.scenarios.size(), report.states_total,
         report.transitions_total, report.replays_total,
         report.replayed_actions_total, note);
+    const VerifyCounters& c = report.counters_total;
+    std::printf(
+        "  spec: %zu checks, %zu memo hits; interned: %zu hosts, "
+        "%zu channels, %zu packets, %zu history nodes; %zu re-interned\n",
+        c.spec_checks, c.spec_memo_hits, c.interned_hosts,
+        c.interned_channels, c.interned_packets, c.interned_history_nodes,
+        c.reinterned);
     for (const ScenarioResult& s : report.scenarios) {
       if (s.counterexample.has_value()) {
         std::printf("  counterexample in %s: %s (%zu-step schedule)\n",
