@@ -120,7 +120,9 @@ int overhead_guard() {
   // comparison budgets at < 2%.  Note the enabled configuration leaves
   // ObservabilityOptions::tracelog unset: this bound staying < 1.5 IS
   // the assertion that a tracelog-capable build costs nothing until a
-  // log path is actually configured (ISSUE 9).
+  // log path is actually configured (ISSUE 9).  The armed flight
+  // recorder does run every record through the trace log writer, into
+  // its in-memory tail only.
   bool ok = ratio < 1.5;
   std::printf("RESULT: %s\n",
               ok ? "observability overhead within budget"

@@ -2,9 +2,8 @@
 
 namespace msgorder {
 
-SimInstruments SimInstruments::create(
-    MetricsRegistry& registry, const std::string& label,
-    const HistogramOptions& delay_histogram) {
+SimInstruments SimInstruments::create(MetricsRegistry& registry,
+                                      const std::string& label) {
   const std::string prefix = label.empty() ? "" : label + ".";
   SimInstruments ins;
   ins.events = &registry.counter(prefix + "sim.events");
@@ -17,33 +16,27 @@ SimInstruments SimInstruments::create(
   ins.retransmissions = &registry.counter(prefix + "net.retransmissions");
   ins.duplicate_arrivals =
       &registry.counter(prefix + "net.duplicate_arrivals");
-  ins.latency =
-      &registry.histogram(prefix + "delay.latency", delay_histogram);
-  ins.send_delay =
-      &registry.histogram(prefix + "delay.send", delay_histogram);
-  ins.delivery_delay =
-      &registry.histogram(prefix + "delay.delivery", delay_histogram);
+  ins.latency = &registry.histogram(prefix + "delay.latency");
+  ins.send_delay = &registry.histogram(prefix + "delay.send");
+  ins.delivery_delay = &registry.histogram(prefix + "delay.delivery");
   ins.buffered_depth = &registry.gauge(prefix + "sim.buffered_depth");
   ins.hold_segments = &registry.counter(prefix + "hold.segments");
   ins.tracelog_events = &registry.counter(prefix + "tracelog.events_written");
   ins.tracelog_bytes = &registry.counter(prefix + "tracelog.bytes_written");
   for (std::size_t k = 1; k < kHoldKindCount; ++k) {
     ins.hold_time[k] = &registry.histogram(
-        prefix + "hold." + to_string(static_cast<HoldKind>(k)),
-        delay_histogram);
+        prefix + "hold." + to_string(static_cast<HoldKind>(k)));
   }
   return ins;
 }
 
 Observability::Observability(ObservabilityOptions options)
     : options_(std::move(options)),
-      instruments_(SimInstruments::create(metrics_, options_.label,
-                                          options_.delay_histogram)) {
-  if (options_.flight_recorder) {
-    recorder_.emplace(options_.flight_recorder_capacity);
-  }
+      instruments_(SimInstruments::create(metrics_, options_.label)) {
   if (options_.profiling) profile_.emplace();
-  if (!options_.tracelog.empty()) tracelog_.emplace(options_.tracelog);
+  if (!options_.tracelog.empty() || options_.flight_recorder) {
+    writer_.emplace(options_.tracelog, options_.flight_recorder);
+  }
 }
 
 void Observability::begin_run(std::size_t n_messages) {

@@ -1,7 +1,8 @@
 // The per-run observability bundle (ISSUE 2 tentpole): one object that
 // owns a metrics registry wired with the simulator's standard
-// instruments plus the optional attribution table, engine profiler,
-// flight recorder and trace log.  Attach it via
+// instruments plus the optional attribution table, engine profiler and
+// record writer (the trace log file and its in-memory tail, the flight
+// recorder).  Attach it via
 // SimOptions::observability; the default (nullptr) keeps the simulator
 // on its zero-cost path (a single pointer test per event, verified to
 // cost < 2% on bench_protocol_overhead).
@@ -19,7 +20,6 @@
 #include <string>
 
 #include "src/obs/attribution.hpp"
-#include "src/obs/flight_recorder.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/profile.hpp"
 #include "src/obs/tracelog.hpp"
@@ -56,8 +56,7 @@ struct SimInstruments {
   /// `label` (e.g. the protocol under test) becomes a "<label>." name
   /// prefix so several runs can share one registry.
   static SimInstruments create(MetricsRegistry& registry,
-                               const std::string& label = "",
-                               const HistogramOptions& delay_histogram = {});
+                               const std::string& label = "");
 };
 
 struct ObservabilityOptions {
@@ -74,20 +73,18 @@ struct ObservabilityOptions {
   /// "profile" section; its per-window samples render as Perfetto
   /// counter tracks in chrome_trace_json (src/obs/tracer.hpp).
   bool profiling = false;
-  /// Attach a flight recorder of the last `flight_recorder_capacity`
-  /// records, dumped post-mortem on red runs (off by default).
+  /// Keep the last TraceLogTail::kCapacity trace log records in memory,
+  /// with or without a log file, dumped post-mortem on red runs (off by
+  /// default).
   bool flight_recorder = false;
-  std::size_t flight_recorder_capacity = 1024;
   /// Write the causal trace log (msgorder.tracelog/1) to this path;
   /// empty keeps the log off and the engine on its zero-cost path
   /// (enforced by bench_protocol_overhead --overhead-guard).  Every
   /// shard count emits the identical record stream for the same run —
   /// query and diff logs with tools/msgorder_query.cpp.
-  std::string tracelog;
+  std::string tracelog = {};
   /// Metric name prefix, typically the protocol under test.
-  std::string label;
-  /// Bucket layout shared by the three delay histograms.
-  HistogramOptions delay_histogram = {};
+  std::string label = {};
 };
 
 class Observability {
@@ -111,11 +108,8 @@ class Observability {
   }
 
   /// nullptr unless the flight recorder was enabled in the options.
-  FlightRecorder* flight_recorder() {
-    return recorder_ ? &*recorder_ : nullptr;
-  }
-  const FlightRecorder* flight_recorder() const {
-    return recorder_ ? &*recorder_ : nullptr;
+  const TraceLogTail* flight_recorder() const {
+    return writer_ ? writer_->tail() : nullptr;
   }
 
   /// nullptr unless profiling was enabled in the options.  The engines
@@ -129,10 +123,16 @@ class Observability {
   /// nullptr unless a tracelog path was set in the options.  The engines
   /// rewrite the file each run (like the attribution table, it describes
   /// the most recent run).
-  TraceLogWriter* tracelog() { return tracelog_ ? &*tracelog_ : nullptr; }
-  const TraceLogWriter* tracelog() const {
-    return tracelog_ ? &*tracelog_ : nullptr;
+  TraceLogWriter* tracelog() {
+    return options_.tracelog.empty() ? nullptr : record_writer();
   }
+  const TraceLogWriter* tracelog() const {
+    return options_.tracelog.empty() ? nullptr : &*writer_;
+  }
+
+  /// The one writer every record goes through: built when a tracelog
+  /// path is set or the flight recorder is armed, nullptr otherwise.
+  TraceLogWriter* record_writer() { return writer_ ? &*writer_ : nullptr; }
 
   /// Called by the simulator when a run attaches: sizes a fresh
   /// attribution table to the run's message universe (when enabled).
@@ -147,9 +147,8 @@ class Observability {
   MetricsRegistry metrics_;
   SimInstruments instruments_;
   std::optional<DelayAttribution> attribution_;
-  std::optional<FlightRecorder> recorder_;
   std::optional<SimProfile> profile_;
-  std::optional<TraceLogWriter> tracelog_;
+  std::optional<TraceLogWriter> writer_;
 };
 
 }  // namespace msgorder

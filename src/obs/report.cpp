@@ -169,11 +169,12 @@ bool write_run_report(const std::string& path, const SimResult& result,
 }
 
 bool dump_postmortem_if_red(const std::string& path, const SimResult& result,
-                            Observability* obs, const OnlineMonitor* monitor,
-                            std::string* error) {
-  if (obs == nullptr) return false;
-  FlightRecorder* recorder = obs->flight_recorder();
-  if (recorder == nullptr) return false;
+                            const Observability* obs,
+                            const OnlineMonitor* monitor, std::string* error) {
+  if (obs == nullptr || obs->flight_recorder() == nullptr) return false;
+  // A copy: the witness note belongs to the dump, not to the recorder
+  // or to the already-finished log.
+  TraceLogTail tail = *obs->flight_recorder();
   std::string cause;
   if (monitor != nullptr && monitor->violated()) {
     cause = "monitor violation: " + monitor->specification().to_string();
@@ -183,7 +184,7 @@ bool dump_postmortem_if_red(const std::string& path, const SimResult& result,
       note += " " + monitor->specification().var_name(v) + "=x" +
               std::to_string(witness[v]);
     }
-    recorder->note(std::move(note), monitor->first_violation_time());
+    tail.push(note_record(std::move(note), monitor->first_violation_time()));
   } else if (!result.completed) {
     cause = "incomplete run: " + result.error;
   } else {
@@ -193,7 +194,7 @@ bool dump_postmortem_if_red(const std::string& path, const SimResult& result,
   // is a bounded window, the log is the full queryable history.
   const std::string tracelog_path =
       obs->tracelog() != nullptr ? obs->tracelog()->path() : "";
-  return recorder->dump(path, cause, tracelog_path, error);
+  return write_text_file(path, tail.to_json(cause, tracelog_path), error);
 }
 
 }  // namespace msgorder

@@ -78,11 +78,13 @@ bool write_run_report(const std::string& path, const SimResult& result,
 /// Post-mortem dump (ISSUE 4 tentpole): when the run went red — the
 /// monitor detected a violation, or the simulation did not complete
 /// (event cap, undelivered messages) — and `obs` carries a flight
-/// recorder, annotate the cause (plus the violation witness, when one
-/// exists) and dump the ring to `path`.  Returns true iff a dump was
-/// written; a green run or a missing recorder writes nothing.
+/// recorder, dump its tail of the record stream to `path` as
+/// msgorder.flight_recorder/2 with the cause, plus a final note naming
+/// the violation witness when one exists (that note is in the dump
+/// only).  Returns true iff a dump was written; a green run or a
+/// missing recorder writes nothing.
 bool dump_postmortem_if_red(const std::string& path, const SimResult& result,
-                            Observability* obs,
+                            const Observability* obs,
                             const OnlineMonitor* monitor = nullptr,
                             std::string* error = nullptr);
 

@@ -326,7 +326,7 @@ std::string summarize_flight_recorder(const JsonValue& doc) {
       else if (type == "hold") ++holds;
       else if (type == "note") {
         ++notes;
-        last_note = r.string_at("note").value_or("");
+        last_note = r.string_at("text").value_or("");
       }
     }
     out << "  retained: " << events << " events, " << holds << " holds, "

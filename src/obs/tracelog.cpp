@@ -80,14 +80,94 @@ std::uint64_t TraceLogHeader::channel_stream_seed(ProcessId src,
   return Network::channel_seed(seed, src, dst);
 }
 
+void write_record_json(JsonWriter& w, const TraceLogRecord& rec) {
+  w.begin_object();
+  switch (rec.type) {
+    case TraceLogRecord::Type::kEvent:
+      w.kv("type", "event");
+      w.kv("msg", static_cast<std::uint64_t>(rec.event.msg));
+      w.kv("kind", kind_name(rec.event.kind));
+      w.kv("process", static_cast<std::uint64_t>(rec.process));
+      w.kv("peer", static_cast<std::uint64_t>(rec.peer));
+      w.kv("color", static_cast<std::int64_t>(rec.color));
+      w.kv("time", rec.time);
+      w.kv("tiebreak", rec.tiebreak);
+      w.kv("lamport", rec.lamport);
+      break;
+    case TraceLogRecord::Type::kHold: {
+      w.kv("type", "hold");
+      w.kv("msg", static_cast<std::uint64_t>(rec.held_msg));
+      w.kv("process", static_cast<std::uint64_t>(rec.process));
+      w.kv("kind", to_string(rec.reason.kind));
+      w.key("blocking_msg");
+      if (rec.reason.blocking_msg.has_value()) {
+        w.value(static_cast<std::uint64_t>(*rec.reason.blocking_msg));
+      } else {
+        w.null();
+      }
+      w.key("blocking_proc");
+      if (rec.reason.blocking_proc.has_value()) {
+        w.value(static_cast<std::uint64_t>(*rec.reason.blocking_proc));
+      } else {
+        w.null();
+      }
+      w.kv("time", rec.time);
+      w.kv("tiebreak", rec.tiebreak);
+      break;
+    }
+    case TraceLogRecord::Type::kNote:
+      w.kv("type", "note");
+      w.kv("time", rec.time);
+      w.kv("text", rec.note);
+      break;
+  }
+  w.end_object();
+}
+
+void TraceLogTail::push(const TraceLogRecord& rec, std::uint64_t lamport) {
+  if (written_ < kCapacity) ring_.emplace_back();
+  TraceLogRecord& slot = ring_[written_++ % kCapacity];
+  static_cast<TraceLogFields&>(slot) = rec;
+  slot.lamport = lamport;
+  if (!rec.note.empty() || !slot.note.empty()) slot.note = rec.note;
+}
+
+std::string TraceLogTail::to_json(const std::string& cause,
+                                  const std::string& tracelog_path) const {
+  JsonWriter w;
+  w.begin_object();
+  w.kv("schema", "msgorder.flight_recorder/2");
+  w.kv("cause", cause);
+  w.key("tracelog");
+  if (tracelog_path.empty()) {
+    w.null();
+  } else {
+    w.value(tracelog_path);
+  }
+  w.kv("capacity", kCapacity);
+  w.kv("total_records", total_records());
+  w.kv("dropped", total_records() - size());
+  w.key("records").begin_array();
+  for_each([&](const TraceLogRecord& rec) { write_record_json(w, rec); });
+  w.end_array();
+  w.end_object();
+  return w.take();
+}
+
+TraceLogWriter::TraceLogWriter(std::string path, bool keep_tail)
+    : path_(std::move(path)), keep_tail_(keep_tail) {}
+
 void TraceLogWriter::begin_run(const TraceLogHeader& header) {
+  proc_clock_.assign(header.n_processes, 0);
+  msg_clock_.assign(header.n_messages, 0);
   out_.close();
   out_.clear();
-  out_.open(path_, std::ios::binary | std::ios::trunc);
   buffer_.clear();
   error_.clear();
   events_written_ = 0;
   bytes_written_ = 0;
+  if (path_.empty()) return;
+  out_.open(path_, std::ios::binary | std::ios::trunc);
   if (!out_) {
     error_ = "cannot open tracelog " + path_;
     return;
@@ -112,8 +192,6 @@ void TraceLogWriter::begin_run(const TraceLogHeader& header) {
   head.append(json);
   out_.write(head.data(), static_cast<std::streamsize>(head.size()));
   bytes_written_ = head.size();
-  proc_clock_.assign(header.n_processes, 0);
-  msg_clock_.assign(header.n_messages, 0);
 }
 
 char* TraceLogWriter::add_record(std::size_t payload) {
@@ -128,60 +206,67 @@ char* TraceLogWriter::add_record(std::size_t payload) {
   return put_u32(buffer_.data() + at, static_cast<std::uint32_t>(payload));
 }
 
-void TraceLogWriter::append_event(ProcessId at, SystemEvent e, SimTime t,
-                                  std::uint64_t tiebreak, ProcessId peer,
-                                  std::int32_t color) {
-  if (!out_.is_open()) return;
-  if (at >= proc_clock_.size()) proc_clock_.resize(at + 1, 0);
-  if (e.msg >= msg_clock_.size()) msg_clock_.resize(e.msg + 1, 0);
-  std::uint64_t clock = 0;
-  if (e.kind == EventKind::kReceive) {
-    clock = std::max(proc_clock_[at], msg_clock_[e.msg]) + 1;
-    proc_clock_[at] = clock;
-  } else {
-    clock = ++proc_clock_[at];
-    if (e.kind == EventKind::kSend) msg_clock_[e.msg] = clock;
+void TraceLogWriter::append(const TraceLogRecord& rec) {
+  std::uint64_t lamport = 0;
+  if (rec.type == TraceLogRecord::Type::kEvent) {
+    const ProcessId at = rec.process;
+    const SystemEvent e = rec.event;
+    if (at >= proc_clock_.size()) proc_clock_.resize(at + 1, 0);
+    if (e.msg >= msg_clock_.size()) msg_clock_.resize(e.msg + 1, 0);
+    if (e.kind == EventKind::kReceive) {
+      lamport = std::max(proc_clock_[at], msg_clock_[e.msg]) + 1;
+      proc_clock_[at] = lamport;
+    } else {
+      lamport = ++proc_clock_[at];
+      if (e.kind == EventKind::kSend) msg_clock_[e.msg] = lamport;
+    }
   }
-  char* p = add_record(kEventPayload);
-  p = put_u8(p, static_cast<std::uint8_t>(TraceLogRecord::Type::kEvent));
-  p = put_u8(p, static_cast<std::uint8_t>(e.kind));
-  p = put_u32(p, e.msg);
-  p = put_u32(p, at);
-  p = put_u32(p, peer);
-  p = put_u32(p, static_cast<std::uint32_t>(color));
-  p = put_f64(p, t);
-  p = put_u64(p, tiebreak);
-  p = put_u64(p, clock);
-  assert(p == buffer_.data() + buffer_.size());
+  if (out_.is_open()) encode(rec, lamport);
+  if (keep_tail_) tail_.push(rec, lamport);
 }
 
-void TraceLogWriter::append_hold(ProcessId at, MessageId msg,
-                                 const HoldReason& reason, SimTime t,
-                                 std::uint64_t tiebreak) {
-  if (!out_.is_open()) return;
-  std::uint8_t flags = 0;
-  if (reason.blocking_msg.has_value()) flags |= 1;
-  if (reason.blocking_proc.has_value()) flags |= 2;
-  char* p = add_record(kHoldPayload);
-  p = put_u8(p, static_cast<std::uint8_t>(TraceLogRecord::Type::kHold));
-  p = put_u8(p, static_cast<std::uint8_t>(reason.kind));
-  p = put_u8(p, flags);
-  p = put_u32(p, msg);
-  p = put_u32(p, at);
-  p = put_u32(p, reason.blocking_msg.value_or(0));
-  p = put_u32(p, reason.blocking_proc.value_or(0));
-  p = put_f64(p, t);
-  p = put_u64(p, tiebreak);
+void TraceLogWriter::encode(const TraceLogRecord& rec, std::uint64_t lamport) {
+  char* p = nullptr;
+  switch (rec.type) {
+    case TraceLogRecord::Type::kEvent:
+      p = add_record(kEventPayload);
+      p = put_u8(p, static_cast<std::uint8_t>(rec.type));
+      p = put_u8(p, static_cast<std::uint8_t>(rec.event.kind));
+      p = put_u32(p, rec.event.msg);
+      p = put_u32(p, rec.process);
+      p = put_u32(p, rec.peer);
+      p = put_u32(p, static_cast<std::uint32_t>(rec.color));
+      p = put_f64(p, rec.time);
+      p = put_u64(p, rec.tiebreak);
+      p = put_u64(p, lamport);
+      break;
+    case TraceLogRecord::Type::kHold: {
+      std::uint8_t flags = 0;
+      if (rec.reason.blocking_msg.has_value()) flags |= 1;
+      if (rec.reason.blocking_proc.has_value()) flags |= 2;
+      p = add_record(kHoldPayload);
+      p = put_u8(p, static_cast<std::uint8_t>(rec.type));
+      p = put_u8(p, static_cast<std::uint8_t>(rec.reason.kind));
+      p = put_u8(p, flags);
+      p = put_u32(p, rec.held_msg);
+      p = put_u32(p, rec.process);
+      p = put_u32(p, rec.reason.blocking_msg.value_or(0));
+      p = put_u32(p, rec.reason.blocking_proc.value_or(0));
+      p = put_f64(p, rec.time);
+      p = put_u64(p, rec.tiebreak);
+      break;
+    }
+    case TraceLogRecord::Type::kNote:
+      p = add_record(kNotePayloadMin + rec.note.size());
+      p = put_u8(p, static_cast<std::uint8_t>(rec.type));
+      p = put_f64(p, rec.time);
+      p = put_u32(p, static_cast<std::uint32_t>(rec.note.size()));
+      std::memcpy(p, rec.note.data(), rec.note.size());
+      p += rec.note.size();
+      break;
+  }
   assert(p == buffer_.data() + buffer_.size());
-}
-
-void TraceLogWriter::append_note(std::string_view text, SimTime t) {
-  if (!out_.is_open()) return;
-  char* p = add_record(kNotePayloadMin + text.size());
-  p = put_u8(p, static_cast<std::uint8_t>(TraceLogRecord::Type::kNote));
-  p = put_f64(p, t);
-  p = put_u32(p, static_cast<std::uint32_t>(text.size()));
-  std::memcpy(p, text.data(), text.size());
+  (void)p;
 }
 
 void TraceLogWriter::finish() {

@@ -37,16 +37,21 @@
 // sender's clock to the receive side); because every shard count
 // appends in the same order, the clocks — like everything else — are
 // identical across shard counts.
+//
+// The same records feed the flight recorder: an armed writer keeps the
+// newest TraceLogTail::kCapacity of them in memory, with or without a
+// log file, and a red run dumps that tail as msgorder.flight_recorder/2
+// (dump_postmortem_if_red, src/obs/report.hpp).
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/obs/attribution.hpp"
+#include "src/obs/json.hpp"
 #include "src/poset/event.hpp"
 #include "src/protocols/protocol.hpp"
 
@@ -71,11 +76,10 @@ struct TraceLogHeader {
   std::uint64_t channel_stream_seed(ProcessId src, ProcessId dst) const;
 };
 
-/// One decoded record.  Exactly one of the three sections is
-/// meaningful, selected by `type`; the others stay default-initialized
-/// so default equality compares whole records (the divergence bisector
-/// and the one-shard == N-shard property tests rely on this).
-struct TraceLogRecord {
+/// Every field of a record but the note text.  Trivially copyable, so
+/// the flight recorder's ring copies an event or hold record without
+/// touching a string.
+struct TraceLogFields {
   enum class Type : std::uint8_t { kEvent = 0, kHold = 1, kNote = 2 };
 
   Type type = Type::kEvent;
@@ -97,46 +101,147 @@ struct TraceLogRecord {
   MessageId held_msg = 0;
   HoldReason reason;
 
+  bool operator==(const TraceLogFields&) const = default;
+};
+
+/// One decoded record.  Exactly one of the three sections is
+/// meaningful, selected by `type`; the others stay default-initialized
+/// so default equality compares whole records (the divergence bisector
+/// and the one-shard == N-shard property tests rely on this).
+struct TraceLogRecord : TraceLogFields {
   // kNote
   std::string note;
 
   bool operator==(const TraceLogRecord&) const = default;
 };
 
-/// Append-only writer.  One instance serves one Observability bundle;
-/// each begin_run truncates and rewrites the file (the log, like the
-/// attribution table, describes the most recent run).  All appends are
-/// single-threaded by construction: a one-shard run is one thread, and
-/// a multi-shard run appends only from its single-threaded merge
-/// replay.
+/// Make `rec` the event record of `e` at `at` on message `m`.  The peer
+/// is the channel's other endpoint — the destination before the message
+/// crosses (invoke/send), the source after (receive/deliver) — so with
+/// the header seed it names the RNG stream the message's delay came
+/// from.  Only an event's fields are set (the writer fills `lamport`),
+/// so a record reused for events stays a valid event record.
+inline void set_event_record(TraceLogRecord& rec, const Message& m,
+                             ProcessId at, SystemEvent e, SimTime t,
+                             std::uint64_t tiebreak) {
+  rec.type = TraceLogRecord::Type::kEvent;
+  rec.time = t;
+  rec.tiebreak = tiebreak;
+  rec.event = e;
+  rec.process = at;
+  const bool outbound =
+      e.kind == EventKind::kInvoke || e.kind == EventKind::kSend;
+  rec.peer = outbound ? m.dst : m.src;
+  rec.color = m.color;
+}
+
+/// Make `rec` a protocol's report that it holds `msg` at `at` for
+/// `reason`; like set_event_record, only a hold's fields are set.
+inline void set_hold_record(TraceLogRecord& rec, ProcessId at, MessageId msg,
+                            const HoldReason& reason, SimTime t,
+                            std::uint64_t tiebreak) {
+  rec.type = TraceLogRecord::Type::kHold;
+  rec.time = t;
+  rec.tiebreak = tiebreak;
+  rec.process = at;
+  rec.held_msg = msg;
+  rec.reason = reason;
+}
+
+inline TraceLogRecord note_record(std::string text, SimTime t) {
+  TraceLogRecord rec;
+  rec.type = TraceLogRecord::Type::kNote;
+  rec.time = t;
+  rec.note = std::move(text);
+  return rec;
+}
+
+/// One record as a JSON object — the grammar of msgorder.query/1 and
+/// msgorder.flight_recorder/2: `type` plus, for events, msg / kind /
+/// process / peer / color / time / tiebreak / lamport; for holds, msg /
+/// process / kind (the hold reason) / blocking_msg / blocking_proc
+/// (null when unknown) / time / tiebreak; for notes, time / text.
+void write_record_json(JsonWriter& w, const TraceLogRecord& rec);
+
+/// The flight recorder: the newest kCapacity records a writer appended,
+/// kept in memory.  It is the in-memory tail of the same record stream
+/// the log file holds, and it outlives begin_run, so a short run's dump
+/// still shows the end of the run before it.
+class TraceLogTail {
+ public:
+  static constexpr std::size_t kCapacity = 1024;
+
+  /// Keep `rec`, with `lamport` as its Lamport clock.
+  void push(const TraceLogRecord& rec, std::uint64_t lamport = 0);
+
+  /// Records currently retained (== kCapacity once wrapped).
+  std::size_t size() const { return ring_.size(); }
+  /// Monotone count of everything ever pushed; size() < total_records()
+  /// iff the ring has wrapped and evicted its oldest records.
+  std::uint64_t total_records() const { return written_; }
+
+  /// Visit retained records oldest to newest.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    const std::size_t n = size();
+    for (std::size_t i = 0; i < n; ++i) {
+      fn(ring_[(written_ - n + i) % kCapacity]);
+    }
+  }
+
+  /// The ring as a msgorder.flight_recorder/2 document.  `cause` labels
+  /// why the dump happened ("monitor violation", ...); `tracelog_path`
+  /// (when a log file was written) cross-references the full history
+  /// the ring is a window of.
+  std::string to_json(const std::string& cause = "",
+                      const std::string& tracelog_path = "") const;
+
+ private:
+  std::vector<TraceLogRecord> ring_;  // grows to kCapacity, then wraps
+  std::uint64_t written_ = 0;         // write head = written_ % kCapacity
+};
+
+/// Append-only writer of the record stream.  One instance serves one
+/// Observability bundle; each begin_run truncates and rewrites the file
+/// (the log, like the attribution table, describes the most recent
+/// run).  All appends are single-threaded by construction: a one-shard
+/// run is one thread, and a multi-shard run appends only from its
+/// single-threaded merge replay.
 class TraceLogWriter {
  public:
-  explicit TraceLogWriter(std::string path) : path_(std::move(path)) {}
+  /// An empty `path` writes no file; `keep_tail` arms the flight
+  /// recorder (tail()).
+  explicit TraceLogWriter(std::string path, bool keep_tail = false);
 
   const std::string& path() const { return path_; }
   bool ok() const { return error_.empty(); }
   const std::string& error() const { return error_; }
 
-  /// Truncate the file and write magic + header; resets the logical
-  /// clocks and the per-run counters.
+  /// Truncate the file and write magic + header (when a path is set);
+  /// resets the logical clocks and the per-run counters.  The tail
+  /// persists.
   void begin_run(const TraceLogHeader& header);
 
-  void append_event(ProcessId at, SystemEvent e, SimTime t,
-                    std::uint64_t tiebreak, ProcessId peer,
-                    std::int32_t color);
-  void append_hold(ProcessId at, MessageId msg, const HoldReason& reason,
-                   SimTime t, std::uint64_t tiebreak);
-  void append_note(std::string_view text, SimTime t);
+  /// Append one record: compute an event's `lamport` (send transfers the
+  /// sender's clock to the receive side; the caller's value is
+  /// ignored), encode the record to the file when a path is set —
+  /// TraceLogStream::next decodes exactly this record, clock included —
+  /// and keep it in the tail when one is armed.
+  void append(const TraceLogRecord& rec);
 
   /// Flush buffered records to disk.  Safe to call repeatedly.
   void finish();
 
-  /// Records appended since begin_run (events + holds + notes).
+  /// Records written to the file since begin_run.
   std::uint64_t events_written() const { return events_written_; }
-  /// Bytes written since begin_run, header included.
+  /// Bytes written to the file since begin_run, header included.
   std::uint64_t bytes_written() const { return bytes_written_; }
 
+  /// The flight recorder; nullptr unless armed.
+  const TraceLogTail* tail() const { return keep_tail_ ? &tail_ : nullptr; }
+
  private:
+  void encode(const TraceLogRecord& rec, std::uint64_t lamport);
   /// Append one record's length prefix plus `payload` bytes of room to
   /// buffer_ (flushing a full buffer first) and return where the payload
   /// goes: records are encoded in place, with no per-record allocation.
@@ -152,6 +257,8 @@ class TraceLogWriter {
   /// message's send event carried (consumed by its receive).
   std::vector<std::uint64_t> proc_clock_;
   std::vector<std::uint64_t> msg_clock_;
+  bool keep_tail_ = false;
+  TraceLogTail tail_;
 };
 
 /// Streaming reader: header up front, then one record per next() call.

@@ -47,50 +47,6 @@ std::string describe_difference(const TraceLogRecord& a,
   return "";
 }
 
-void write_record_json(JsonWriter& w, const TraceLogRecord& rec) {
-  w.begin_object();
-  switch (rec.type) {
-    case TraceLogRecord::Type::kEvent:
-      w.kv("type", "event");
-      w.kv("msg", static_cast<std::uint64_t>(rec.event.msg));
-      w.kv("kind", kind_name(rec.event.kind));
-      w.kv("process", static_cast<std::uint64_t>(rec.process));
-      w.kv("peer", static_cast<std::uint64_t>(rec.peer));
-      w.kv("color", static_cast<std::int64_t>(rec.color));
-      w.kv("time", rec.time);
-      w.kv("tiebreak", rec.tiebreak);
-      w.kv("lamport", rec.lamport);
-      break;
-    case TraceLogRecord::Type::kHold: {
-      w.kv("type", "hold");
-      w.kv("msg", static_cast<std::uint64_t>(rec.held_msg));
-      w.kv("process", static_cast<std::uint64_t>(rec.process));
-      w.kv("kind", to_string(rec.reason.kind));
-      w.key("blocking_msg");
-      if (rec.reason.blocking_msg.has_value()) {
-        w.value(static_cast<std::uint64_t>(*rec.reason.blocking_msg));
-      } else {
-        w.null();
-      }
-      w.key("blocking_proc");
-      if (rec.reason.blocking_proc.has_value()) {
-        w.value(static_cast<std::uint64_t>(*rec.reason.blocking_proc));
-      } else {
-        w.null();
-      }
-      w.kv("time", rec.time);
-      w.kv("tiebreak", rec.tiebreak);
-      break;
-    }
-    case TraceLogRecord::Type::kNote:
-      w.kv("type", "note");
-      w.kv("time", rec.time);
-      w.kv("text", rec.note);
-      break;
-  }
-  w.end_object();
-}
-
 void write_header_json(JsonWriter& w, const TraceLogHeader& h) {
   w.begin_object();
   w.kv("engine", h.engine);

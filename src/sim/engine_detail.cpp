@@ -11,16 +11,16 @@ ObsSink::ObsSink(Observability* observability, const ObserverMux* observers,
   observability->begin_run(n_messages);
   instruments_ = &observability->instruments();
   attribution_ = observability->attribution();
-  recorder_ = observability->flight_recorder();
   profile_ = observability->profile();
-  tracelog_ = observability->tracelog();
+  writer_ = observability->record_writer();
   label_ = observability->options().label;
+  if (attribution_ != nullptr) received_.assign(n_messages, 0);
 }
 
 void ObsSink::open_tracelog(const char* engine, std::size_t shards,
                             std::size_t workers, SimTime lookahead,
                             std::uint64_t seed, std::size_t n_processes) {
-  if (tracelog_ == nullptr) return;
+  if (writer_ == nullptr) return;
   TraceLogHeader header;
   header.schema = "msgorder.tracelog/1";
   header.engine = engine;
@@ -31,39 +31,34 @@ void ObsSink::open_tracelog(const char* engine, std::size_t shards,
   header.shards = shards;
   header.workers = workers;
   header.lookahead = lookahead;
-  tracelog_->begin_run(header);
+  writer_->begin_run(header);
   tracelog_finished_ = false;
 }
 
 void ObsSink::finish_tracelog() {
-  if (tracelog_ == nullptr || tracelog_finished_) return;
+  if (writer_ == nullptr || tracelog_finished_) return;
   tracelog_finished_ = true;
-  tracelog_->finish();
+  writer_->finish();
   if (instruments_ != nullptr) {
-    instruments_->tracelog_events->inc(tracelog_->events_written());
-    instruments_->tracelog_bytes->inc(tracelog_->bytes_written());
+    instruments_->tracelog_events->inc(writer_->events_written());
+    instruments_->tracelog_bytes->inc(writer_->bytes_written());
   }
 }
 
 void ObsSink::record(ProcessId at, SystemEvent e, SimTime t,
                      std::uint64_t tiebreak) {
-  if (tracelog_ != nullptr) {
-    // The peer is the channel's other endpoint: the destination before
-    // the message crosses (invoke/send), the source after (receive/
-    // deliver) — with the header seed this names the RNG stream the
-    // message's delay came from (TraceLogHeader::channel_stream_seed).
-    const Message& m = trace_->universe()[e.msg];
-    const bool outbound =
-        e.kind == EventKind::kInvoke || e.kind == EventKind::kSend;
-    tracelog_->append_event(at, e, t, tiebreak, outbound ? m.dst : m.src,
-                            m.color);
+  if (writer_ != nullptr) {
+    set_event_record(event_record_, trace_->universe()[e.msg], at, e, t,
+                     tiebreak);
+    writer_->append(event_record_);
   }
   if (instruments_ != nullptr) update_instruments(e);
-  if (recorder_ != nullptr) recorder_->on_event(at, e, t);
   if (attribution_ != nullptr) {
     // The inhibited event executing closes its open hold segment, so
     // per-reason segment times sum exactly to the recorded delay.
-    if (e.kind == EventKind::kSend) {
+    if (e.kind == EventKind::kReceive) {
+      received_[e.msg] = 1;
+    } else if (e.kind == EventKind::kSend) {
       publish_closed(attribution_->on_release(e.msg, HoldPhase::kSend, t));
     } else if (e.kind == EventKind::kDeliver) {
       publish_closed(attribution_->on_release(e.msg, HoldPhase::kDelivery, t));
@@ -73,18 +68,19 @@ void ObsSink::record(ProcessId at, SystemEvent e, SimTime t,
 }
 
 void ObsSink::hold(ProcessId at, MessageId msg, const HoldReason& reason,
-                   bool received, SimTime t, std::uint64_t tiebreak) {
-  if (tracelog_ != nullptr) tracelog_->append_hold(at, msg, reason, t, tiebreak);
+                   SimTime t, std::uint64_t tiebreak) {
+  if (writer_ != nullptr) {
+    set_hold_record(hold_record_, at, msg, reason, t, tiebreak);
+    writer_->append(hold_record_);
+  }
   if (attribution_ == nullptr) return;
-  // Phase is inferred from the message's lifecycle position: once x.r*
-  // was recorded the only inhibitable transition left is the delivery.
-  const HoldPhase phase = received ? HoldPhase::kDelivery : HoldPhase::kSend;
+  const HoldPhase phase =
+      received_[msg] != 0 ? HoldPhase::kDelivery : HoldPhase::kSend;
   publish_closed(attribution_->on_hold(msg, at, phase, reason, t));
 }
 
 void ObsSink::note(std::string text, SimTime t) {
-  if (tracelog_ != nullptr) tracelog_->append_note(text, t);
-  if (recorder_ != nullptr) recorder_->note(std::move(text), t);
+  if (writer_ != nullptr) writer_->append(note_record(std::move(text), t));
 }
 
 void ObsSink::add_counts(const EngineCounters& counters) {
@@ -99,17 +95,12 @@ void ObsSink::add_counts(const EngineCounters& counters) {
   instruments_->timer_fires->inc(counters.timer_fires);
 }
 
-void ObsSink::replay(const std::vector<ObsItem>& items,
-                     std::size_t n_messages) {
-  std::vector<std::uint8_t> received(n_messages, 0);
+void ObsSink::replay(const std::vector<ObsItem>& items) {
   for (const ObsItem& item : items) {
     if (item.is_hold) {
-      hold(item.at, item.held_msg, item.reason,
-           received[item.held_msg] != 0, item.time, item.entry_tiebreak);
+      hold(item.at, item.held_msg, item.reason, item.time,
+           item.entry_tiebreak);
     } else {
-      if (item.event.kind == EventKind::kReceive) {
-        received[item.event.msg] = 1;
-      }
       record(item.at, item.event, item.time, item.entry_tiebreak);
     }
   }
@@ -139,15 +130,12 @@ void ObsSink::update_instruments(SystemEvent e) {
 }
 
 void ObsSink::publish_closed(const HoldSegment* seg) {
-  if (seg == nullptr) return;
-  if (instruments_ != nullptr) {
-    instruments_->hold_segments->inc();
-    const auto k = static_cast<std::size_t>(seg->reason.kind);
-    if (instruments_->hold_time[k] != nullptr) {
-      instruments_->hold_time[k]->record(seg->duration());
-    }
+  if (seg == nullptr || instruments_ == nullptr) return;
+  instruments_->hold_segments->inc();
+  const auto k = static_cast<std::size_t>(seg->reason.kind);
+  if (instruments_->hold_time[k] != nullptr) {
+    instruments_->hold_time[k]->record(seg->duration());
   }
-  if (recorder_ != nullptr) recorder_->on_hold_segment(*seg);
 }
 
 }  // namespace msgorder::sim_detail

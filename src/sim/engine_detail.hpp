@@ -133,11 +133,12 @@ struct ObsItem {
   HoldReason reason;        // is_hold
 };
 
-/// Fans recorded events out to instruments, flight recorder, delay
-/// attribution, trace log and observers.  A one-shard run feeds it
-/// inline per event; with several shards the engine feeds it through
-/// replay() in merge order.  Trace writes stay in the engines — the sink
-/// only *reads* trace times for the latency histograms.
+/// Fans recorded events out to instruments, delay attribution, the
+/// record writer (trace log file and flight-recorder tail) and
+/// observers.  A one-shard run feeds it inline per event; with several
+/// shards the engine feeds it through replay() in merge order.  Trace
+/// writes stay in the engines — the sink only *reads* trace times for
+/// the latency histograms.
 class ObsSink {
  public:
   /// Wires up the sink and (when observability is attached) calls
@@ -146,12 +147,12 @@ class ObsSink {
           const Trace* trace, std::size_t n_messages);
 
   bool attribution_active() const { return attribution_ != nullptr; }
-  bool has_recorder() const { return recorder_ != nullptr; }
-  bool tracelog_active() const { return tracelog_ != nullptr; }
+  /// A trace log file or a flight recorder takes records.
+  bool writer_active() const { return writer_ != nullptr; }
 
-  /// Start this run's tracelog (no-op without one): truncates the file
-  /// and writes the msgorder.tracelog/1 header.  Call before the first
-  /// event is recorded.
+  /// Start this run's record stream (no-op without a writer): truncates
+  /// the log file, if any, and writes the msgorder.tracelog/1 header.
+  /// Call before the first event is recorded.
   void open_tracelog(const char* engine, std::size_t shards,
                      std::size_t workers, SimTime lookahead,
                      std::uint64_t seed, std::size_t n_processes);
@@ -168,8 +169,8 @@ class ObsSink {
   /// True when a run with several shards must buffer ObsItems: some
   /// consumer needs events in the deterministic merge order.
   bool buffering_needed() const {
-    return instruments_ != nullptr || recorder_ != nullptr ||
-           attribution_ != nullptr || tracelog_ != nullptr ||
+    return instruments_ != nullptr || attribution_ != nullptr ||
+           writer_ != nullptr ||
            (observers_ != nullptr && !observers_->empty());
   }
 
@@ -179,12 +180,13 @@ class ObsSink {
   void record(ProcessId at, SystemEvent e, SimTime t,
               std::uint64_t tiebreak);
 
-  /// Dispatch one hold report.  `received` — whether x.r* was already
-  /// recorded for msg — selects the attribution phase.
-  void hold(ProcessId at, MessageId msg, const HoldReason& reason,
-            bool received, SimTime t, std::uint64_t tiebreak);
+  /// Dispatch one hold report.  Its attribution phase follows from the
+  /// receive records seen so far: once x.r* was recorded the only
+  /// inhibitable transition left is the delivery.
+  void hold(ProcessId at, MessageId msg, const HoldReason& reason, SimTime t,
+            std::uint64_t tiebreak);
 
-  /// Flight-recorder + tracelog annotation (no-op without either).
+  /// Record-stream annotation (no-op without a writer).
   void note(std::string text, SimTime t);
 
   /// Fold the run's packet / timer counters into the instruments; the
@@ -192,9 +194,8 @@ class ObsSink {
   void add_counts(const EngineCounters& counters);
 
   /// Replay buffered items in merge order: `items` must be sorted by
-  /// (time, entry_tiebreak).  Rebuilds the receive-seen bitmap on the
-  /// fly so hold phases match the one-shard inference.
-  void replay(const std::vector<ObsItem>& items, std::size_t n_messages);
+  /// (time, entry_tiebreak).
+  void replay(const std::vector<ObsItem>& items);
 
  private:
   void update_instruments(SystemEvent e);
@@ -204,9 +205,15 @@ class ObsSink {
   const Trace* trace_ = nullptr;
   SimInstruments* instruments_ = nullptr;
   DelayAttribution* attribution_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
   SimProfile* profile_ = nullptr;
-  TraceLogWriter* tracelog_ = nullptr;
+  TraceLogWriter* writer_ = nullptr;
+  /// The records handed to the writer, refilled in place per event and
+  /// per hold so that no record (and no string) is built or freed per
+  /// call.
+  TraceLogRecord event_record_;
+  TraceLogRecord hold_record_;
+  /// Per message: x.r* recorded (attribution only; sized with it).
+  std::vector<std::uint8_t> received_;
   /// The Observability label, used as the tracelog header's protocol.
   std::string label_;
   bool tracelog_finished_ = false;

@@ -439,8 +439,8 @@ class ShardedEngine {
 
     // Deterministic observability replay: merge the per-shard buffers
     // on (time, entry key) — stable, so intra-entry order survives —
-    // and hand them to the instruments / recorder / attribution /
-    // tracelog / observers in key order.
+    // and hand them to the instruments / attribution / record writer /
+    // observers in key order.
     if (n_shards_ > 1 && sink_.buffering_needed()) {
       std::size_t total_items = 0;
       for (auto& shard : shards_) total_items += shard->obs_items().size();
@@ -458,7 +458,7 @@ class ShardedEngine {
                          return std::tie(a.time, a.entry_tiebreak) <
                                 std::tie(b.time, b.entry_tiebreak);
                        });
-      sink_.replay(merged, universe_.size());
+      sink_.replay(merged);
     }
 
     std::string error;
@@ -736,19 +736,18 @@ void Shard::deliver(ProcessId at, MessageId msg) {
 
 void Shard::hold(ProcessId at, MessageId msg, const HoldReason& reason) {
   if (inline_sink_ != nullptr) {
-    inline_sink_->hold(at, msg, reason, eng_->receive_seen_[msg] != 0, now_,
-                       cur_tiebreak_);
+    inline_sink_->hold(at, msg, reason, now_, cur_tiebreak_);
     return;
   }
   if (!wants_hold_reasons()) return;
-  // With several shards the hold phase (send vs delivery) is inferred
-  // at replay time from the merged event order: reading receive_seen_
-  // here would race with the destination shard.
+  // With several shards the sink infers the hold phase (send vs
+  // delivery) at replay time from the merged event order: reading
+  // receive_seen_ here would race with the destination shard.
   obs_.push_back({now_, cur_tiebreak_, at, true, {}, msg, reason});
 }
 
 bool Shard::wants_hold_reasons() const {
-  return eng_->sink_.attribution_active() || eng_->sink_.tracelog_active();
+  return eng_->sink_.attribution_active() || eng_->sink_.writer_active();
 }
 
 std::size_t Shard::process_count() const { return eng_->process_count(); }

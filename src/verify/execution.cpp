@@ -146,12 +146,10 @@ void Execution::record(ProcessId at, SystemEvent e) {
     ++delivered_count_;
   }
   if (tracelog_ != nullptr) {
-    const Message& msg = scenario_->messages[e.msg];
-    const bool at_src =
-        e.kind == EventKind::kInvoke || e.kind == EventKind::kSend;
-    tracelog_->append_event(at, e, now(),
-                            static_cast<std::uint64_t>(step_),
-                            at_src ? msg.dst : msg.src, msg.color);
+    TraceLogRecord rec;
+    set_event_record(rec, scenario_->messages[e.msg], at, e, now(),
+                     static_cast<std::uint64_t>(step_));
+    tracelog_->append(rec);
   }
 }
 
@@ -161,8 +159,10 @@ void Execution::on_hold(ProcessId at, MessageId msg,
       receive_seen_[msg] != 0 ? HoldPhase::kDelivery : HoldPhase::kSend;
   attribution_.on_hold(msg, at, phase, reason, now());
   if (tracelog_ != nullptr) {
-    tracelog_->append_hold(at, msg, reason, now(),
-                           static_cast<std::uint64_t>(step_));
+    TraceLogRecord rec;
+    set_hold_record(rec, at, msg, reason, now(),
+                    static_cast<std::uint64_t>(step_));
+    tracelog_->append(rec);
   }
 }
 

@@ -146,10 +146,10 @@ bool replay_counterexample(const Scenario& scenario,
   // Replay from a FRESH reset so the tracelog sees everything,
   // including constructor-time control traffic.
   exec.replay(counterexample.schedule);
-  writer.append_note("counterexample (" + counterexample.property +
-                         " in scenario " + scenario.name + "): " +
-                         counterexample.detail,
-                     static_cast<SimTime>(exec.steps()));
+  writer.append(note_record("counterexample (" + counterexample.property +
+                                " in scenario " + scenario.name + "): " +
+                                counterexample.detail,
+                            static_cast<SimTime>(exec.steps())));
   writer.finish();
   if (!writer.ok()) {
     if (error != nullptr) *error = writer.error();

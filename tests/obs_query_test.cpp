@@ -178,7 +178,9 @@ TEST(TraceLogIndex, CutAtIsConsistentAndAccountsInFlight) {
     ASSERT_TRUE(send.has_value());
     EXPECT_LE(index.event(*send).time, t);
     const auto recv = index.find_event(m, EventKind::kReceive);
-    if (recv.has_value()) EXPECT_GT(index.event(*recv).time, t);
+    if (recv.has_value()) {
+      EXPECT_GT(index.event(*recv).time, t);
+    }
   }
   // Cuts at the extremes: before the first event, and after the last.
   const CutResult empty = cut_at(index, index.event(0).time - 1.0);

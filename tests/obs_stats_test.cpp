@@ -172,10 +172,10 @@ TEST(StatsSummary, DispatchesOnSchema) {
   EXPECT_EQ(summary.find("wait_token"), std::string::npos);
 
   const auto flight = json_parse(
-      "{\"schema\": \"msgorder.flight_recorder/1\", \"cause\": \"boom\","
+      "{\"schema\": \"msgorder.flight_recorder/2\", \"cause\": \"boom\","
       " \"capacity\": 4, \"total_records\": 7, \"dropped\": 3,"
       " \"records\": [{\"type\": \"event\"}, {\"type\": \"hold\"},"
-      " {\"type\": \"note\", \"note\": \"witness\"}]}");
+      " {\"type\": \"note\", \"time\": 2, \"text\": \"witness\"}]}");
   ASSERT_TRUE(flight.has_value());
   const std::string fsummary = stats_summary(*flight);
   EXPECT_NE(fsummary.find("cause=\"boom\""), std::string::npos);

@@ -67,7 +67,9 @@ std::optional<LoadedTraceLog> record_run(const ProtocolFactory& factory,
 
 TEST(TraceLog, WriterReaderRoundTrip) {
   const std::string path = temp_path("roundtrip.tracelog");
-  TraceLogWriter writer(path);
+  // The tail keeps every appended record as the writer completed it
+  // (Lamport clock filled), so it is the expected decoding.
+  TraceLogWriter writer(path, /*keep_tail=*/true);
   TraceLogHeader header;
   header.schema = "msgorder.tracelog/1";
   header.engine = "sequential";
@@ -78,18 +80,31 @@ TEST(TraceLog, WriterReaderRoundTrip) {
   header.lookahead = 1.5;
   writer.begin_run(header);
 
-  writer.append_event(0, SystemEvent{0, EventKind::kInvoke}, 0.5, 11, 1, 0);
-  writer.append_event(0, SystemEvent{0, EventKind::kSend}, 0.5, 11, 1, 0);
-  HoldReason reason;
-  reason.kind = HoldKind::kWaitPredecessor;
-  reason.blocking_msg = 0;
-  writer.append_hold(1, 1, reason, 0.75, 12);
-  writer.append_event(1, SystemEvent{0, EventKind::kReceive}, 1.25, 13, 0, 0);
-  writer.append_event(1, SystemEvent{0, EventKind::kDeliver}, 1.25, 13, 0, 0);
-  writer.append_note("invariant: all clear", 2.0);
+  const Message m0{0, 0, 1, /*color=*/-2};
+  const auto log_event = [&](ProcessId at, EventKind kind, SimTime t,
+                             std::uint64_t tiebreak) {
+    TraceLogRecord rec;
+    set_event_record(rec, m0, at, {0, kind}, t, tiebreak);
+    writer.append(rec);
+  };
+  const auto log_hold = [&](ProcessId at, const HoldReason& reason,
+                            SimTime t, std::uint64_t tiebreak) {
+    TraceLogRecord rec;
+    set_hold_record(rec, at, 1, reason, t, tiebreak);
+    writer.append(rec);
+  };
+  log_event(0, EventKind::kInvoke, 0.5, 11);
+  log_event(0, EventKind::kSend, 0.5, 11);
+  log_hold(1, HoldReason::predecessor(0, std::nullopt), 0.75, 12);
+  log_event(1, EventKind::kReceive, 1.25, 13);
+  log_event(1, EventKind::kDeliver, 1.25, 13);
+  log_hold(2, HoldReason::predecessor(0, 1), 1.5, 14);
+  log_hold(2, HoldReason::flush(0), 1.75, 15);
+  log_hold(2, HoldReason::token(), 1.75, 15);
+  writer.append(note_record("invariant: all clear", 2.0));
   writer.finish();
   ASSERT_TRUE(writer.ok()) << writer.error();
-  EXPECT_EQ(writer.events_written(), 6u);
+  EXPECT_EQ(writer.events_written(), 9u);
 
   std::string error;
   const auto log = load_tracelog(path, &error);
@@ -100,16 +115,18 @@ TEST(TraceLog, WriterReaderRoundTrip) {
   EXPECT_EQ(log->header.n_processes, 3u);
   EXPECT_EQ(log->header.seed, 42u);
   EXPECT_DOUBLE_EQ(log->header.lookahead, 1.5);
-  ASSERT_EQ(log->records.size(), 6u);
+  ASSERT_EQ(log->records.size(), 9u);
   ASSERT_EQ(log->events.size(), 4u);
 
   const TraceLogRecord& send = log->records[1];
   EXPECT_EQ(send.type, TraceLogRecord::Type::kEvent);
   EXPECT_EQ(send.event.kind, EventKind::kSend);
   EXPECT_EQ(send.process, 0u);
-  EXPECT_EQ(send.peer, 1u);
+  EXPECT_EQ(send.peer, 1u);  // outbound: the destination
+  EXPECT_EQ(send.color, -2);
   EXPECT_DOUBLE_EQ(send.time, 0.5);
   EXPECT_EQ(send.tiebreak, 11u);
+  EXPECT_EQ(log->records[3].peer, 0u);  // inbound: the source
   // Online Lamport clocks: invoke=1, send=2, receive=max(0,2)+1=3,
   // deliver=4.
   EXPECT_EQ(log->records[0].lamport, 1u);
@@ -125,19 +142,29 @@ TEST(TraceLog, WriterReaderRoundTrip) {
   ASSERT_TRUE(hold.reason.blocking_msg.has_value());
   EXPECT_EQ(*hold.reason.blocking_msg, 0u);
   EXPECT_FALSE(hold.reason.blocking_proc.has_value());
+  EXPECT_EQ(log->records[5].reason.blocking_proc, std::optional<ProcessId>(1));
+  EXPECT_FALSE(log->records[6].reason.blocking_msg.has_value());
+  EXPECT_EQ(log->records[6].reason.blocking_proc, std::optional<ProcessId>(0));
+  EXPECT_EQ(log->records[7].reason, HoldReason::token());
 
-  const TraceLogRecord& note = log->records[5];
+  const TraceLogRecord& note = log->records[8];
   EXPECT_EQ(note.type, TraceLogRecord::Type::kNote);
   EXPECT_EQ(note.note, "invariant: all clear");
   EXPECT_DOUBLE_EQ(note.time, 2.0);
 
-  // Streaming reader agrees with the bulk loader.
+  // The streaming reader decodes exactly what was appended: append and
+  // TraceLogStream::next are inverses.
+  std::vector<TraceLogRecord> appended;
+  writer.tail()->for_each(
+      [&](const TraceLogRecord& r) { appended.push_back(r); });
+  ASSERT_EQ(appended.size(), 9u);
   TraceLogStream stream;
   ASSERT_TRUE(stream.open(path, &error)) << error;
   TraceLogRecord rec;
-  for (const TraceLogRecord& expected : log->records) {
+  for (std::size_t i = 0; i < appended.size(); ++i) {
     ASSERT_EQ(stream.next(&rec, &error), 1) << error;
-    EXPECT_TRUE(rec == expected);
+    EXPECT_TRUE(rec == appended[i]) << "record " << i;
+    EXPECT_TRUE(rec == log->records[i]) << "record " << i;
   }
   EXPECT_EQ(stream.next(&rec, &error), 0);
   std::remove(path.c_str());
