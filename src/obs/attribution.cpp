@@ -63,6 +63,33 @@ const HoldSegment* DelayAttribution::on_release(MessageId msg,
   return close_open(pm, now);
 }
 
+DelayAttribution::UndoPoint DelayAttribution::undo_point(
+    MessageId msg) const {
+  UndoPoint point;
+  point.msg = msg;
+  if (msg >= per_message_.size()) return point;  // undo() ignores it
+  point.before = per_message_[msg];
+  point.segments = static_cast<std::uint32_t>(closed_.size());
+  const auto kind = static_cast<std::size_t>(point.before.reason.kind);
+  if (kind < kHoldKindCount) point.total_before = totals_by_kind_[kind];
+  return point;
+}
+
+void DelayAttribution::undo(const UndoPoint& point) {
+  if (point.msg >= per_message_.size()) return;
+  if (closed_.size() > point.segments) {
+    // The call closed the open segment: unlink and drop it.
+    closed_.resize(point.segments);
+    next_.resize(point.segments);
+    if (point.before.last_closed != kNoSegment) {
+      next_[point.before.last_closed] = kNoSegment;
+    }
+    const auto kind = static_cast<std::size_t>(point.before.reason.kind);
+    if (kind < kHoldKindCount) totals_by_kind_[kind] = point.total_before;
+  }
+  per_message_[point.msg] = point.before;
+}
+
 SimTime DelayAttribution::held_time(MessageId msg, HoldPhase phase) const {
   SimTime total = 0;
   for (const HoldSegment& s : segments(msg)) {

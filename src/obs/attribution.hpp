@@ -119,6 +119,14 @@ class DelayAttribution {
     return per_message_[msg].open;
   }
 
+  /// Step-back support for the exhaustive verifier, which walks one
+  /// path and backtracks along it: take undo_point(msg) right before
+  /// an on_hold()/on_release() for `msg`, and undo() puts everything
+  /// that call changed back.  Undo newest first.
+  class UndoPoint;
+  UndoPoint undo_point(MessageId msg) const;
+  void undo(const UndoPoint& point);
+
   /// Append the "attribution" report section: per-reason totals plus
   /// the per-message table (only messages that were ever held), as an
   /// open value for the current key (schema part of
@@ -141,6 +149,17 @@ class DelayAttribution {
 
   const HoldSegment* close_open(PerMessage& pm, SimTime now);
 
+ public:
+  class UndoPoint {
+    friend class DelayAttribution;
+    MessageId msg = 0;
+    PerMessage before;
+    std::uint32_t segments = 0;
+    /// The total a close would add to: the open segment's kind.
+    SimTime total_before = 0;
+  };
+
+ private:
   std::vector<PerMessage> per_message_;
   /// Every closed segment of the run, in closing order; next_[i] is the
   /// next closed segment of the same message (kNoSegment at the end).

@@ -398,9 +398,8 @@ std::string summarize_verify(const JsonValue& doc) {
   out << "  states=" << fmt(doc.number_at("states_total").value_or(0))
       << " transitions="
       << fmt(doc.number_at("transitions_total").value_or(0))
-      << " replays=" << fmt(doc.number_at("replays_total").value_or(0))
-      << " replayed_actions="
-      << fmt(doc.number_at("replayed_actions_total").value_or(0)) << "\n";
+      << " restored_hosts="
+      << fmt(doc.number_at("restored_hosts_total").value_or(0)) << "\n";
   out << "  spec_checks="
       << fmt(doc.number_at("spec_checks_total").value_or(0))
       << " spec_memo_hits="
@@ -422,7 +421,8 @@ std::string summarize_verify(const JsonValue& doc) {
       out << "  " << stack.string_at("stack").value_or("?") << ": "
           << stack.string_at("verdict").value_or("?")
           << " states=" << fmt(stack.number_at("states").value_or(0))
-          << " replays=" << fmt(stack.number_at("replays").value_or(0))
+          << " restored_hosts="
+          << fmt(stack.number_at("restored_hosts").value_or(0))
           << " spec_checks="
           << fmt(stack.number_at("spec_checks").value_or(0))
           << " reinterned="

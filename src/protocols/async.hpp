@@ -20,6 +20,10 @@ class AsyncProtocol final : public Protocol {
     (void)out;
     return true;
   }
+  bool restore(codec::Reader& in) override {
+    (void)in;
+    return true;
+  }
 
   static ProtocolFactory factory();
 

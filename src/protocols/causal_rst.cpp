@@ -82,6 +82,19 @@ bool CausalRstProtocol::snapshot(std::string& out) const {
   return true;
 }
 
+bool CausalRstProtocol::restore(codec::Reader& in) {
+  const std::size_t n = host_.process_count();
+  sent_ = in.matrix_clock(n);
+  for (std::uint32_t& d : delivered_) d = in.u32();
+  buffer_.resize(in.u32());
+  for (Buffered& b : buffer_) {
+    b.msg = in.u32();
+    b.src = in.u32();
+    b.tag.sent = in.matrix_clock(n);
+  }
+  return true;
+}
+
 ProtocolFactory CausalRstProtocol::factory() {
   return [](Host& host) {
     return std::make_unique<CausalRstProtocol>(host);

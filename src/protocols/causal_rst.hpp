@@ -30,6 +30,7 @@ class CausalRstProtocol final : public Protocol {
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "causal-rst"; }
   bool snapshot(std::string& out) const override;
+  bool restore(codec::Reader& in) override;
   bool quiescent() const override { return buffer_.empty(); }
 
   static ProtocolFactory factory();

@@ -89,6 +89,23 @@ bool CausalSesProtocol::snapshot(std::string& out) const {
   return true;
 }
 
+bool CausalSesProtocol::restore(codec::Reader& in) {
+  const std::size_t n = host_.process_count();
+  last_sent_.clear();
+  std::uint32_t pairs = in.u32();
+  time_ = in.vector_clock(n);
+  for (; pairs > 0; --pairs) Tag::read_pair(in, n, last_sent_);
+  buffer_.resize(in.u32());
+  for (Buffered& b : buffer_) {
+    b.msg = in.u32();
+    b.tag.last_sent.clear();
+    pairs = in.u32();
+    b.tag.timestamp = in.vector_clock(n);
+    for (; pairs > 0; --pairs) Tag::read_pair(in, n, b.tag.last_sent);
+  }
+  return true;
+}
+
 ProtocolFactory CausalSesProtocol::factory() {
   return [](Host& host) {
     return std::make_unique<CausalSesProtocol>(host);

@@ -33,6 +33,7 @@ class CausalSesProtocol final : public Protocol {
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "causal-ses"; }
   bool snapshot(std::string& out) const override;
+  bool restore(codec::Reader& in) override;
   bool quiescent() const override { return buffer_.empty(); }
 
   static ProtocolFactory factory();
@@ -57,12 +58,14 @@ class CausalSesProtocol final : public Protocol {
     static Tag decode(std::string_view payload, std::size_t n) {
       codec::Reader in(payload);
       Tag tag{in.vector_clock(n), {}};
-      while (!in.done()) {
-        const ProcessId dst = in.u32();
-        tag.last_sent.emplace_hint(tag.last_sent.end(), dst,
-                                   in.vector_clock(n));
-      }
+      while (!in.done()) read_pair(in, n, tag.last_sent);
       return tag;
+    }
+    /// One (destination, vector) pair of encode()'s list into `pairs`.
+    static void read_pair(codec::Reader& in, std::size_t n,
+                          std::map<ProcessId, VectorClock>& pairs) {
+      const ProcessId dst = in.u32();
+      pairs.emplace_hint(pairs.end(), dst, in.vector_clock(n));
     }
     bool operator==(const Tag&) const = default;
   };

@@ -59,6 +59,21 @@ bool FifoProtocol::snapshot(std::string& out) const {
   return true;
 }
 
+bool FifoProtocol::restore(codec::Reader& in) {
+  codec::read_u32_map(in, next_out_);
+  codec::read_u32_map(in, next_in_);
+  buffer_.clear();
+  for (std::uint32_t k = in.u32(); k > 0; --k) {
+    std::vector<Pending>& pendings = buffer_[in.u32()];
+    pendings.resize(in.u32());
+    for (Pending& p : pendings) {
+      p.msg = in.u32();
+      p.seq = in.u32();
+    }
+  }
+  return true;
+}
+
 bool FifoProtocol::quiescent() const {
   for (const auto& [src, pendings] : buffer_) {
     if (!pendings.empty()) return false;

@@ -22,6 +22,7 @@ class FifoProtocol final : public Protocol {
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "fifo"; }
   bool snapshot(std::string& out) const override;
+  bool restore(codec::Reader& in) override;
   bool quiescent() const override;
 
   static ProtocolFactory factory();

@@ -100,6 +100,29 @@ bool FlushChannelProtocol::snapshot(std::string& out) const {
   return true;
 }
 
+bool FlushChannelProtocol::restore(codec::Reader& in) {
+  out_.clear();
+  for (std::uint32_t k = in.u32(); k > 0; --k) {
+    ChannelOut& ch = out_[in.u32()];
+    ch.next_seq = in.u32();
+    ch.last_barrier = in.u32();
+  }
+  in_.clear();
+  for (std::uint32_t k = in.u32(); k > 0; --k) {
+    ChannelIn& ch = in_[in.u32()];
+    ch.delivered.resize(in.u32());
+    for (std::size_t s = 0; s < ch.delivered.size(); ++s) {
+      ch.delivered[s] = in.u8() != 0;
+    }
+    ch.buffer.resize(in.u32());
+    for (auto& [msg, tag] : ch.buffer) {
+      msg = in.u32();
+      tag = Tag::read(in);
+    }
+  }
+  return true;
+}
+
 bool FlushChannelProtocol::quiescent() const {
   for (const auto& [src, ch] : in_) {
     if (!ch.buffer.empty()) return false;

@@ -43,6 +43,7 @@ class FlushChannelProtocol final : public Protocol {
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "flush-channel"; }
   bool snapshot(std::string& out) const override;
+  bool restore(codec::Reader& in) override;
   bool quiescent() const override;
 
   static ProtocolFactory factory();
@@ -65,6 +66,9 @@ class FlushChannelProtocol final : public Protocol {
     }
     static Tag decode(std::string_view payload) {
       codec::Reader in(payload);
+      return read(in);
+    }
+    static Tag read(codec::Reader& in) {
       const std::uint32_t seq = in.u32();
       const std::uint32_t barrier = in.u32();
       return Tag{seq, barrier, static_cast<int>(in.u32())};

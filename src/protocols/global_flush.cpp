@@ -112,6 +112,25 @@ bool GlobalFlushProtocol::snapshot(std::string& out) const {
   return true;
 }
 
+bool GlobalFlushProtocol::restore(codec::Reader& in) {
+  const std::size_t n = host_.process_count();
+  if (in.u32() != static_cast<std::uint32_t>(red_color_)) return false;
+  sent_ = in.matrix_clock(n);
+  red_frontier_ = in.matrix_clock(n);
+  delivered_seqs_.resize(in.u32());
+  for (auto& seqs : delivered_seqs_) {
+    seqs.resize(in.u32());
+    for (std::size_t s = 0; s < seqs.size(); ++s) seqs[s] = in.u8() != 0;
+  }
+  buffer_.resize(in.u32());
+  for (Buffered& b : buffer_) {
+    b.msg = in.u32();
+    b.src = in.u32();
+    b.tag = Tag::read(in, n);
+  }
+  return true;
+}
+
 ProtocolFactory GlobalFlushProtocol::factory(int red_color) {
   return [red_color](Host& host) {
     return std::make_unique<GlobalFlushProtocol>(host, red_color);

@@ -52,6 +52,7 @@ class GlobalFlushProtocol final : public Protocol {
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "global-flush"; }
   bool snapshot(std::string& out) const override;
+  bool restore(codec::Reader& in) override;
   bool quiescent() const override { return buffer_.empty(); }
 
   static ProtocolFactory factory(int red_color = 1);
@@ -71,6 +72,9 @@ class GlobalFlushProtocol final : public Protocol {
     }
     static Tag decode(std::string_view payload, std::size_t n) {
       codec::Reader in(payload);
+      return read(in, n);
+    }
+    static Tag read(codec::Reader& in, std::size_t n) {
       MatrixClock sent = in.matrix_clock(n);
       MatrixClock red_frontier = in.matrix_clock(n);
       return Tag{std::move(sent), std::move(red_frontier), in.u8() != 0};

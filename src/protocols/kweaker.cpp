@@ -101,6 +101,25 @@ bool KWeakerCausalProtocol::snapshot(std::string& out) const {
   return true;
 }
 
+bool KWeakerCausalProtocol::restore(codec::Reader& in) {
+  if (in.u64() != k_) return false;
+  known_.clear();
+  for (std::uint32_t i = in.u32(); i > 0; --i) {
+    known_.insert(known_.end(), Tag::read_chain(in));
+  }
+  delivered_here_.clear();
+  for (std::uint32_t i = in.u32(); i > 0; --i) {
+    delivered_here_.insert(delivered_here_.end(), in.u32());
+  }
+  buffer_.resize(in.u32());
+  for (Buffered& b : buffer_) {
+    b.msg = in.u32();
+    b.tag.chains.resize(in.u32());
+    for (auto& chain : b.tag.chains) chain = Tag::read_chain(in);
+  }
+  return true;
+}
+
 ProtocolFactory KWeakerCausalProtocol::factory(std::size_t k) {
   return [k](Host& host) {
     return std::make_unique<KWeakerCausalProtocol>(host, k);

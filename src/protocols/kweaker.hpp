@@ -45,6 +45,7 @@ class KWeakerCausalProtocol final : public Protocol {
     return "kweaker-causal(k=" + std::to_string(k_) + ")";
   }
   bool snapshot(std::string& out) const override;
+  bool restore(codec::Reader& in) override;
   bool quiescent() const override { return buffer_.empty(); }
 
   static ProtocolFactory factory(std::size_t k);
@@ -73,15 +74,16 @@ class KWeakerCausalProtocol final : public Protocol {
     void encode(std::string& out) const {
       for (const auto& [msg, entry] : chains) put_chain(out, msg, entry);
     }
+    static std::pair<MessageId, ChainEntry> read_chain(codec::Reader& in) {
+      const MessageId msg = in.u32();
+      const ProcessId dst = in.u32();
+      return {msg, ChainEntry{dst, in.u32()}};
+    }
     static Tag decode(std::string_view payload) {
       codec::Reader in(payload);
       Tag tag;
       tag.chains.reserve(payload.size() / 12);
-      while (!in.done()) {
-        const MessageId msg = in.u32();
-        const ProcessId dst = in.u32();
-        tag.chains.emplace_back(msg, ChainEntry{dst, in.u32()});
-      }
+      while (!in.done()) tag.chains.push_back(read_chain(in));
       return tag;
     }
     bool operator==(const Tag&) const = default;

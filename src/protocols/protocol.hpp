@@ -22,6 +22,10 @@
 
 namespace msgorder {
 
+namespace codec {
+class Reader;
+}
+
 using SimTime = double;
 
 /// Why a protocol is currently inhibiting (holding) a message rather
@@ -157,17 +161,27 @@ class Protocol {
 
   virtual std::string name() const = 0;
 
-  /// Verifier hooks (ISSUE 10).  snapshot() appends a *canonical*
-  /// encoding of the instance's full state — two instances that would
-  /// behave identically on every future input must encode identically,
-  /// and counters that only grow with control chatter (emission counts,
+  /// Verifier hooks.  snapshot() appends a *canonical* encoding of the
+  /// instance's full state — two instances that would behave
+  /// identically on every future input must encode identically, and
+  /// counters that only grow with control chatter (emission counts,
   /// timer ids) must be left out so idle control cycles close in the
-  /// visited-state set.  Returns false when the protocol does not
-  /// support canonical snapshots; the verifier then explores without
-  /// its state cache, which stays sound but is exponential on a stack
-  /// with control cycles.  Every registry stack implements it.
+  /// visited-state set.  restore() is its exact inverse: it replaces
+  /// the instance's state with the one `in` encodes (what snapshot()
+  /// wrote, possibly from another instance of the same stack at the
+  /// same process), without calling the host.  The verifier keys states
+  /// on snapshot() and backtracks by restore(), so the encoding must
+  /// also be complete: a field it leaves out is lost on every step
+  /// back, and the restore oracle test (tests/verify_test.cpp) sees the
+  /// divergence.  Both return false when the protocol does not support
+  /// them, and the verifier then refuses the stack.  Every registry
+  /// stack implements both.
   virtual bool snapshot(std::string& out) const {
     (void)out;
+    return false;
+  }
+  virtual bool restore(codec::Reader& in) {
+    (void)in;
     return false;
   }
 

@@ -44,6 +44,7 @@ class ReliableProtocol final : public Protocol {
   void on_timer(std::uint64_t cookie) override;
   std::string name() const override;
   bool snapshot(std::string& out) const override;
+  bool restore(codec::Reader& in) override;
   bool quiescent() const override;
 
   /// Wrap a factory: reliable(fifo), reliable(causal-rst), ...
@@ -76,7 +77,6 @@ class ReliableProtocol final : public Protocol {
   struct PendingPacket {
     Packet packet;  // the enveloped packet, ready to re-send
     std::size_t retransmissions = 0;
-    bool acked = false;
   };
 
   void ship(Packet inner_packet);

@@ -72,7 +72,9 @@ class Reader {
   std::uint8_t u8() { return static_cast<std::uint8_t>(little_endian(1)); }
   std::uint32_t u32() { return static_cast<std::uint32_t>(little_endian(4)); }
   std::uint64_t u64() { return little_endian(8); }
-  std::string str() { return std::string(take(u32())); }
+  std::string str() { return std::string(str_view()); }
+  /// What put_str() wrote, without copying it out.
+  std::string_view str_view() { return take(u32()); }
   VectorClock vector_clock(std::size_t n) {
     VectorClock v(n);
     for (std::size_t i = 0; i < n; ++i) v[i] = u32();
@@ -114,6 +116,16 @@ void put_u32_map(std::string& out, const Map& map) {
   for (const auto& [key, value] : map) {
     put_u32(out, key);
     put_u32(out, value);
+  }
+}
+
+/// Reads back what put_u32_map() wrote, replacing `map`'s contents.
+template <class Map>
+void read_u32_map(Reader& in, Map& map) {
+  map.clear();
+  for (std::uint32_t k = in.u32(); k > 0; --k) {
+    const std::uint32_t key = in.u32();
+    map.emplace_hint(map.end(), key, in.u32());
   }
 }
 

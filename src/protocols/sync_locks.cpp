@@ -180,6 +180,30 @@ bool SyncLocksProtocol::snapshot(std::string& out) const {
   return true;
 }
 
+bool SyncLocksProtocol::restore(codec::Reader& in) {
+  pending_.resize(in.u32());
+  for (MessageId& msg : pending_) msg = in.u32();
+  active_.reset();
+  if (in.u8() != 0) {
+    Exchange& exchange = active_.emplace();
+    exchange.msg = in.u32();
+    exchange.first_lock = in.u32();
+    exchange.second_lock = in.u32();
+    exchange.locks_held = in.u8();
+  }
+  lock_.holder.reset();
+  if (in.u8() != 0) {
+    const ProcessId requester = in.u32();
+    lock_.holder.emplace(requester, in.u32());
+  }
+  lock_.queue.resize(in.u32());
+  for (auto& [requester, msg] : lock_.queue) {
+    requester = in.u32();
+    msg = in.u32();
+  }
+  return true;
+}
+
 ProtocolFactory SyncLocksProtocol::factory() {
   return [](Host& host) {
     return std::make_unique<SyncLocksProtocol>(host);

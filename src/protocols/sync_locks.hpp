@@ -36,6 +36,7 @@ class SyncLocksProtocol final : public Protocol {
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "sync-locks"; }
   bool snapshot(std::string& out) const override;
+  bool restore(codec::Reader& in) override;
   bool quiescent() const override {
     return pending_.empty() && !active_.has_value() &&
            !lock_.holder.has_value() && lock_.queue.empty();

@@ -101,6 +101,16 @@ bool SyncSequencerProtocol::snapshot(std::string& out) const {
   return true;
 }
 
+bool SyncSequencerProtocol::restore(codec::Reader& in) {
+  busy_ = in.u8() != 0;
+  grant_queue_.resize(in.u32());
+  for (auto& [requester, msg] : grant_queue_) {
+    requester = in.u32();
+    msg = in.u32();
+  }
+  return true;
+}
+
 ProtocolFactory SyncSequencerProtocol::factory() {
   return [](Host& host) {
     return std::make_unique<SyncSequencerProtocol>(host);

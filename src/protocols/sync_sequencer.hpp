@@ -24,6 +24,7 @@ class SyncSequencerProtocol final : public Protocol {
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "sync-sequencer"; }
   bool snapshot(std::string& out) const override;
+  bool restore(codec::Reader& in) override;
   bool quiescent() const override { return !busy_ && grant_queue_.empty(); }
 
   static ProtocolFactory factory();

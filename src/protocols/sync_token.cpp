@@ -87,6 +87,14 @@ bool SyncTokenProtocol::snapshot(std::string& out) const {
   return true;
 }
 
+bool SyncTokenProtocol::restore(codec::Reader& in) {
+  holding_ = in.u8() != 0;
+  awaiting_ack_ = in.u8() != 0;
+  pending_.resize(in.u32());
+  for (MessageId& msg : pending_) msg = in.u32();
+  return true;
+}
+
 ProtocolFactory SyncTokenProtocol::factory() {
   return [](Host& host) {
     return std::make_unique<SyncTokenProtocol>(host);

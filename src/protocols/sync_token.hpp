@@ -21,6 +21,7 @@ class SyncTokenProtocol final : public Protocol {
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "sync-token"; }
   bool snapshot(std::string& out) const override;
+  bool restore(codec::Reader& in) override;
   /// The idle token circulating is not an obligation; an unsent message
   /// or an unacked exchange is.
   bool quiescent() const override { return pending_.empty() && !awaiting_ack_; }

@@ -42,6 +42,46 @@ void Trace::add_counts(const TraceCounts& counts) {
   duplicate_arrivals_ += counts.duplicate_arrivals;
 }
 
+void Trace::unrecord(ProcessId p) {
+  const SystemEvent e = logs_[p].back().event;
+  logs_[p].pop_back();
+  MessageTimes& mt = times_[e.msg];
+  switch (e.kind) {
+    case EventKind::kInvoke:
+      mt.invoke.reset();
+      --invoked_;
+      break;
+    case EventKind::kSend:
+      mt.send.reset();
+      break;
+    case EventKind::kReceive:
+      mt.receive.reset();
+      break;
+    case EventKind::kDeliver:
+      mt.deliver.reset();
+      --delivered_;
+      break;
+  }
+}
+
+TraceCounts Trace::counts() const {
+  return {invoked_,     delivered_,   control_packets_,
+          user_packets_, control_bytes_, tag_bytes_,
+          drops_,       retransmissions_, duplicate_arrivals_};
+}
+
+void Trace::set_counts(const TraceCounts& counts) {
+  invoked_ = counts.invoked;
+  delivered_ = counts.delivered;
+  control_packets_ = counts.control_packets;
+  user_packets_ = counts.user_packets;
+  control_bytes_ = counts.control_bytes;
+  tag_bytes_ = counts.tag_bytes;
+  drops_ = counts.drops;
+  retransmissions_ = counts.retransmissions;
+  duplicate_arrivals_ = counts.duplicate_arrivals;
+}
+
 void Trace::count_control_packet(std::size_t bytes) {
   ++control_packets_;
   control_bytes_ += bytes;

@@ -86,6 +86,15 @@ class Trace {
   /// Fold a per-shard counter block into the trace-wide totals.
   void add_counts(const TraceCounts& counts);
 
+  /// Step-back support for the exhaustive verifier, which walks one
+  /// path and backtracks along it.  unrecord(p) undoes the newest
+  /// record() at `p`: its log entry, its timestamp and its invoke or
+  /// deliver count.  counts() and set_counts() read and put back every
+  /// counter at once.
+  void unrecord(ProcessId p);
+  TraceCounts counts() const;
+  void set_counts(const TraceCounts& counts);
+
   void count_control_packet(std::size_t bytes);
   void count_user_packet(std::size_t tag_bytes);
   void count_drop() { ++drops_; }

@@ -49,6 +49,7 @@ class Execution::ProcHost final : public Host {
     if (it == timers.end() || *it != timer) {
       timers.insert(it, timer);
       exec_->timers_dirty_ = true;
+      exec_->journal_.push_back({Undo::Kind::kArm, self_, 0, cookie});
     }
   }
   void hold(MessageId msg, const HoldReason& reason) override {
@@ -112,6 +113,11 @@ void Execution::reset() {
   receive_seen_.assign(m, 0);
   trace_ = blank_trace_;
   attribution_ = blank_attribution_;
+  journal_.clear();
+  erased_.clear();
+  hold_undo_.clear();
+  checkpoints_.clear();
+  checkpoint_words_.clear();
   delivered_count_ = 0;
   drops_used_ = 0;
   step_ = 0;
@@ -125,25 +131,25 @@ void Execution::reset() {
   }
 }
 
-void Execution::replay(const std::vector<VerifyAction>& schedule) {
-  reset();
-  for (const VerifyAction& action : schedule) apply(action);
-}
-
 void Execution::record(ProcessId at, SystemEvent e) {
   trace_.record(at, e, now());
+  journal_.push_back(
+      {Undo::Kind::kRecord, at, static_cast<std::uint32_t>(e.kind), 0});
   if (e.kind == EventKind::kSend || e.kind == EventKind::kDeliver) {
     histories_[at].push_back(
         {e.msg, e.kind == EventKind::kSend ? UserEventKind::kSend
                                            : UserEventKind::kDeliver});
-  }
-  // Mirror the simulator's ObsSink release contract exactly: the send
-  // event closes the send-phase hold, the delivery the delivery-phase.
-  if (e.kind == EventKind::kSend) {
-    attribution_.on_release(e.msg, HoldPhase::kSend, now());
-  } else if (e.kind == EventKind::kDeliver) {
-    attribution_.on_release(e.msg, HoldPhase::kDelivery, now());
-    ++delivered_count_;
+    // Mirror the simulator's ObsSink release contract exactly: the
+    // send event closes the send-phase hold, the delivery the
+    // delivery-phase.
+    hold_undo_.push_back(attribution_.undo_point(e.msg));
+    journal_.push_back({Undo::Kind::kHold, at, 0, 0});
+    if (e.kind == EventKind::kSend) {
+      attribution_.on_release(e.msg, HoldPhase::kSend, now());
+    } else {
+      attribution_.on_release(e.msg, HoldPhase::kDelivery, now());
+      ++delivered_count_;
+    }
   }
   if (tracelog_ != nullptr) {
     TraceLogRecord rec;
@@ -157,6 +163,8 @@ void Execution::on_hold(ProcessId at, MessageId msg,
                         const HoldReason& reason) {
   const HoldPhase phase =
       receive_seen_[msg] != 0 ? HoldPhase::kDelivery : HoldPhase::kSend;
+  hold_undo_.push_back(attribution_.undo_point(msg));
+  journal_.push_back({Undo::Kind::kHold, at, 0, 0});
   attribution_.on_hold(msg, at, phase, reason, now());
   if (tracelog_ != nullptr) {
     TraceLogRecord rec;
@@ -173,15 +181,18 @@ void Execution::send_from(ProcessId from, Packet packet) {
     case sim_detail::SendClass::kControl:
       break;
     case sim_detail::SendClass::kFirstSend:
+      journal_.push_back({Undo::Kind::kSendSeen, from, packet.user_msg, 0});
       record(from, {packet.user_msg, EventKind::kSend});
       break;
     case sim_detail::SendClass::kRetransmission:
       trace_.count_retransmission();
       break;
   }
-  const ProcessId dst = packet.dst;
-  channel_dirty_[channel_index(from, dst)] = 1;
-  channel(from, dst).push_back({std::move(packet), next_uid_++});
+  const std::size_t c = channel_index(from, packet.dst);
+  channel_dirty_[c] = 1;
+  journal_.push_back(
+      {Undo::Kind::kPush, from, static_cast<std::uint32_t>(c), 0});
+  channels_[c].push_back({std::move(packet), next_uid_++});
 }
 
 void Execution::apply(const VerifyAction& action) {
@@ -193,6 +204,7 @@ void Execution::apply(const VerifyAction& action) {
       assert(next_invoke_[m.src] < invoke_order_[m.src].size() &&
              invoke_order_[m.src][next_invoke_[m.src]] == msg);
       ++next_invoke_[m.src];
+      journal_.push_back({Undo::Kind::kInvoke, m.src, 0, 0});
       host_dirty_[m.src] = 1;
       record(m.src, {msg, EventKind::kInvoke});
       protocols_[m.src]->on_invoke(m);
@@ -200,15 +212,21 @@ void Execution::apply(const VerifyAction& action) {
     }
     case VerifyAction::Kind::kDeliver:
     case VerifyAction::Kind::kDrop: {
-      auto& queue = channel(action.peer, action.proc);
+      const std::size_t c = channel_index(action.peer, action.proc);
+      auto& queue = channels_[c];
       auto it = std::find_if(queue.begin(), queue.end(),
                              [&](const InFlight& f) {
                                return f.uid == action.id;
                              });
       assert(it != queue.end() && "scheduled packet not in flight");
-      Packet pkt = std::move(it->packet);
+      // The packet moves to the journal: rewind() puts it back in place.
+      journal_.push_back({Undo::Kind::kErase, action.proc,
+                          static_cast<std::uint32_t>(c),
+                          static_cast<std::uint64_t>(it - queue.begin())});
+      erased_.push_back(std::move(*it));
       queue.erase(it);
-      channel_dirty_[channel_index(action.peer, action.proc)] = 1;
+      const Packet& pkt = erased_.back().packet;
+      channel_dirty_[c] = 1;
       if (action.kind == VerifyAction::Kind::kDrop) {
         ++drops_used_;
         trace_.count_drop();
@@ -223,6 +241,8 @@ void Execution::apply(const VerifyAction& action) {
                 trace_.count_control_packet(pkt.payload.size());
                 break;
               case sim_detail::ArrivalClass::kFirstUser:
+                journal_.push_back({Undo::Kind::kReceiveSeen, action.proc,
+                                    pkt.user_msg, 0});
                 trace_.count_user_packet(pkt.payload.size());
                 record(action.proc, {pkt.user_msg, EventKind::kReceive});
                 break;
@@ -237,7 +257,10 @@ void Execution::apply(const VerifyAction& action) {
       const auto it =
           std::find(timers_.begin(), timers_.end(),
                     std::make_pair(action.proc, action.id));
-      if (it != timers_.end()) timers_.erase(it);
+      if (it != timers_.end()) {
+        timers_.erase(it);
+        journal_.push_back({Undo::Kind::kFire, action.proc, 0, action.id});
+      }
       timers_dirty_ = true;
       host_dirty_[action.proc] = 1;
       protocols_[action.proc]->on_timer(action.id);
@@ -319,15 +342,120 @@ void Execution::invalidate_key() {
   std::fill(history_keyed_.begin(), history_keyed_.end(), 0);
 }
 
-void Execution::restore_key(std::span<const std::uint32_t> key) {
-  assert(key.size() == key_.size());
-  std::copy(key.begin(), key.end(), key_.begin());
-  std::fill(host_dirty_.begin(), host_dirty_.end(), 0);
-  std::fill(channel_dirty_.begin(), channel_dirty_.end(), 0);
-  timers_dirty_ = false;
-  for (ProcessId p = 0; p < scenario_->n_processes; ++p) {
-    history_keyed_[p] = histories_[p].size();
+bool Execution::push_checkpoint() {
+  if (!key_hosts()) return false;
+  const bool keyed =
+      !timers_dirty_ && std::find(channel_dirty_.begin(), channel_dirty_.end(),
+                                  1) == channel_dirty_.end();
+  checkpoints_.push_back({journal_.size(), step_, next_uid_, drops_used_,
+                          delivered_count_, trace_.counts(), keyed});
+  checkpoint_words_.insert(checkpoint_words_.end(), key_.begin(), key_.end());
+  for (const std::size_t k : history_keyed_) {
+    checkpoint_words_.push_back(static_cast<std::uint32_t>(k));
   }
+  return true;
+}
+
+void Execution::pop_checkpoint() {
+  checkpoints_.pop_back();
+  checkpoint_words_.resize(checkpoint_words_.size() - key_.size() -
+                           history_keyed_.size());
+}
+
+void Execution::undo(const Undo& u) {
+  switch (u.kind) {
+    case Undo::Kind::kInvoke:
+      --next_invoke_[u.proc];
+      break;
+    case Undo::Kind::kSendSeen:
+      send_seen_[u.index] = 0;
+      break;
+    case Undo::Kind::kReceiveSeen:
+      receive_seen_[u.index] = 0;
+      break;
+    case Undo::Kind::kRecord: {
+      trace_.unrecord(u.proc);
+      const auto kind = static_cast<EventKind>(u.index);
+      if (kind == EventKind::kSend || kind == EventKind::kDeliver) {
+        histories_[u.proc].pop_back();
+      }
+      break;
+    }
+    case Undo::Kind::kHold:
+      attribution_.undo(hold_undo_.back());
+      hold_undo_.pop_back();
+      break;
+    case Undo::Kind::kPush:
+      channels_[u.index].pop_back();
+      break;
+    case Undo::Kind::kErase: {
+      auto& queue = channels_[u.index];
+      queue.insert(queue.begin() + static_cast<std::ptrdiff_t>(u.value),
+                   std::move(erased_.back()));
+      erased_.pop_back();
+      break;
+    }
+    case Undo::Kind::kArm:
+      timers_.erase(std::lower_bound(timers_.begin(), timers_.end(),
+                                     std::make_pair(u.proc, u.value)));
+      break;
+    case Undo::Kind::kFire: {
+      const std::pair<ProcessId, std::uint64_t> timer{u.proc, u.value};
+      timers_.insert(std::lower_bound(timers_.begin(), timers_.end(), timer),
+                     timer);
+      break;
+    }
+  }
+}
+
+bool Execution::restore_host(ProcessId p, std::uint32_t id) {
+  codec::Reader in(host_ids_.bytes(id));
+  if (!protocols_[p]->restore(in) || !in.done()) return false;
+  ++restored_hosts_;
+  return true;
+}
+
+bool Execution::rewind() {
+  const Checkpoint& cp = checkpoints_.back();
+  if (step_ == cp.step) return true;  // nothing applied since
+  while (journal_.size() > cp.journal) {
+    undo(journal_.back());
+    journal_.pop_back();
+  }
+  step_ = cp.step;
+  next_uid_ = cp.next_uid;
+  drops_used_ = cp.drops_used;
+  delivered_count_ = cp.delivered_count;
+  trace_.set_counts(cp.counts);
+  const std::size_t n = scenario_->n_processes;
+  const std::uint32_t* key = checkpoint_words_.data() +
+                             checkpoint_words_.size() - key_.size() - n;
+  for (ProcessId p = 0; p < n; ++p) {
+    if ((host_dirty_[p] != 0 || key_[p] != key[p]) &&
+        !restore_host(p, key[p])) {
+      return false;
+    }
+  }
+  // The key caches resume at the checkpoint's key: every component is
+  // back to what it named there.
+  std::copy(key, key + key_.size(), key_.begin());
+  std::fill(host_dirty_.begin(), host_dirty_.end(), 0);
+  std::fill(channel_dirty_.begin(), channel_dirty_.end(), cp.keyed ? 0 : 1);
+  timers_dirty_ = !cp.keyed;
+  std::copy(key + key_.size(), key + key_.size() + n, history_keyed_.begin());
+  return true;
+}
+
+bool Execution::key_hosts() {
+  for (ProcessId p = 0; p < scenario_->n_processes; ++p) {
+    if (host_dirty_[p] == 0) continue;
+    bytes_.clear();
+    if (!protocols_[p]->snapshot(bytes_)) return false;
+    key_[p] = host_ids_.intern(bytes_);
+    host_dirty_[p] = 0;
+    ++reinterned_;
+  }
+  return true;
 }
 
 void Execution::key_histories() {
@@ -391,14 +519,7 @@ std::span<const std::uint32_t> Execution::history_ids() {
 
 bool Execution::state_key(std::span<const std::uint32_t>* out) {
   const std::size_t n = scenario_->n_processes;
-  for (ProcessId p = 0; p < n; ++p) {
-    if (host_dirty_[p] == 0) continue;
-    bytes_.clear();
-    if (!protocols_[p]->snapshot(bytes_)) return false;
-    key_[p] = host_ids_.intern(bytes_);
-    host_dirty_[p] = 0;
-    ++reinterned_;
-  }
+  if (!key_hosts()) return false;
   key_histories();
   for (ProcessId p = 0; p < n; ++p) {
     key_[2 * n + p] = static_cast<std::uint32_t>(next_invoke_[p]);

@@ -1,9 +1,9 @@
-// One controlled execution of a protocol stack (ISSUE 10): the
-// verifier's replacement for the discrete-event simulator's clock.  An
-// Execution holds the live per-process protocol instances, the
-// per-channel in-flight packet queues, and the run bookkeeping (trace,
-// user-event histories, delay attribution), and exposes the state-space
-// interface the model checker drives:
+// One controlled execution of a protocol stack: the verifier's
+// replacement for the discrete-event simulator's clock.  An Execution
+// holds the live per-process protocol instances, the per-channel
+// in-flight packet queues, and the run bookkeeping (trace, user-event
+// histories, delay attribution), and exposes the state-space interface
+// the model checker drives:
 //
 //   enabled()  — the schedulable actions of the current state,
 //   apply(a)   — execute one action through the SAME delivery-
@@ -11,9 +11,9 @@
 //                (sim_detail::apply_arrival / classify_send), so a
 //                verified schedule and a simulated run execute
 //                identical protocol code,
-//   replay(s)  — reset and re-execute a schedule prefix (the stateless
-//                backtracking step, which the verifier takes lazily:
-//                only right before a sibling action runs), and
+//   push_checkpoint() / rewind() / pop_checkpoint()
+//              — the backtracking step: rewind() returns to the newest
+//                checkpoint's state (one per DFS frame), and
 //   state_key() — the exact key of the full state for the visited-state
 //                set: a fixed-width tuple of component ids (see below).
 //
@@ -32,14 +32,35 @@
 // Keys are incremental: an action marks dirty only what it can change
 // (its own process's host, the channel it receives from, the channels
 // it sends into, the timer set), and state_key() re-interns just those.
-// A packet is interned the first time its channel is, a history grows
-// its trie id from the steps appended since the last key, and
-// restore_key() resumes the caches after a replay without re-interning
-// anything.
+// A packet is interned the first time its channel is, and a history
+// grows its trie id from the steps appended since the last key.
+//
+// Backtracking restores states instead of re-executing schedules, and
+// splits the state in two:
+//
+//   * Protocol instances step back by Protocol::restore() from the
+//     snapshot bytes the host table already holds.  A checkpoint keeps
+//     the key of its state, and rewind() restores only the hosts whose
+//     id differs from it (or that changed since they were last keyed),
+//     so the key is the whole protocol state: a snapshot() that left a
+//     field out would lose it on every step back.
+//   * Path data — channel contents with their emission uids and queue
+//     order, timers, invoke cursors, the send/receive bitmaps, histories,
+//     the trace, delay attribution and the counters — steps back
+//     exactly through an undo journal: apply() records the inverse of
+//     every change it makes, and rewind() undoes the records newer than
+//     the checkpoint, newest first.  Uids and queue order must survive,
+//     since counterexample schedules name packets by uid and queue order
+//     fixes the order of enabled().
+//
+// The key caches resume from the checkpoint's key, so nothing is
+// re-interned.  Without a state cache (the uncached test oracle),
+// state_key() is never called; push_checkpoint() then interns just the
+// hosts that changed, which is all rewind() needs.
 //
 // The per-step bookkeeping does not allocate once warmed up: hosts are
-// built once, and reset() clears channels, histories and the trace in
-// place so they keep their capacity across the DFS's many replays.
+// built once per scenario, and the journal, channels, histories and the
+// trace keep their capacity across the DFS.
 //
 // Time is the step index: action k executes at SimTime k, which keeps
 // hold-attribution segment arithmetic exact and gives counterexample
@@ -106,13 +127,10 @@ class Execution {
   Execution& operator=(const Execution&) = delete;
   ~Execution();
 
-  /// Back to the initial state: fresh protocol instances, empty
-  /// channels and histories (cleared in place, capacity kept).
+  /// Back to the initial state: fresh protocol instances (the only
+  /// place the factory runs), empty channels and histories (cleared in
+  /// place, capacity kept), no checkpoints.
   void reset();
-  /// reset() then apply every action of `schedule` in order.  The state
-  /// reached depends only on the schedule, so replaying a prefix lands
-  /// exactly where the DFS left that prefix.
-  void replay(const std::vector<VerifyAction>& schedule);
   void apply(const VerifyAction& action);
 
   /// The schedulable actions of the current state, written over
@@ -134,28 +152,35 @@ class Execution {
   /// The exact key of the current state (the tuple described at the
   /// top of this file), re-interning only the components dirtied since
   /// the last key; false when some protocol instance does not support
-  /// snapshots (the verifier then runs uncached).  Excludes packet uids
-  /// and the step counter so idle control cycles (a circulating token)
-  /// close.  The span stays valid until the next mutating call.
+  /// snapshots.  Excludes packet uids and the step counter so idle
+  /// control cycles (a circulating token) close.  The span stays valid
+  /// until the next mutating call.
   bool state_key(std::span<const std::uint32_t>* out);
 
   /// The per-process history ids alone: the spec-memo key.  Equal ids
   /// mean equal user views, since the trie is exact.
   std::span<const std::uint32_t> history_ids();
 
-  /// Resume the key caches at `key`, the state_key() this execution's
-  /// current state had when it was first reached.  Call it right after
-  /// replay() rebuilt that state: the state depends only on the
-  /// schedule, so its components are the ones `key` names, and nothing
-  /// needs re-interning.
-  void restore_key(std::span<const std::uint32_t> key);
-
   /// Mark every component dirty: the next state_key() re-interns all of
   /// them (reset() does this; tests compare the result with the
   /// incremental key).
   void invalidate_key();
 
-  /// Counts for msgorder.verify/1: distinct entries of the component
+  /// Save the current state as the newest checkpoint; false when some
+  /// protocol instance does not support snapshots.
+  bool push_checkpoint();
+  /// Return to the newest checkpoint's state, which stays the newest;
+  /// a no-op when nothing was applied since.  False when some protocol
+  /// instance does not support restore().
+  bool rewind();
+  void pop_checkpoint();
+  /// Protocol instances rewind() has restored so far.
+  std::size_t restored_hosts() const { return restored_hosts_; }
+
+  /// The live protocol instance at `p`.
+  const Protocol& protocol(ProcessId p) const { return *protocols_[p]; }
+
+  /// Counts for msgorder.verify/2: distinct entries of the component
   /// tables, and component lookups made while keying.
   struct KeyStats {
     std::size_t interned_hosts = 0;
@@ -192,13 +217,46 @@ class Execution {
     std::uint32_t id = kUnkeyed;
   };
 
+  /// One journal record: the inverse of one change apply() made.
+  struct Undo {
+    enum class Kind : std::uint8_t {
+      kInvoke,       // next_invoke_[proc] advanced
+      kSendSeen,     // send_seen_[index] set
+      kReceiveSeen,  // receive_seen_[index] set
+      kRecord,       // event kind `index` recorded at proc
+      kHold,         // an attribution report (in hold_undo_)
+      kPush,         // a packet appended to channel `index`
+      kErase,        // channel `index` lost the packet at `value`
+                     // (kept in erased_)
+      kArm,          // timer (proc, value) armed
+      kFire,         // timer (proc, value) fired
+    };
+    Kind kind = Kind::kInvoke;
+    ProcessId proc = 0;
+    std::uint32_t index = 0;
+    std::uint64_t value = 0;
+  };
+
+  /// What rewind() puts back besides the journal: its length and the
+  /// scalars, trace counters and key caches of the checkpointed state.
+  struct Checkpoint {
+    std::size_t journal = 0;
+    std::size_t step = 0;
+    std::uint64_t next_uid = 0;
+    std::size_t drops_used = 0;
+    std::size_t delivered_count = 0;
+    TraceCounts counts;
+    /// Every channel and the timer set were keyed (state_key() ran).
+    bool keyed = false;
+  };
+
   std::size_t channel_index(ProcessId src, ProcessId dst) const {
     return src * scenario_->n_processes + dst;
   }
-  std::vector<InFlight>& channel(ProcessId src, ProcessId dst) {
-    return channels_[channel_index(src, dst)];
-  }
+  bool key_hosts();
   void key_histories();
+  void undo(const Undo& u);
+  bool restore_host(ProcessId p, std::uint32_t id);
   std::uint32_t key_channel(std::size_t c);
   std::uint32_t key_timers();
   void record(ProcessId at, SystemEvent e);
@@ -246,6 +304,16 @@ class Execution {
   /// Per process: how many history steps key_'s history id covers.
   std::vector<std::size_t> history_keyed_;
   std::size_t reinterned_ = 0;
+
+  /// The undo journal, and the side stacks its kErase and kHold records
+  /// pop: the erased packets and the attribution undo points.
+  std::vector<Undo> journal_;
+  std::vector<InFlight> erased_;
+  std::vector<DelayAttribution::UndoPoint> hold_undo_;
+  std::vector<Checkpoint> checkpoints_;
+  /// Per checkpoint, back to back: its key_, then its history_keyed_.
+  std::vector<std::uint32_t> checkpoint_words_;
+  std::size_t restored_hosts_ = 0;
   /// Encoding buffers reused across keys.
   std::string bytes_;
   std::vector<std::uint32_t> words_;

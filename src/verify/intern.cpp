@@ -19,7 +19,7 @@ std::uint32_t Interner::intern(std::string_view bytes, bool* inserted) {
       if (inserted != nullptr) *inserted = true;
       return id;
     }
-    if (slot.hash == hash && at(slot.id_plus_one - 1) == bytes) {
+    if (slot.hash == hash && this->bytes(slot.id_plus_one - 1) == bytes) {
       if (inserted != nullptr) *inserted = false;
       return slot.id_plus_one - 1;
     }

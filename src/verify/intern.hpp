@@ -35,16 +35,18 @@ class Interner {
   /// Distinct strings interned so far.
   std::size_t size() const { return offsets_.size() - 1; }
 
+  /// The bytes `id` stands for (valid until the next intern()).
+  std::string_view bytes(std::uint32_t id) const {
+    return std::string_view(arena_).substr(offsets_[id],
+                                           offsets_[id + 1] - offsets_[id]);
+  }
+
  private:
   struct Slot {
     std::uint32_t id_plus_one = 0;  // 0: empty
     std::uint32_t hash = 0;         // low bits of the string's hash
   };
 
-  std::string_view at(std::uint32_t id) const {
-    return std::string_view(arena_).substr(offsets_[id],
-                                           offsets_[id + 1] - offsets_[id]);
-  }
   void grow();
 
   std::string arena_;

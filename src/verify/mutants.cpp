@@ -75,6 +75,10 @@ class FifoOvertakeMutant final : public Protocol {
     encode_seq_maps(out, next_out_, next_in_, buffer_);
     return true;
   }
+  bool restore(codec::Reader& in) override {
+    decode_seq_maps(in, next_out_, next_in_, buffer_);
+    return true;
+  }
   bool quiescent() const override {
     for (const auto& [src, pendings] : buffer_) {
       if (!pendings.empty()) return false;
@@ -101,6 +105,22 @@ class FifoOvertakeMutant final : public Protocol {
                pendings, [](const Pending& x) { return x.seq; })) {
         codec::put_u32(out, p->msg);
         codec::put_u32(out, p->seq);
+      }
+    }
+  }
+  static void decode_seq_maps(
+      codec::Reader& in, std::map<ProcessId, std::uint32_t>& next_out,
+      std::map<ProcessId, std::uint32_t>& next_in,
+      std::map<ProcessId, std::vector<Pending>>& buffers) {
+    codec::read_u32_map(in, next_out);
+    codec::read_u32_map(in, next_in);
+    buffers.clear();
+    for (std::uint32_t k = in.u32(); k > 0; --k) {
+      std::vector<Pending>& pendings = buffers[in.u32()];
+      pendings.resize(in.u32());
+      for (Pending& p : pendings) {
+        p.msg = in.u32();
+        p.seq = in.u32();
       }
     }
   }
@@ -170,6 +190,10 @@ class FifoStuckMutant final : public Protocol {
     FifoOvertakeMutant::encode_seq_maps(out, next_out_, next_in_, buffer_);
     return true;
   }
+  bool restore(codec::Reader& in) override {
+    FifoOvertakeMutant::decode_seq_maps(in, next_out_, next_in_, buffer_);
+    return true;
+  }
   bool quiescent() const override {
     for (const auto& [src, pendings] : buffer_) {
       if (!pendings.empty()) return false;
@@ -228,6 +252,18 @@ class CausalNoMergeMutant final : public Protocol {
       codec::put_u32(out, b->msg);
       codec::put_u32(out, b->src);
       Tag::encode(out, b->tag.sent);
+    }
+    return true;
+  }
+  bool restore(codec::Reader& in) override {
+    const std::size_t n = host_.process_count();
+    sent_ = in.matrix_clock(n);
+    for (std::uint32_t& d : delivered_) d = in.u32();
+    buffer_.resize(in.u32());
+    for (Buffered& b : buffer_) {
+      b.msg = in.u32();
+      b.src = in.u32();
+      b.tag.sent = in.matrix_clock(n);
     }
     return true;
   }
@@ -316,6 +352,12 @@ class TokenEarlyReleaseMutant final : public Protocol {
     codec::put_u8(out, holding_ ? 1 : 0);
     codec::put_u32(out, static_cast<std::uint32_t>(pending_.size()));
     for (const MessageId msg : pending_) codec::put_u32(out, msg);
+    return true;
+  }
+  bool restore(codec::Reader& in) override {
+    holding_ = in.u8() != 0;
+    pending_.resize(in.u32());
+    for (MessageId& msg : pending_) msg = in.u32();
     return true;
   }
   bool quiescent() const override { return pending_.empty(); }

@@ -22,6 +22,7 @@ void write_counters(JsonWriter& w, const VerifyCounters& c,
   kv("interned_packets", c.interned_packets);
   kv("interned_history_nodes", c.interned_history_nodes);
   kv("reinterned", c.reinterned);
+  kv("restored_hosts", c.restored_hosts);
 }
 
 }  // namespace
@@ -33,14 +34,10 @@ void write_verify_json(JsonWriter& w,
   std::string verdict = "verified";
   std::size_t states_total = 0;
   std::size_t transitions_total = 0;
-  std::size_t replays_total = 0;
-  std::size_t replayed_actions_total = 0;
   VerifyCounters counters_total;
   for (const StackReport& report : reports) {
     states_total += report.states_total;
     transitions_total += report.transitions_total;
-    replays_total += report.replays_total;
-    replayed_actions_total += report.replayed_actions_total;
     counters_total += report.counters_total;
     if (!report.ok()) {
       verdict = "failed";
@@ -49,7 +46,7 @@ void write_verify_json(JsonWriter& w,
     }
   }
   w.begin_object();
-  w.kv("schema", "msgorder.verify/1");
+  w.kv("schema", "msgorder.verify/2");
   w.kv("verdict", verdict);
   w.key("scope").begin_object();
   w.kv("processes", static_cast<std::uint64_t>(n_processes));
@@ -62,9 +59,6 @@ void write_verify_json(JsonWriter& w,
   w.kv("states_total", static_cast<std::uint64_t>(states_total));
   w.kv("transitions_total",
        static_cast<std::uint64_t>(transitions_total));
-  w.kv("replays_total", static_cast<std::uint64_t>(replays_total));
-  w.kv("replayed_actions_total",
-       static_cast<std::uint64_t>(replayed_actions_total));
   write_counters(w, counters_total, "_total");
   w.key("stacks").begin_array();
   for (const StackReport& report : reports) {
@@ -74,9 +68,6 @@ void write_verify_json(JsonWriter& w,
     w.kv("states", static_cast<std::uint64_t>(report.states_total));
     w.kv("transitions",
          static_cast<std::uint64_t>(report.transitions_total));
-    w.kv("replays", static_cast<std::uint64_t>(report.replays_total));
-    w.kv("replayed_actions",
-         static_cast<std::uint64_t>(report.replayed_actions_total));
     write_counters(w, report.counters_total, "");
     w.key("scenarios").begin_array();
     for (const ScenarioResult& s : report.scenarios) {
@@ -91,9 +82,6 @@ void write_verify_json(JsonWriter& w,
       w.kv("complete_states",
            static_cast<std::uint64_t>(s.complete_states));
       w.kv("max_depth", static_cast<std::uint64_t>(s.max_depth_seen));
-      w.kv("replays", static_cast<std::uint64_t>(s.replays));
-      w.kv("replayed_actions",
-           static_cast<std::uint64_t>(s.replayed_actions));
       write_counters(w, s.counters, "");
       if (s.uncached) w.kv("uncached", true);
       if (s.counterexample.has_value()) {
@@ -143,9 +131,12 @@ bool replay_counterexample(const Scenario& scenario,
   header.lookahead = 0;
   writer.begin_run(header);
   exec.set_tracelog(&writer);
-  // Replay from a FRESH reset so the tracelog sees everything,
+  // Re-execute from a FRESH reset so the tracelog sees everything,
   // including constructor-time control traffic.
-  exec.replay(counterexample.schedule);
+  exec.reset();
+  for (const VerifyAction& action : counterexample.schedule) {
+    exec.apply(action);
+  }
   writer.append(note_record("counterexample (" + counterexample.property +
                                 " in scenario " + scenario.name + "): " +
                                 counterexample.detail,

@@ -1,4 +1,4 @@
-// Verifier reporting (ISSUE 10): the msgorder.verify/1 JSON artifact
+// Verifier reporting: the msgorder.verify/2 JSON artifact
 // and counterexample replay into msgorder.tracelog/1 logs, so a failing
 // schedule can be interrogated with the existing causal tooling
 // (`msgorder_query why x3` / `diverge`) instead of being a bare action
@@ -14,7 +14,7 @@
 
 namespace msgorder {
 
-/// Append the msgorder.verify/1 document (an object) for one run of the
+/// Append the msgorder.verify/2 document (an object) for one run of the
 /// verifier over a set of stacks.
 void write_verify_json(JsonWriter& w, const std::vector<StackReport>& reports,
                        std::size_t n_processes, std::size_t n_messages,

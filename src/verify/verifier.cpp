@@ -119,7 +119,6 @@ ScenarioResult verify_scenario(const Scenario& scenario,
   ScenarioResult res;
   res.scenario = scenario.name;
 
-  bool caching = options.state_cache;
   VisitedSet visited;
   /// Complete user views (history-id tuples) already spec-checked.
   Interner spec_memo;
@@ -130,25 +129,20 @@ ScenarioResult verify_scenario(const Scenario& scenario,
   bool saw_quiescent_complete = false;
   std::vector<VerifyAction> last_complete_schedule;
   std::optional<VerifyCounterexample> ce;
+  /// Set when some protocol instance cannot snapshot or restore its
+  /// state: the search cannot key or backtrack, so the stack fails.
+  bool unsupported = false;
 
   std::vector<VerifyAction> schedule;
   /// Frames [0, depth) are the DFS stack; the ones above it are kept
   /// only so their vectors' storage is reused.
   std::vector<Frame> stack;
   std::size_t depth = 0;
-  /// The state key of every frame on the stack, back to back (frame d
-  /// at d * key_width), for restore_key() after a replay.
-  std::vector<std::uint32_t> frame_keys;
-  std::size_t key_width = 0;
-  /// `exec` is not at the state `schedule` leads to: a child was
-  /// explored since.  Backtracking only sets this; the prefix is
-  /// re-executed right before the next sibling action runs, so a frame
-  /// that pops, or whose remaining actions all sleep, costs nothing.
-  bool stale = false;
 
   // Inspect the current state, whose sleep set the caller put in
-  // stack[depth]; make that frame the top when the state has successors
-  // to explore.  Returns false for leaves (terminal / pruned / budget).
+  // stack[depth]; make that frame the top, with an execution checkpoint
+  // to rewind to, when the state has successors to explore.  Returns
+  // false for leaves (terminal / pruned / budget / unsupported).
   auto enter = [&]() -> bool {
     Frame& frame = stack[depth];
     ++res.states;
@@ -231,17 +225,17 @@ ScenarioResult verify_scenario(const Scenario& scenario,
       bounded = true;
       return false;
     }
-    if (caching) {
+    if (options.state_cache) {
       std::span<const std::uint32_t> key;
-      if (exec.state_key(&key)) {
-        if (visited.covered_or_add(key, frame.sleep)) return false;
-        key_width = key.size();
-        frame_keys.resize(depth * key_width);
-        frame_keys.insert(frame_keys.end(), key.begin(), key.end());
-      } else {
-        caching = false;  // sound fallback: explore uncached
-        res.uncached = true;
+      if (!exec.state_key(&key)) {
+        unsupported = true;
+        return false;
       }
+      if (visited.covered_or_add(key, frame.sleep)) return false;
+    }
+    if (!exec.push_checkpoint()) {
+      unsupported = true;
+      return false;
     }
     frame.next = 0;
     ++depth;
@@ -250,18 +244,17 @@ ScenarioResult verify_scenario(const Scenario& scenario,
 
   stack.emplace_back();
   enter();
-  while (depth > 0 && !ce.has_value() && !state_budget_hit) {
+  while (depth > 0 && !ce.has_value() && !state_budget_hit &&
+         !unsupported) {
     if (stack.size() == depth) stack.emplace_back();
     Frame& f = stack[depth - 1];
     if (f.next >= f.actions.size()) {
       --depth;
+      exec.pop_checkpoint();
       if (!schedule.empty()) {
         const VerifyAction last = schedule.back();
         schedule.pop_back();
-        if (depth > 0) {
-          stack[depth - 1].sleep.push_back(last);
-          stale = true;
-        }
+        if (depth > 0) stack[depth - 1].sleep.push_back(last);
       }
       continue;
     }
@@ -274,25 +267,18 @@ ScenarioResult verify_scenario(const Scenario& scenario,
         if (independent_actions(a, b)) child_sleep.push_back(b);
       }
     }
-    if (stale) {
-      exec.replay(schedule);
-      if (caching) {
-        // The frame's key names exactly the state the replay rebuilt.
-        exec.restore_key(std::span(frame_keys).subspan(
-            (depth - 1) * key_width, key_width));
-      }
-      ++res.replays;
-      res.replayed_actions += schedule.size();
-      stale = false;
+    // Back to this frame's state, unless `a` is its first child.
+    if (!exec.rewind()) {
+      unsupported = true;
+      break;
     }
     exec.apply(a);
     ++res.transitions;
     schedule.push_back(a);
     if (!enter()) {
-      if (ce.has_value()) break;
+      if (ce.has_value() || unsupported) break;
       schedule.pop_back();
       f.sleep.push_back(a);
-      stale = true;
     }
   }
 
@@ -302,8 +288,15 @@ ScenarioResult verify_scenario(const Scenario& scenario,
   res.counters.interned_packets = keys.interned_packets;
   res.counters.interned_history_nodes = keys.interned_history_nodes;
   res.counters.reinterned = keys.reinterned;
+  res.counters.restored_hosts = exec.restored_hosts();
 
-  if (ce.has_value()) {
+  if (unsupported) {
+    res.verdict = "unsupported";
+    res.detail =
+        "a protocol instance does not implement snapshot() and "
+        "restore(), which the verifier needs to key and to backtrack "
+        "states";
+  } else if (ce.has_value()) {
     res.verdict = ce->property;
     res.detail = ce->detail;
     res.counterexample = std::move(ce);
@@ -340,13 +333,12 @@ StackReport verify_stack(const std::string& stack_name,
         verify_scenario(scenario, factory, spec, options);
     report.states_total += result.states;
     report.transitions_total += result.transitions;
-    report.replays_total += result.replays;
-    report.replayed_actions_total += result.replayed_actions;
     report.counters_total += result.counters;
     if (verdict_rank(result.verdict) > verdict_rank(report.verdict)) {
       report.verdict = result.verdict;
     }
-    const bool stop = result.counterexample.has_value();
+    const bool stop =
+        result.counterexample.has_value() || result.verdict == "unsupported";
     report.scenarios.push_back(std::move(result));
     if (stop) break;  // first counterexample wins
   }

@@ -1,6 +1,6 @@
-// The stateless model checker (ISSUE 10 tentpole): exhaustively explore
-// every delivery interleaving a channel model allows for a protocol
-// stack on a bounded scenario, and check at every reachable state that
+// The model checker: exhaustively explore every delivery interleaving a
+// channel model allows for a protocol stack on a bounded scenario, and
+// check at every reachable state that
 //
 //   * no complete run violates the stack's declared specification
 //     (checked through the same satisfies()/find_violation() oracle the
@@ -15,15 +15,15 @@
 //     reachable (a circulating idle token is fine; an undelivered
 //     buffered message or unacked exchange is not).
 //
-// Exploration is depth-first and stateless: the only stored state is the
-// visited set of state keys, and backtracking re-executes the schedule
-// prefix.  It does so lazily — only right before a sibling action runs
-// — so a frame that pops, or whose remaining actions are all asleep,
-// costs no replay.  Deferring is exact because the state an execution
-// enters depends only on its schedule, and for the same reason each
-// frame keeps its state key and hands it back to the execution after a
-// replay (Execution::restore_key), so the keys stay incremental across
-// backtracking.  The search is reduced by
+// Exploration is depth-first.  Besides the visited set of state keys,
+// it keeps one execution checkpoint per frame on the DFS stack, and
+// backtracking returns to a frame's state by Execution::rewind(): it
+// undoes the path data the children changed and restores, from their
+// interned snapshots, only the protocol instances whose key entry
+// differs.  Schedule prefixes are never re-executed, and the protocol
+// factory runs once per scenario.  A stack whose instances cannot
+// snapshot() and restore() fails with verdict "unsupported".  The
+// search is reduced by
 //
 //   * sleep sets keyed on per-process independence — actions at
 //     different processes touch disjoint protocol state and disjoint
@@ -62,7 +62,8 @@ struct VerifyOptions {
   /// oracle for acyclic targets (the exploration test compares the two
   /// graphs), not a fallback: uncached exploration is exponential on a
   /// stack with control cycles, since a circulating token re-explores
-  /// every cycle until max_depth and then ends "bounded".
+  /// every cycle until max_depth and then ends "bounded" (at 3 procs x
+  /// 4 msgs the token and lock stacks do not finish).
   bool state_cache = true;
   /// Stop after this many states with a "bounded" verdict (0 = none):
   /// the --quick budget.  Never produces a false "verified".
@@ -76,7 +77,7 @@ struct VerifyOptions {
 };
 
 /// Deterministic cost counters of one exploration (counts, not times,
-/// so msgorder.verify/1 stays byte-comparable across builds).
+/// so msgorder.verify/2 stays byte-comparable across builds).
 struct VerifyCounters {
   /// Spec-oracle runs (one per distinct complete user view) and
   /// complete states answered by the spec memo instead.
@@ -91,6 +92,9 @@ struct VerifyCounters {
   /// Component lookups made while keying: host snapshots, channels and
   /// timer sets re-encoded, plus history steps added to the trie path.
   std::size_t reinterned = 0;
+  /// Protocol instances restored from their snapshots while
+  /// backtracking (Execution::rewind()).
+  std::size_t restored_hosts = 0;
 
   VerifyCounters& operator+=(const VerifyCounters& o) {
     spec_checks += o.spec_checks;
@@ -100,6 +104,7 @@ struct VerifyCounters {
     interned_packets += o.interned_packets;
     interned_history_nodes += o.interned_history_nodes;
     reinterned += o.reinterned;
+    restored_hosts += o.restored_hosts;
     return *this;
   }
 };
@@ -114,7 +119,7 @@ struct VerifyCounterexample {
 struct ScenarioResult {
   std::string scenario;
   /// verified | violation | deadlock | hold-unsound | control-leak |
-  /// no-completion | bounded
+  /// no-completion | bounded | unsupported
   std::string verdict;
   std::string detail;
   std::size_t states = 0;
@@ -128,12 +133,10 @@ struct ScenarioResult {
   /// >= 1 whenever the scenario is completable at all.
   std::size_t complete_states = 0;
   std::size_t max_depth_seen = 0;
-  /// Backtracking cost: prefix re-executions, and the actions they
-  /// re-applied (a replay of the empty prefix is a bare reset).
-  std::size_t replays = 0;
-  std::size_t replayed_actions = 0;
   VerifyCounters counters;
-  /// State caching was requested but some protocol lacks snapshot().
+  /// Always false: a stack without snapshot() and restore() fails with
+  /// verdict "unsupported" instead of running uncached.  Kept because
+  /// perfbench still reports it (verify.uncached_targets).
   bool uncached = false;
   std::optional<VerifyCounterexample> counterexample;
 
@@ -147,8 +150,6 @@ struct StackReport {
   std::vector<ScenarioResult> scenarios;
   std::size_t states_total = 0;
   std::size_t transitions_total = 0;
-  std::size_t replays_total = 0;
-  std::size_t replayed_actions_total = 0;
   VerifyCounters counters_total;
 
   bool ok() const { return verdict == "verified" || verdict == "bounded"; }

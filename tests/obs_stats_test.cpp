@@ -191,31 +191,31 @@ TEST(StatsSummary, DispatchesOnSchema) {
   EXPECT_NE(tsummary.find("lifecycle: 2"), std::string::npos);
 }
 
-TEST(StatsSummary, SummarizesVerifyArtifactWithReplayCounters) {
+TEST(StatsSummary, SummarizesVerifyArtifactWithRestoreCounters) {
   const auto doc = json_parse(
-      "{\"schema\": \"msgorder.verify/1\", \"verdict\": \"verified\","
+      "{\"schema\": \"msgorder.verify/2\", \"verdict\": \"verified\","
       " \"scope\": {\"processes\": 3, \"messages\": 4},"
       " \"channel_model\": \"reorder\", \"por\": true,"
       " \"states_total\": 120, \"transitions_total\": 110,"
-      " \"replays_total\": 40, \"replayed_actions_total\": 150,"
+      " \"restored_hosts_total\": 40,"
       " \"spec_checks_total\": 7, \"spec_memo_hits_total\": 3,"
       " \"interned_hosts_total\": 21, \"interned_channels_total\": 9,"
       " \"interned_packets_total\": 5, \"interned_history_nodes_total\": 30,"
       " \"reinterned_total\": 400,"
       " \"stacks\": [{\"stack\": \"fifo\", \"verdict\": \"verified\","
-      " \"states\": 120, \"replays\": 40, \"spec_checks\": 7,"
+      " \"states\": 120, \"restored_hosts\": 40, \"spec_checks\": 7,"
       " \"reinterned\": 400, \"scenarios\": []}]}");
   ASSERT_TRUE(doc.has_value());
   const std::string summary = stats_summary(*doc);
   EXPECT_NE(summary.find("verdict=verified scope=3p/4m"), std::string::npos);
-  EXPECT_NE(summary.find("transitions=110 replays=40 replayed_actions=150"),
+  EXPECT_NE(summary.find("transitions=110 restored_hosts=40\n"),
             std::string::npos);
   EXPECT_NE(summary.find("spec_checks=7 spec_memo_hits=3 interned hosts=21 "
                          "channels=9 packets=5 history_nodes=30 "
                          "reinterned=400"),
             std::string::npos)
       << summary;
-  EXPECT_NE(summary.find("fifo: verified states=120 replays=40 "
+  EXPECT_NE(summary.find("fifo: verified states=120 restored_hosts=40 "
                          "spec_checks=7 reinterned=400"),
             std::string::npos)
       << summary;
@@ -225,17 +225,18 @@ TEST(StatsSummary, SummarizesVerifyArtifactWithReplayCounters) {
 // "2.59833e+06"; non-integral values keep the short rendering.
 TEST(StatsSummary, LargeCountsPrintExactly) {
   const auto doc = json_parse(
-      "{\"schema\": \"msgorder.verify/1\", \"verdict\": \"verified\","
+      "{\"schema\": \"msgorder.verify/2\", \"verdict\": \"verified\","
       " \"scope\": {\"processes\": 4, \"messages\": 6},"
       " \"channel_model\": \"reorder\", \"por\": true,"
       " \"states_total\": 1000000, \"transitions_total\": 690469,"
-      " \"replays_total\": 261955, \"replayed_actions_total\": 2598328,"
+      " \"restored_hosts_total\": 2598328,"
       " \"stacks\": [{\"stack\": \"fifo\", \"verdict\": \"verified\","
-      " \"states\": 9007199254740991, \"replays\": 1, \"scenarios\": []}]}");
+      " \"states\": 9007199254740991, \"restored_hosts\": 1,"
+      " \"scenarios\": []}]}");
   ASSERT_TRUE(doc.has_value());
   const std::string summary = stats_summary(*doc);
-  EXPECT_NE(summary.find("states=1000000 transitions=690469 replays=261955 "
-                         "replayed_actions=2598328"),
+  EXPECT_NE(summary.find("states=1000000 transitions=690469 "
+                         "restored_hosts=2598328"),
             std::string::npos)
       << summary;
   EXPECT_NE(summary.find("fifo: verified states=9007199254740991 "),

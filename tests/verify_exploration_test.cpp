@@ -13,15 +13,13 @@
 // to re-derive the table and say why the graph moved.
 //
 // The cost counters are pinned too.  The spec memo answers every
-// complete state whose user view was already checked, and the state-key
-// counters fix how much each exploration re-interns: a key that stopped
-// being incremental (say, a replay that no longer resumes from the
-// frame's key) moves `reinterned` without moving the graph.
-//
-// The replay counters are pinned separately: backtracking re-executes
-// the schedule prefix only when a sibling action actually runs, so a
-// scenario whose every state has exactly one enabled action never
-// replays, and a branching one replays fewer times than it transitions.
+// complete state whose user view was already checked, the state-key
+// counters fix how much each exploration re-interns (a key that stopped
+// being incremental, say a rewind that no longer resumes from the
+// checkpoint's key, moves `reinterned` without moving the graph), and
+// `restored_hosts` fixes how many protocol instances backtracking
+// restores from their snapshots.  Backtracking never builds protocol
+// instances: the factory runs once per process per scenario.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -255,9 +253,9 @@ TEST(VerifyExploration, SpecAndKeyCountersArePinned) {
     VerifyCounters counters;
   };
   const std::vector<CounterPin> pins = {
-      {"fifo", {106, 42, 190, 84, 48, 228, 3970}},
-      {"sync-token", {64, 256, 184, 72, 72, 228, 9968}},
-      {"sync-locks", {64, 224, 440, 290, 240, 228, 15984}},
+      {"fifo", {106, 42, 190, 84, 48, 228, 3970, 872}},
+      {"sync-token", {64, 256, 184, 72, 72, 228, 9968, 830}},
+      {"sync-locks", {64, 224, 440, 290, 240, 228, 15984, 3038}},
   };
   for (const CounterPin& pin : pins) {
     SCOPED_TRACE(pin.target);
@@ -271,6 +269,7 @@ TEST(VerifyExploration, SpecAndKeyCountersArePinned) {
     EXPECT_EQ(c.interned_history_nodes,
               pin.counters.interned_history_nodes);
     EXPECT_EQ(c.reinterned, pin.counters.reinterned);
+    EXPECT_EQ(c.restored_hosts, pin.counters.restored_hosts);
   }
   // Every complete state is either checked or a memo hit, on every
   // clean target.
@@ -292,45 +291,26 @@ TEST(VerifyExploration, SpecAndKeyCountersArePinned) {
   }
 }
 
-TEST(VerifyExploration, SingleSuccessorScenarioNeverReplays) {
-  // 2 procs x 1 msg: invoke, then deliver, then done.  Every state has
-  // exactly one enabled action, so no sibling ever runs and nothing is
-  // re-executed (eager backtracking replayed at each of the two pops).
-  Scenario scenario;
-  scenario.name = "single";
-  scenario.n_processes = 2;
-  scenario.messages.push_back({0, 0, 1, 0, -1});
-  for (const char* name : {"async", "fifo", "causal-rst"}) {
-    SCOPED_TRACE(name);
-    const VerifyTarget target = *find_verify_target(name);
-    const ScenarioResult r =
-        verify_scenario(scenario, target.factory, target.spec, {});
-    EXPECT_EQ(r.verdict, "verified");
-    EXPECT_EQ(r.transitions, 2u);
-    EXPECT_EQ(r.replays, 0u);
-    EXPECT_EQ(r.replayed_actions, 0u);
-  }
-}
-
-TEST(VerifyExploration, BranchingScenariosReplayLessThanTheyTransition) {
-  // Every replay precedes a sibling transition, and the first child of
-  // every frame needs none, so replays < transitions whenever anything
-  // branches; the stack report sums its scenarios.
+TEST(VerifyExploration, BacktrackingBuildsNoProtocolInstances) {
+  // The protocol factory runs n times per scenario, when the execution
+  // is built: every later state, however it is reached, comes from
+  // apply() or from restoring snapshots into those n instances.
   for (const char* name : {"fifo", "sync-token", "sync-locks"}) {
     SCOPED_TRACE(name);
-    const StackReport report = run(name, 3, 4, VerifyOptions{});
-    std::size_t replays = 0;
-    std::size_t replayed_actions = 0;
-    for (const ScenarioResult& s : report.scenarios) {
-      SCOPED_TRACE(s.scenario);
-      EXPECT_GT(s.replays, 0u);
-      EXPECT_LT(s.replays, s.transitions);
-      EXPECT_LE(s.replayed_actions, s.replays * s.max_depth_seen);
-      replays += s.replays;
-      replayed_actions += s.replayed_actions;
+    const VerifyTarget target = *find_verify_target(name);
+    for (const Scenario& scenario : standard_scenarios(3, 4)) {
+      SCOPED_TRACE(scenario.name);
+      std::size_t built = 0;
+      const ProtocolFactory counting = [&](Host& host) {
+        ++built;
+        return target.factory(host);
+      };
+      const ScenarioResult r =
+          verify_scenario(scenario, counting, target.spec, VerifyOptions{});
+      EXPECT_EQ(r.verdict, "verified");
+      EXPECT_GT(r.counters.restored_hosts, 0u);
+      EXPECT_EQ(built, scenario.n_processes);
     }
-    EXPECT_EQ(report.replays_total, replays);
-    EXPECT_EQ(report.replayed_actions_total, replayed_actions);
   }
 }
 

@@ -1,7 +1,7 @@
 // The verifier's clean-stack gate (ISSUE 10): every registry stack and
 // the synthesized causal stack must verify on the whole standard
 // scenario set at (3 processes, 4 messages) under both FIFO and
-// reordering channels, the msgorder.verify/1 artifact must validate,
+// reordering channels, the msgorder.verify/2 artifact must validate,
 // and the --quick budget must degrade to "bounded" — never to a false
 // "verified".
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,8 +44,6 @@ TEST(VerifyClean, EveryStackVerifiesUnderReorderingChannels) {
           << target.name << " / " << s.scenario << ": " << s.detail;
       EXPECT_GE(s.complete_states, 1u)
           << target.name << " / " << s.scenario;
-      EXPECT_FALSE(s.uncached)
-          << target.name << " lacks snapshot(); exploration ran uncached";
     }
   }
 }
@@ -115,23 +114,22 @@ TEST(VerifyReport, ArtifactIsValidJson) {
   write_verify_json(w, reports, 2, 3, options);
   std::string error;
   ASSERT_TRUE(json_parse(w.str(), &error).has_value()) << error;
-  EXPECT_NE(w.str().find("\"schema\":\"msgorder.verify/1\""),
+  EXPECT_NE(w.str().find("\"schema\":\"msgorder.verify/2\""),
             std::string::npos);
   EXPECT_NE(w.str().find("\"verdict\":\"failed\""), std::string::npos);
   EXPECT_NE(w.str().find("\"counterexample\""), std::string::npos);
-  // Backtracking cost rides along per scenario, per stack and in total.
-  std::size_t replays = 0;
-  for (const StackReport& report : reports) replays += report.replays_total;
-  EXPECT_NE(w.str().find("\"replays_total\":" + std::to_string(replays)),
-            std::string::npos);
-  EXPECT_NE(w.str().find("\"replayed_actions_total\""), std::string::npos);
-  EXPECT_NE(w.str().find("\"replays\""), std::string::npos);
-  // So do the spec-memo and state-key counters.
+  // The spec-memo, state-key and backtracking counters ride along per
+  // scenario, per stack and in total.
   VerifyCounters total;
   for (const StackReport& report : reports) total += report.counters_total;
   EXPECT_GT(total.spec_checks, 0u);
   EXPECT_GT(total.interned_hosts, 0u);
   EXPECT_GT(total.reinterned, 0u);
+  EXPECT_GT(total.restored_hosts, 0u);
+  EXPECT_NE(w.str().find("\"restored_hosts_total\":" +
+                         std::to_string(total.restored_hosts)),
+            std::string::npos);
+  EXPECT_EQ(w.str().find("replay"), std::string::npos);
   EXPECT_NE(w.str().find("\"spec_checks_total\":" +
                          std::to_string(total.spec_checks)),
             std::string::npos);
@@ -141,7 +139,8 @@ TEST(VerifyReport, ArtifactIsValidJson) {
   for (const char* key :
        {"\"spec_memo_hits\":", "\"interned_hosts\":",
         "\"interned_channels\":", "\"interned_packets\":",
-        "\"interned_history_nodes\":", "\"reinterned\":"}) {
+        "\"interned_history_nodes\":", "\"reinterned\":",
+        "\"restored_hosts\":"}) {
     EXPECT_NE(w.str().find(key), std::string::npos) << key;
   }
 }
@@ -189,11 +188,22 @@ class PayloadByteProtocol final : public Protocol {
     (void)out;
     return true;
   }
+  bool restore(codec::Reader& in) override {
+    (void)in;
+    return true;
+  }
 
  private:
   Host& host_;
   const std::uint8_t& byte_;
 };
+
+/// The test-local reference path into a state: a fresh reset, then
+/// every action of `schedule` in order.
+void reach(Execution& exec, const std::vector<VerifyAction>& schedule) {
+  exec.reset();
+  for (const VerifyAction& a : schedule) exec.apply(a);
+}
 
 std::vector<std::uint32_t> key_of(Execution& exec) {
   std::span<const std::uint32_t> key;
@@ -203,7 +213,7 @@ std::vector<std::uint32_t> key_of(Execution& exec) {
 
 TEST(VerifyExecution, InFlightPayloadIsPartOfTheStateKey) {
   // Keys are ids from one execution's tables, so every state is reached
-  // in the same execution, switching the payload between replays.
+  // in the same execution, switching the payload between runs.
   Scenario one;
   one.name = "one";
   one.n_processes = 2;
@@ -219,7 +229,7 @@ TEST(VerifyExecution, InFlightPayloadIsPartOfTheStateKey) {
   const auto key_after = [&](std::uint8_t b,
                              const std::vector<VerifyAction>& schedule) {
     byte = b;
-    exec.replay(schedule);
+    reach(exec, schedule);
     return key_of(exec);
   };
   const auto empty = key_after('a', {});
@@ -233,61 +243,294 @@ TEST(VerifyExecution, InFlightPayloadIsPartOfTheStateKey) {
             key_after('b', {invoke, deliver}));
 }
 
+TEST(VerifyExecution, WrapPendingPacketIsPartOfTheStateKey) {
+  // Under the reliability wrap, a delivered packet stays pending at its
+  // sender until the ack arrives: the two runs below then differ only
+  // in the payload the sender would retransmit.
+  Scenario one;
+  one.name = "one";
+  one.n_processes = 2;
+  one.messages.push_back({0, 0, 1, 0, -1});
+  std::uint8_t byte = 'a';
+  Execution exec(one,
+                 ReliableProtocol::wrap([&byte](Host& host) {
+                   return std::make_unique<PayloadByteProtocol>(host, byte);
+                 }),
+                 ChannelModel::kReorder, 0);
+  const std::vector<VerifyAction> delivered = {
+      {VerifyAction::Kind::kInvoke, 0, 0, 0},
+      {VerifyAction::Kind::kDeliver, 1, 0, 0}};
+  byte = 'a';
+  reach(exec, delivered);
+  const auto pending_a = key_of(exec);
+  byte = 'b';
+  reach(exec, delivered);
+  EXPECT_NE(key_of(exec), pending_a);
+}
+
+/// A host for protocol instances built outside an execution, which the
+/// restore round trip below restores into.  Restoring never calls the
+/// host; constructors may ask who they are, or send (the token ring).
+class IdleHost final : public Host {
+ public:
+  IdleHost(const Scenario& scenario, ProcessId self)
+      : scenario_(scenario), self_(self) {}
+  void send_packet(Packet packet) override { (void)packet; }
+  void deliver(MessageId msg) override { (void)msg; }
+  void set_timer(SimTime delay, std::uint64_t cookie) override {
+    (void)delay;
+    (void)cookie;
+  }
+  SimTime now() const override { return 0; }
+  ProcessId self() const override { return self_; }
+  std::size_t process_count() const override {
+    return scenario_.n_processes;
+  }
+  const Message& message(MessageId msg) const override {
+    return scenario_.messages[msg];
+  }
+
+ private:
+  const Scenario& scenario_;
+  ProcessId self_;
+};
+
+std::string schedule_text(const std::vector<VerifyAction>& schedule) {
+  std::string out;
+  for (const VerifyAction& a : schedule) out += " " + to_string(a);
+  return out;
+}
+
 /// Walks every reachable state of `exec` (no reduction, deduplicated on
-/// the state key) and checks that the incremental key equals the key
-/// re-interned from scratch, both after an apply and after a replay
-/// resumed with restore_key(), the verifier's two paths into a state.
-/// Returns the number of distinct states.
-std::size_t expect_keys_exact(Execution& exec, const std::string& where) {
+/// the state key) and runs `at_state` at each (the schedule leads
+/// there).  Stepping back, it moves the way the verifier does: a
+/// checkpoint per state and rewind() before each successor after the
+/// first.  Otherwise each successor is reached by the reference path, a
+/// reset and the whole schedule.  Both walks visit states in the same
+/// order.  Returns the number of distinct states.
+std::size_t walk(
+    Execution& exec, bool stepping_back,
+    const std::function<void(const std::vector<VerifyAction>&)>& at_state) {
   std::set<std::vector<std::uint32_t>> seen;
   std::vector<VerifyAction> schedule;
   std::function<void()> visit = [&] {
-    const std::vector<std::uint32_t> incremental = key_of(exec);
-    exec.invalidate_key();
-    const std::vector<std::uint32_t> full = key_of(exec);
-    if (incremental != full) {
-      std::string path;
-      for (const VerifyAction& a : schedule) path += " " + to_string(a);
-      ADD_FAILURE() << where << ": incremental key differs after" << path;
-    }
-    if (!seen.insert(full).second) return;
+    at_state(schedule);
+    if (!seen.insert(key_of(exec)).second) return;
     std::vector<VerifyAction> actions;
     exec.enabled(actions);
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-      if (i > 0) {
-        exec.replay(schedule);
-        exec.restore_key(full);
+    if (stepping_back) {
+      EXPECT_TRUE(exec.push_checkpoint());
+    }
+    for (const VerifyAction& a : actions) {
+      schedule.push_back(a);
+      if (stepping_back) {
+        EXPECT_TRUE(exec.rewind());
+        exec.apply(a);
+      } else {
+        reach(exec, schedule);
       }
-      exec.apply(actions[i]);
-      schedule.push_back(actions[i]);
       visit();
       schedule.pop_back();
     }
+    if (stepping_back) exec.pop_checkpoint();
   };
+  reach(exec, {});
   visit();
   return seen.size();
 }
 
-TEST(VerifyStateKey, IncrementalKeyEqualsFullRekeyAtEveryState) {
+/// Runs `check` on the execution of every target on every standard
+/// scenario: at 3 x 4 on reordering and FIFO channels, and for fifo
+/// under the reliability wrap on the lossy model at 3 x 3 (drops,
+/// retransmission timers and duplicates).
+void for_each_execution(
+    const std::function<void(Execution&, const ProtocolFactory&,
+                             const Scenario&, const std::string&)>& check) {
   for (const ChannelModel model :
        {ChannelModel::kReorder, ChannelModel::kFifo}) {
     for (const VerifyTarget& target : verify_targets(true)) {
       for (const Scenario& scenario : standard_scenarios(kProcs, kMsgs)) {
         Execution exec(scenario, target.factory, model, 0);
-        EXPECT_GT(expect_keys_exact(exec, target.name + " / " +
-                                              scenario.name + " / " +
-                                              to_string(model)),
-                  1u);
+        check(exec, target.factory, scenario,
+              target.name + " / " + scenario.name + " / " + to_string(model));
       }
     }
   }
-  // Drops, retransmission timers and duplicates under the reliability
-  // wrap, as the verifier runs the lossy model.
-  const VerifyTarget fifo = *find_verify_target("fifo");
+  const ProtocolFactory lossy =
+      ReliableProtocol::wrap(find_verify_target("fifo")->factory, {});
   for (const Scenario& scenario : standard_scenarios(kProcs, 3)) {
-    Execution exec(scenario, ReliableProtocol::wrap(fifo.factory, {}),
-                   ChannelModel::kLossy, 1);
-    EXPECT_GT(expect_keys_exact(exec, "lossy fifo / " + scenario.name), 1u);
+    Execution exec(scenario, lossy, ChannelModel::kLossy, 1);
+    check(exec, lossy, scenario, "lossy fifo / " + scenario.name);
+  }
+}
+
+TEST(VerifyStateKey, IncrementalKeyEqualsFullRekeyAtEveryState) {
+  // Every state is entered by an apply(), most of them right after a
+  // rewind() that resumed the key caches at a checkpoint's key.
+  for_each_execution([](Execution& exec, const ProtocolFactory&,
+                        const Scenario&, const std::string& where) {
+    const std::size_t states = walk(
+        exec, true, [&](const std::vector<VerifyAction>& schedule) {
+          const std::vector<std::uint32_t> incremental = key_of(exec);
+          exec.invalidate_key();
+          if (incremental != key_of(exec)) {
+            ADD_FAILURE() << where << ": incremental key differs after"
+                          << schedule_text(schedule);
+          }
+        });
+    EXPECT_GT(states, 1u) << where;
+  });
+}
+
+/// What a state's path data looks like from outside: the trace's event
+/// logs, counters and timestamps, the attribution's closed segments and
+/// open holds, and the enabled actions (so packet uids and queue order).
+std::string path_text(const Execution& exec) {
+  std::ostringstream out;
+  const Trace& trace = exec.trace();
+  for (const auto& log : trace.logs()) {
+    out << "|";
+    for (const TimedEvent& e : log) {
+      out << " " << to_string(e.event) << "@" << e.time;
+    }
+  }
+  const TraceCounts c = trace.counts();
+  out << "| counts " << c.invoked << " " << c.delivered << " "
+      << c.control_packets << " " << c.user_packets << " " << c.control_bytes
+      << " " << c.tag_bytes << " " << c.drops << " " << c.retransmissions
+      << " " << c.duplicate_arrivals << " steps " << exec.steps();
+  for (const Message& m : trace.universe()) {
+    const MessageTimes& t = trace.times(m.id);
+    out << " x" << m.id << ":" << t.invoke.value_or(-1) << ","
+        << t.send.value_or(-1) << "," << t.receive.value_or(-1) << ","
+        << t.deliver.value_or(-1)
+        << (exec.attribution().has_open_hold(m.id) ? " open" : "");
+  }
+  const DelayAttribution& attribution = exec.attribution();
+  out << " segments";
+  for (const HoldSegment& s : attribution.closed_segments()) {
+    out << " x" << s.msg << "@" << s.process << ":" << s.begin << "-"
+        << s.end << ":" << to_string(s.reason.kind);
+  }
+  for (const SimTime total : attribution.totals_by_kind()) out << " " << total;
+  std::vector<VerifyAction> actions;
+  exec.enabled(actions);
+  out << " enabled" << schedule_text(actions);
+  return out.str();
+}
+
+TEST(VerifyRestore, StepBackMatchesResetAndApplyAtEveryState) {
+  // The oracle for restore(): walking by checkpoints and rewind() must
+  // reach exactly the states a fresh reset + apply of the same schedule
+  // reaches — the same key (so every host restored the state its
+  // snapshot names, and no snapshot leaves out what its next step
+  // reads) and the same path data.  Each host's snapshot must also
+  // survive a restore into a fresh instance unchanged.
+  for_each_execution([](Execution& exec, const ProtocolFactory& factory,
+                        const Scenario& scenario, const std::string& where) {
+    std::vector<IdleHost> idle_hosts;
+    std::vector<std::unique_ptr<Protocol>> fresh;
+    for (ProcessId p = 0; p < scenario.n_processes; ++p) {
+      idle_hosts.emplace_back(scenario, p);
+    }
+    for (ProcessId p = 0; p < scenario.n_processes; ++p) {
+      fresh.push_back(factory(idle_hosts[p]));
+    }
+    // Keys are ids of this execution's tables, so the reference walk
+    // runs first, in the same execution.
+    std::vector<std::pair<std::vector<std::uint32_t>, std::string>> reference;
+    walk(exec, false, [&](const std::vector<VerifyAction>&) {
+      reference.emplace_back(key_of(exec), path_text(exec));
+    });
+    std::size_t visited = 0;
+    bool diverged = false;
+    std::string before;
+    std::string after;
+    walk(exec, true, [&](const std::vector<VerifyAction>& schedule) {
+      if (diverged) return;
+      for (ProcessId p = 0; p < scenario.n_processes; ++p) {
+        before.clear();
+        after.clear();
+        ASSERT_TRUE(exec.protocol(p).snapshot(before));
+        codec::Reader in(before);
+        ASSERT_TRUE(fresh[p]->restore(in)) << where;
+        EXPECT_TRUE(in.done()) << where;
+        ASSERT_TRUE(fresh[p]->snapshot(after));
+        if (after != before) {
+          diverged = true;
+          ADD_FAILURE() << where << ": p" << p
+                        << " snapshot changed by a restore after"
+                        << schedule_text(schedule);
+        }
+      }
+      if (visited >= reference.size() ||
+          key_of(exec) != reference[visited].first ||
+          path_text(exec) != reference[visited].second) {
+        diverged = true;
+        ADD_FAILURE() << where << ": stepping back diverges from reset + "
+                      << "apply after" << schedule_text(schedule) << "\n  got  "
+                      << path_text(exec) << "\n  want "
+                      << (visited < reference.size()
+                              ? reference[visited].second
+                              : "(no such state)");
+      }
+      ++visited;
+    });
+    if (!diverged) {
+      EXPECT_EQ(visited, reference.size()) << where;
+    }
+  });
+}
+
+/// Async's behaviour, with a snapshot but, when `restores` is false, no
+/// restore() — the verifier can key its states but not step back.
+class NoRestoreProtocol final : public Protocol {
+ public:
+  NoRestoreProtocol(Host& host, bool snapshots)
+      : host_(host), snapshots_(snapshots) {}
+  void on_invoke(const Message& m) override {
+    Packet pkt;
+    pkt.dst = m.dst;
+    pkt.user_msg = m.id;
+    host_.send_packet(std::move(pkt));
+  }
+  void on_packet(const Packet& packet) override {
+    host_.deliver(packet.user_msg);
+  }
+  std::string name() const override { return "no-restore"; }
+  bool snapshot(std::string& out) const override {
+    (void)out;
+    return snapshots_;
+  }
+
+ private:
+  Host& host_;
+  bool snapshots_;
+};
+
+TEST(VerifyClean, StackWithoutSnapshotOrRestoreIsUnsupported) {
+  // Backtracking restores protocol instances from their snapshots, so
+  // a stack missing either hook fails; nothing falls back to another
+  // way of backtracking.
+  Scenario burst;
+  burst.name = "burst";
+  burst.n_processes = 2;
+  burst.messages.push_back({0, 0, 1, 0, -1});
+  burst.messages.push_back({1, 0, 1, 0, -1});
+  for (const bool snapshots : {true, false}) {
+    for (const bool cache : {true, false}) {
+      VerifyOptions options;
+      options.state_cache = cache;
+      const ScenarioResult r = verify_scenario(
+          burst,
+          [snapshots](Host& host) {
+            return std::make_unique<NoRestoreProtocol>(host, snapshots);
+          },
+          CompositeSpec{}, options);
+      EXPECT_EQ(r.verdict, "unsupported") << snapshots << cache;
+      EXPECT_NE(r.detail.find("restore()"), std::string::npos);
+      EXPECT_FALSE(r.ok());
+    }
   }
 }
 

@@ -8,6 +8,8 @@
 //   msgorder_verify --stack fifo --json report.json
 //   msgorder_verify --stack mutant:fifo-overtake --tracelog ce.log
 //
+// --help prints the usage text on stdout and exits 0.
+//
 // Exit codes: 0 = every selected stack verified (or bounded under
 // --quick / --max-states — never a false "verified"), 1 = at least one
 // counterexample-class verdict (the CI mutant gate asserts exactly this
@@ -29,10 +31,11 @@ namespace {
 
 using namespace msgorder;
 
-int usage(const char* argv0) {
+/// Prints the usage text to `out`; --help asks for it on stdout.
+void print_usage(std::FILE* out, const char* argv0) {
   std::fprintf(
-      stderr,
-      "usage: %s [--stack NAME | --all [--mutants]] [--list]\n"
+      out,
+      "usage: %s [--stack NAME | --all [--mutants]] [--list] [--help]\n"
       "       [--procs N] [--msgs N] [--channel-model fifo|reorder|lossy]\n"
       "       [--scenarios K] [--no-por] [--no-state-cache]\n"
       "       [--quick] [--max-states N] [--max-drops N]\n"
@@ -45,12 +48,20 @@ int usage(const char* argv0) {
       "flagged, so their runs exit 1).  --scenarios K appends K seeded\n"
       "random scenarios to the standard twelve.  --quick caps the\n"
       "per-scenario state budget and reports \"bounded\" instead of a\n"
-      "false \"verified\".  --tracelog replays the first counterexample\n"
-      "into a msgorder.tracelog/1 log for msgorder_query why/diverge.\n"
+      "false \"verified\".  --no-state-cache drops the visited-state\n"
+      "set: it is a test oracle for acyclic stacks, and does not\n"
+      "terminate on stacks with control cycles (sync-token, sync-locks)\n"
+      "at 3 processes x 4 messages.  --tracelog re-executes the first\n"
+      "counterexample into a msgorder.tracelog/1 log for msgorder_query\n"
+      "why/diverge.\n"
       "\n"
       "Exit codes: 0 verified/bounded, 1 counterexample found, 2 usage\n"
       "or I/O error.\n",
       argv0);
+}
+
+int usage(const char* argv0) {
+  print_usage(stderr, argv0);
   return 2;
 }
 
@@ -79,6 +90,10 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--help") {
+      print_usage(stdout, argv[0]);
+      return 0;
+    }
     if (arg == "--stack") {
       if (++i >= argc) return usage(argv[0]);
       stack_name = argv[i];
@@ -185,11 +200,11 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "%-24s %-14s %zu scenarios, %zu states, %zu transitions, "
-        "%zu replays (%zu actions)%s\n",
+        "%zu restored hosts%s\n",
         report.stack.c_str(), report.verdict.c_str(),
         report.scenarios.size(), report.states_total,
-        report.transitions_total, report.replays_total,
-        report.replayed_actions_total, note);
+        report.transitions_total, report.counters_total.restored_hosts,
+        note);
     const VerifyCounters& c = report.counters_total;
     std::printf(
         "  spec: %zu checks, %zu memo hits; interned: %zu hosts, "
