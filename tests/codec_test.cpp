@@ -1,12 +1,14 @@
 // The canonical payload codec (src/protocols/state_codec.hpp): a
 // codec::Reader reads back every put_* helper, every tagged stack's tag
-// decodes to itself after encoding, and each encoding has the size
-// bench E2 reports for it.
+// decodes to itself after encoding, each encoding has the size bench E2
+// reports for it, and one fixed tag per stack encodes to pinned bytes,
+// so a rewrite that reorders or re-widths a field fails here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "src/poset/clocks.hpp"
 #include "src/protocols/causal_rst.hpp"
@@ -35,6 +37,29 @@ MatrixClock matrix_of(std::uint32_t base) {
   for (std::size_t j = 0; j < kN; ++j) {
     for (std::size_t k = 0; k < kN; ++k) {
       m.at(j, k) = base + static_cast<std::uint32_t>(j * kN + k);
+    }
+  }
+  return m;
+}
+
+/// Lowercase hex, two digits per byte: the form the wire pins use.
+std::string hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+/// An n = 2 matrix with entries base, base + 1, ... row by row.
+MatrixClock small_matrix(std::uint32_t base) {
+  MatrixClock m(2);
+  for (std::size_t j = 0; j < 2; ++j) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      m.at(j, k) = base + static_cast<std::uint32_t>(2 * j + k);
     }
   }
   return m;
@@ -83,6 +108,9 @@ TEST(Codec, FifoTagRoundTrips) {
     EXPECT_EQ(out.size(), 4u);
     EXPECT_EQ(codec::Reader(out).u32(), seq);
   }
+  std::string pinned;
+  codec::put_u32(pinned, 0x01020304u);
+  EXPECT_EQ(hex(pinned), "04030201");
 }
 
 TEST(Codec, CausalRstTagRoundTrips) {
@@ -91,6 +119,10 @@ TEST(Codec, CausalRstTagRoundTrips) {
   CausalRstProtocol::Tag::encode(out, tag.sent);
   EXPECT_EQ(out.size(), 4 * kN * kN);
   EXPECT_EQ(CausalRstProtocol::Tag::decode(out, kN), tag);
+
+  std::string pinned;
+  CausalRstProtocol::Tag::encode(pinned, small_matrix(1));
+  EXPECT_EQ(hex(pinned), "01000000020000000300000004000000");
 }
 
 TEST(Codec, CausalSesTagRoundTrips) {
@@ -106,6 +138,18 @@ TEST(Codec, CausalSesTagRoundTrips) {
     EXPECT_EQ(out.size(), (1 + pairs) * 4 * kN + 4 * pairs) << pairs;
     EXPECT_EQ(CausalSesProtocol::Tag::decode(out, kN), tag) << pairs;
   }
+
+  VectorClock timestamp(2);
+  timestamp[0] = 5;
+  timestamp[1] = 6;
+  VectorClock to_p1(2);
+  to_p1[0] = 7;
+  to_p1[1] = 8;
+  std::string pinned;
+  CausalSesProtocol::Tag::encode(pinned, timestamp, {{1, to_p1}});
+  EXPECT_EQ(hex(pinned),
+            "05000000060000000100000007000000"
+            "08000000");
 }
 
 TEST(Codec, KWeakerTagRoundTrips) {
@@ -123,6 +167,14 @@ TEST(Codec, KWeakerTagRoundTrips) {
     EXPECT_EQ(out.size(), 12 * entries) << entries;
     EXPECT_EQ(K::Tag::decode(out), tag) << entries;
   }
+
+  K::Tag tag;
+  tag.chains = {{3, K::ChainEntry{1, 2}}, {9, K::ChainEntry{0, 4}}};
+  std::string pinned;
+  tag.encode(pinned);
+  EXPECT_EQ(hex(pinned),
+            "03000000010000000200000009000000"
+            "0000000004000000");
 }
 
 TEST(Codec, FlushTagRoundTrips) {
@@ -134,6 +186,10 @@ TEST(Codec, FlushTagRoundTrips) {
     EXPECT_EQ(out.size(), 12u);
     EXPECT_EQ(F::Tag::decode(out), tag);
   }
+
+  std::string pinned;
+  F::Tag{7, 3, kTwoWayFlush}.encode(pinned);
+  EXPECT_EQ(hex(pinned), "070000000300000003000000");
 }
 
 TEST(Codec, GlobalFlushTagRoundTrips) {
@@ -145,6 +201,13 @@ TEST(Codec, GlobalFlushTagRoundTrips) {
     EXPECT_EQ(out.size(), 8 * kN * kN + 1);
     EXPECT_EQ(G::Tag::decode(out, kN), tag);
   }
+
+  std::string pinned;
+  G::Tag::encode(pinned, small_matrix(1), small_matrix(5), true);
+  EXPECT_EQ(hex(pinned),
+            "01000000020000000300000004000000"
+            "05000000060000000700000008000000"
+            "01");
 }
 
 TEST(Codec, ReliableEnvelopeRoundTrips) {
@@ -157,6 +220,10 @@ TEST(Codec, ReliableEnvelopeRoundTrips) {
     EXPECT_EQ(out.size(), 8 + inner.size());
     EXPECT_EQ(E::decode(out), envelope);
   }
+
+  std::string pinned;
+  E::encode(pinned, 0x0102030405060708ULL, std::string("\x01\0x", 3));
+  EXPECT_EQ(hex(pinned), "0807060504030201010078");
 }
 
 }  // namespace
