@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/poset/clocks.hpp"
@@ -18,57 +17,78 @@
 
 namespace msgorder {
 
-class CausalRstProtocol final : public Protocol {
+class CausalRstProtocol final : public FieldProtocol<CausalRstProtocol> {
  public:
   explicit CausalRstProtocol(Host& host)
-      : host_(host),
+      : FieldProtocol(host.process_count()),
+        host_(host),
         report_holds_(host.wants_hold_reasons()),
-        sent_(host.process_count()),
-        delivered_(host.process_count(), 0) {}
+        state_(host.process_count()) {}
 
-  void on_invoke(const Message& m) override;
+  void on_invoke(const Message& m) override {
+    host_.send_packet(state_.send(m, host_.self()));
+  }
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "causal-rst"; }
-  bool snapshot(std::string& out) const override;
-  bool restore(codec::Reader& in) override;
-  bool quiescent() const override { return buffer_.empty(); }
+  bool quiescent() const override { return state_.buffer.empty(); }
 
   static ProtocolFactory factory();
 
-  /// The tag piggybacked on each user packet.
+  /// The tag piggybacked on each user packet: the matrix's n x n u32
+  /// entries (4n^2 bytes).
   struct Tag {
     MatrixClock sent;  // sender's knowledge BEFORE this message
 
-    /// The one encoding of a tag, on the wire and in snapshot(): the
-    /// matrix's n x n u32 entries (4n^2 bytes).
-    static void encode(std::string& out, const MatrixClock& sent) {
-      codec::put_matrix_clock(out, sent);
-    }
-    static Tag decode(std::string_view payload, std::size_t n) {
-      return Tag{codec::Reader(payload).matrix_clock(n)};
-    }
+    template <class S, class IO>
+    static void fields(S& tag, IO& io) { io(tag.sent); }
     bool operator==(const Tag&) const = default;
   };
 
+  /// The whole state, shared with the causal-no-merge mutant
+  /// (src/verify/mutants.cpp).
+  struct State {
+    struct Buffered {
+      MessageId msg;
+      ProcessId src;
+      Tag tag;
+
+      template <class S, class IO>
+      static void fields(S& b, IO& io) { io(b.msg, b.src, b.tag); }
+    };
+
+    explicit State(std::size_t n) : sent(n), delivered(n) {}
+
+    /// sent[j][k]: messages P_j sent to P_k, as far as we know.  It is
+    /// the tag of our next send, which Tag's field list encodes in place.
+    MatrixClock sent;
+    /// delivered[k]: messages from P_k delivered here.
+    VectorClock delivered;
+    std::vector<Buffered> buffer;
+
+    /// The user packet for m sent by `self`, tagged; records the send.
+    Packet send(const Message& m, ProcessId self);
+    /// Has `self` delivered every message to it the tag proves sent?
+    bool deliverable(const Tag& tag, ProcessId self) const;
+
+    template <class S, class IO>
+    static void fields(S& s, IO& io) {
+      io(s.sent, s.delivered);
+      io.sorted(s.buffer, &Buffered::msg);
+    }
+  };
+
+  template <class S, class IO>
+  static void fields(S& self, IO& io) { io(self.state_); }
+
  private:
-  bool deliverable(const Tag& tag) const;
   /// The first channel whose causally-prior deliveries are incomplete
   /// (only meaningful when !deliverable(tag)).
   ProcessId blocking_channel(const Tag& tag) const;
   void drain();
 
-  struct Buffered {
-    MessageId msg;
-    ProcessId src;
-    Tag tag;
-  };
-
   Host& host_;
   const bool report_holds_;
-  MatrixClock sent_;
-  /// delivered_[k]: messages from P_k delivered here.
-  std::vector<std::uint32_t> delivered_;
-  std::vector<Buffered> buffer_;
+  State state_;
 };
 
 }  // namespace msgorder

@@ -11,8 +11,13 @@ void CausalSesProtocol::on_invoke(const Message& m) {
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
   // The tag: this send's vector time, and last-sent knowledge EXCLUDING
-  // this message.
-  Tag::encode(pkt.payload, time_, last_sent_);
+  // this message, encoded straight from our state.
+  const struct {
+    const VectorClock& timestamp;
+    const std::map<ProcessId, VectorClock>& last_sent;
+  } tag{time_, last_sent_};
+  codec::FieldWriter io(pkt.payload);
+  Tag::fields(tag, io);
   // Now remember this message as the latest sent to m.dst.
   auto [it, inserted] = last_sent_.try_emplace(m.dst, time_);
   if (!inserted) it->second.merge(time_);
@@ -71,39 +76,9 @@ void CausalSesProtocol::drain() {
 void CausalSesProtocol::on_packet(const Packet& packet) {
   if (packet.is_control) return;
   buffer_.push_back(
-      {packet.user_msg, Tag::decode(packet.payload, host_.process_count())});
+      {packet.user_msg,
+       codec::decode<Tag>(packet.payload, host_.process_count())});
   drain();
-}
-
-bool CausalSesProtocol::snapshot(std::string& out) const {
-  codec::put_u32(out, static_cast<std::uint32_t>(last_sent_.size()));
-  Tag::encode(out, time_, last_sent_);
-  const auto sorted =
-      codec::sorted_by(buffer_, [](const Buffered& b) { return b.msg; });
-  codec::put_u32(out, static_cast<std::uint32_t>(sorted.size()));
-  for (const Buffered* b : sorted) {
-    codec::put_u32(out, b->msg);
-    codec::put_u32(out, static_cast<std::uint32_t>(b->tag.last_sent.size()));
-    Tag::encode(out, b->tag.timestamp, b->tag.last_sent);
-  }
-  return true;
-}
-
-bool CausalSesProtocol::restore(codec::Reader& in) {
-  const std::size_t n = host_.process_count();
-  last_sent_.clear();
-  std::uint32_t pairs = in.u32();
-  time_ = in.vector_clock(n);
-  for (; pairs > 0; --pairs) Tag::read_pair(in, n, last_sent_);
-  buffer_.resize(in.u32());
-  for (Buffered& b : buffer_) {
-    b.msg = in.u32();
-    b.tag.last_sent.clear();
-    pairs = in.u32();
-    b.tag.timestamp = in.vector_clock(n);
-    for (; pairs > 0; --pairs) Tag::read_pair(in, n, b.tag.last_sent);
-  }
-  return true;
 }
 
 ProtocolFactory CausalSesProtocol::factory() {

@@ -13,7 +13,6 @@
 
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/poset/clocks.hpp"
@@ -22,53 +21,42 @@
 
 namespace msgorder {
 
-class CausalSesProtocol final : public Protocol {
+class CausalSesProtocol final : public FieldProtocol<CausalSesProtocol> {
  public:
   explicit CausalSesProtocol(Host& host)
-      : host_(host),
+      : FieldProtocol(host.process_count()),
+        host_(host),
         report_holds_(host.wants_hold_reasons()),
         time_(host.process_count()) {}
 
   void on_invoke(const Message& m) override;
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "causal-ses"; }
-  bool snapshot(std::string& out) const override;
-  bool restore(codec::Reader& in) override;
   bool quiescent() const override { return buffer_.empty(); }
 
   static ProtocolFactory factory();
 
+  /// The tag: the timestamp, then each (destination, vector) pair with
+  /// no count — (1 + |last_sent|) * 4n + 4 |last_sent| bytes.
   struct Tag {
     VectorClock timestamp;  // send event's vector time
     /// Per-destination vector times of the latest causally known message
     /// to that destination (the V_SND set of the original paper).
     std::map<ProcessId, VectorClock> last_sent;
 
-    /// The one encoding of a tag, on the wire and in snapshot(): the
-    /// timestamp, then each (destination, vector) pair, with no count —
-    /// (1 + |last_sent|) * 4n + 4 |last_sent| bytes.
-    static void encode(std::string& out, const VectorClock& timestamp,
-                       const std::map<ProcessId, VectorClock>& last_sent) {
-      codec::put_vector_clock(out, timestamp);
-      for (const auto& [dst, v] : last_sent) {
-        codec::put_u32(out, dst);
-        codec::put_vector_clock(out, v);
-      }
-    }
-    static Tag decode(std::string_view payload, std::size_t n) {
-      codec::Reader in(payload);
-      Tag tag{in.vector_clock(n), {}};
-      while (!in.done()) read_pair(in, n, tag.last_sent);
-      return tag;
-    }
-    /// One (destination, vector) pair of encode()'s list into `pairs`.
-    static void read_pair(codec::Reader& in, std::size_t n,
-                          std::map<ProcessId, VectorClock>& pairs) {
-      const ProcessId dst = in.u32();
-      pairs.emplace_hint(pairs.end(), dst, in.vector_clock(n));
+    template <class S, class IO>
+    static void fields(S& tag, IO& io) {
+      io(tag.timestamp);
+      io.trailing(tag.last_sent);
     }
     bool operator==(const Tag&) const = default;
   };
+
+  template <class S, class IO>
+  static void fields(S& self, IO& io) {
+    io(self.time_, self.last_sent_);
+    io.sorted(self.buffer_, &Buffered::msg);
+  }
 
  private:
   bool deliverable(const Tag& tag) const;
@@ -82,6 +70,12 @@ class CausalSesProtocol final : public Protocol {
   struct Buffered {
     MessageId msg;
     Tag tag;
+
+    template <class S, class IO>
+    static void fields(S& b, IO& io) {
+      io(b.msg);
+      io.nested(b.tag);
+    }
   };
 
   Host& host_;

@@ -30,7 +30,7 @@ void FlushChannelProtocol::on_invoke(const Message& m) {
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
-  tag.encode(pkt.payload);
+  codec::save(tag, pkt.payload);
   host_.send_packet(std::move(pkt));
 }
 
@@ -73,54 +73,10 @@ void FlushChannelProtocol::drain(ProcessId src, ChannelIn& in) {
 void FlushChannelProtocol::on_packet(const Packet& packet) {
   if (packet.is_control) return;
   ChannelIn& in = in_[packet.src];
-  in.buffer.emplace_back(packet.user_msg, Tag::decode(packet.payload));
+  in.buffer.emplace_back(
+      packet.user_msg,
+      codec::decode<Tag>(packet.payload, host_.process_count()));
   drain(packet.src, in);
-}
-
-bool FlushChannelProtocol::snapshot(std::string& out) const {
-  codec::put_u32(out, static_cast<std::uint32_t>(out_.size()));
-  for (const auto& [dst, ch] : out_) {
-    codec::put_u32(out, dst);
-    codec::put_u32(out, ch.next_seq);
-    codec::put_u32(out, ch.last_barrier);
-  }
-  codec::put_u32(out, static_cast<std::uint32_t>(in_.size()));
-  for (const auto& [src, ch] : in_) {
-    codec::put_u32(out, src);
-    codec::put_u32(out, static_cast<std::uint32_t>(ch.delivered.size()));
-    for (const bool d : ch.delivered) codec::put_u8(out, d ? 1 : 0);
-    codec::put_u32(out, static_cast<std::uint32_t>(ch.buffer.size()));
-    for (const auto* entry : codec::sorted_by(
-             ch.buffer, [](const auto& x) { return x.second.seq; })) {
-      const auto& [msg, tag] = *entry;
-      codec::put_u32(out, msg);
-      tag.encode(out);
-    }
-  }
-  return true;
-}
-
-bool FlushChannelProtocol::restore(codec::Reader& in) {
-  out_.clear();
-  for (std::uint32_t k = in.u32(); k > 0; --k) {
-    ChannelOut& ch = out_[in.u32()];
-    ch.next_seq = in.u32();
-    ch.last_barrier = in.u32();
-  }
-  in_.clear();
-  for (std::uint32_t k = in.u32(); k > 0; --k) {
-    ChannelIn& ch = in_[in.u32()];
-    ch.delivered.resize(in.u32());
-    for (std::size_t s = 0; s < ch.delivered.size(); ++s) {
-      ch.delivered[s] = in.u8() != 0;
-    }
-    ch.buffer.resize(in.u32());
-    for (auto& [msg, tag] : ch.buffer) {
-      msg = in.u32();
-      tag = Tag::read(in);
-    }
-  }
-  return true;
 }
 
 bool FlushChannelProtocol::quiescent() const {

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/protocols/protocol.hpp"
@@ -34,20 +33,22 @@ enum FlushKind : int {
   kTwoWayFlush = 3,
 };
 
-class FlushChannelProtocol final : public Protocol {
+class FlushChannelProtocol final
+    : public FieldProtocol<FlushChannelProtocol> {
  public:
   explicit FlushChannelProtocol(Host& host)
-      : host_(host), report_holds_(host.wants_hold_reasons()) {}
+      : FieldProtocol(host.process_count()),
+        host_(host),
+        report_holds_(host.wants_hold_reasons()) {}
 
   void on_invoke(const Message& m) override;
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "flush-channel"; }
-  bool snapshot(std::string& out) const override;
-  bool restore(codec::Reader& in) override;
   bool quiescent() const override;
 
   static ProtocolFactory factory();
 
+  /// The tag: seq, barrier, kind as u32s (12 bytes).
   struct Tag {
     std::uint32_t seq = 0;
     /// Sequence of the latest earlier backward/two-way barrier on this
@@ -57,24 +58,16 @@ class FlushChannelProtocol final : public Protocol {
 
     static constexpr std::uint32_t kNoBarrier = 0xffffffffu;
 
-    /// The one encoding of a tag, on the wire and in snapshot(): seq,
-    /// barrier, kind as u32s (12 bytes).
-    void encode(std::string& out) const {
-      codec::put_u32(out, seq);
-      codec::put_u32(out, barrier);
-      codec::put_u32(out, static_cast<std::uint32_t>(kind));
-    }
-    static Tag decode(std::string_view payload) {
-      codec::Reader in(payload);
-      return read(in);
-    }
-    static Tag read(codec::Reader& in) {
-      const std::uint32_t seq = in.u32();
-      const std::uint32_t barrier = in.u32();
-      return Tag{seq, barrier, static_cast<int>(in.u32())};
+    template <class S, class IO>
+    static void fields(S& tag, IO& io) {
+      io(tag.seq, tag.barrier);
+      io.u32(tag.kind);
     }
     bool operator==(const Tag&) const = default;
   };
+
+  template <class S, class IO>
+  static void fields(S& self, IO& io) { io(self.out_, self.in_); }
 
  private:
   struct ChannelIn {
@@ -84,6 +77,14 @@ class FlushChannelProtocol final : public Protocol {
 
     bool all_delivered_below(std::uint32_t seq) const;
     bool is_delivered(std::uint32_t seq) const;
+
+    template <class S, class IO>
+    static void fields(S& in, IO& io) {
+      io(in.delivered);
+      io.sorted(in.buffer, [](const std::pair<MessageId, Tag>& entry) {
+        return entry.second.seq;
+      });
+    }
   };
 
   bool deliverable(const ChannelIn& in, const Tag& tag) const;
@@ -94,6 +95,9 @@ class FlushChannelProtocol final : public Protocol {
   struct ChannelOut {
     std::uint32_t next_seq = 0;
     std::uint32_t last_barrier = Tag::kNoBarrier;
+
+    template <class S, class IO>
+    static void fields(S& out, IO& io) { io(out.next_seq, out.last_barrier); }
   };
   std::map<ProcessId, ChannelOut> out_;
   std::map<ProcessId, ChannelIn> in_;

@@ -13,7 +13,14 @@ void GlobalFlushProtocol::on_invoke(const Message& m) {
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
-  Tag::encode(pkt.payload, sent_, red_frontier_, red);
+  // The tag, encoded straight from our state.
+  const struct {
+    const MatrixClock& sent;
+    const MatrixClock& red_frontier;
+    bool red;
+  } tag{sent_, red_frontier_, red};
+  codec::FieldWriter io(pkt.payload);
+  Tag::fields(tag, io);
   sent_.at(host_.self(), m.dst) += 1;
   host_.send_packet(std::move(pkt));
 }
@@ -87,48 +94,10 @@ void GlobalFlushProtocol::drain() {
 
 void GlobalFlushProtocol::on_packet(const Packet& packet) {
   if (packet.is_control) return;
-  buffer_.push_back({packet.user_msg, packet.src,
-                     Tag::decode(packet.payload, host_.process_count())});
+  buffer_.push_back(
+      {packet.user_msg, packet.src,
+       codec::decode<Tag>(packet.payload, host_.process_count())});
   drain();
-}
-
-bool GlobalFlushProtocol::snapshot(std::string& out) const {
-  codec::put_u32(out, static_cast<std::uint32_t>(red_color_));
-  codec::put_matrix_clock(out, sent_);
-  codec::put_matrix_clock(out, red_frontier_);
-  codec::put_u32(out, static_cast<std::uint32_t>(delivered_seqs_.size()));
-  for (const auto& seqs : delivered_seqs_) {
-    codec::put_u32(out, static_cast<std::uint32_t>(seqs.size()));
-    for (const bool s : seqs) codec::put_u8(out, s ? 1 : 0);
-  }
-  const auto sorted =
-      codec::sorted_by(buffer_, [](const Buffered& b) { return b.msg; });
-  codec::put_u32(out, static_cast<std::uint32_t>(sorted.size()));
-  for (const Buffered* b : sorted) {
-    codec::put_u32(out, b->msg);
-    codec::put_u32(out, b->src);
-    Tag::encode(out, b->tag.sent, b->tag.red_frontier, b->tag.red);
-  }
-  return true;
-}
-
-bool GlobalFlushProtocol::restore(codec::Reader& in) {
-  const std::size_t n = host_.process_count();
-  if (in.u32() != static_cast<std::uint32_t>(red_color_)) return false;
-  sent_ = in.matrix_clock(n);
-  red_frontier_ = in.matrix_clock(n);
-  delivered_seqs_.resize(in.u32());
-  for (auto& seqs : delivered_seqs_) {
-    seqs.resize(in.u32());
-    for (std::size_t s = 0; s < seqs.size(); ++s) seqs[s] = in.u8() != 0;
-  }
-  buffer_.resize(in.u32());
-  for (Buffered& b : buffer_) {
-    b.msg = in.u32();
-    b.src = in.u32();
-    b.tag = Tag::read(in, n);
-  }
-  return true;
 }
 
 ProtocolFactory GlobalFlushProtocol::factory(int red_color) {

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/poset/clocks.hpp"
@@ -38,10 +37,11 @@
 
 namespace msgorder {
 
-class GlobalFlushProtocol final : public Protocol {
+class GlobalFlushProtocol final : public FieldProtocol<GlobalFlushProtocol> {
  public:
   GlobalFlushProtocol(Host& host, int red_color)
-      : host_(host),
+      : FieldProtocol(host.process_count()),
+        host_(host),
         report_holds_(host.wants_hold_reasons()),
         red_color_(red_color),
         sent_(host.process_count()),
@@ -51,36 +51,29 @@ class GlobalFlushProtocol final : public Protocol {
   void on_invoke(const Message& m) override;
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "global-flush"; }
-  bool snapshot(std::string& out) const override;
-  bool restore(codec::Reader& in) override;
   bool quiescent() const override { return buffer_.empty(); }
 
   static ProtocolFactory factory(int red_color = 1);
 
+  /// The tag: both matrices, then the red flag as one byte
+  /// (8n^2 + 1 bytes).
   struct Tag {
     MatrixClock sent;          // full knowledge (for merging + red check)
     MatrixClock red_frontier;  // pre-send knowledge of past red messages
     bool red = false;
 
-    /// The one encoding of a tag, on the wire and in snapshot(): both
-    /// matrices, then the red flag as one byte (8n^2 + 1 bytes).
-    static void encode(std::string& out, const MatrixClock& sent,
-                       const MatrixClock& red_frontier, bool red) {
-      codec::put_matrix_clock(out, sent);
-      codec::put_matrix_clock(out, red_frontier);
-      codec::put_u8(out, red ? 1 : 0);
-    }
-    static Tag decode(std::string_view payload, std::size_t n) {
-      codec::Reader in(payload);
-      return read(in, n);
-    }
-    static Tag read(codec::Reader& in, std::size_t n) {
-      MatrixClock sent = in.matrix_clock(n);
-      MatrixClock red_frontier = in.matrix_clock(n);
-      return Tag{std::move(sent), std::move(red_frontier), in.u8() != 0};
+    template <class S, class IO>
+    static void fields(S& tag, IO& io) {
+      io(tag.sent, tag.red_frontier, tag.red);
     }
     bool operator==(const Tag&) const = default;
   };
+
+  template <class S, class IO>
+  static void fields(S& self, IO& io) {
+    io(self.sent_, self.red_frontier_, self.delivered_seqs_);
+    io.sorted(self.buffer_, &Buffered::msg);
+  }
 
  private:
   bool deliverable(const Tag& tag) const;
@@ -95,11 +88,15 @@ class GlobalFlushProtocol final : public Protocol {
     MessageId msg;
     ProcessId src;
     Tag tag;
+
+    template <class S, class IO>
+    static void fields(S& b, IO& io) { io(b.msg, b.src, b.tag); }
   };
 
   Host& host_;
   const bool report_holds_;
-  int red_color_;
+  /// Configuration, not state: every instance of a stack shares it.
+  const int red_color_;
   MatrixClock sent_;
   MatrixClock red_frontier_;
   /// delivered_seqs_[k][s]: message s on channel k -> self delivered.

@@ -9,14 +9,16 @@ void KWeakerCausalProtocol::on_invoke(const Message& m) {
   // chainlen(x, m) = d(x) + 1 for every known x: the longest chain to a
   // send in our causal past extends by this new send, and so does every
   // chain that ends in our causal past.  The tag is known_ after that
-  // extension, encoded straight from it.
+  // extension: each entry is written as one of Tag's trailing chains in
+  // the same pass that extends it.
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
   pkt.payload.reserve(12 * known_.size());
-  for (auto& [msg, entry] : known_) {
-    entry.depth += 1;
-    Tag::put_chain(pkt.payload, msg, entry);
+  codec::FieldWriter io(pkt.payload);
+  for (auto& chain : known_) {
+    chain.second.depth += 1;
+    io(chain);
   }
   // The new send joins our causal past with a self chain of length 1.
   known_[m.id] = ChainEntry{m.dst, 1};
@@ -68,7 +70,10 @@ void KWeakerCausalProtocol::drain() {
 
 void KWeakerCausalProtocol::on_packet(const Packet& packet) {
   if (packet.is_control) return;
-  Tag tag = Tag::decode(packet.payload);
+  Tag tag;
+  tag.chains.reserve(packet.payload.size() / 12);
+  codec::Reader in(packet.payload);
+  codec::load(tag, in, host_.process_count());
   // The receive event puts the sender's knowledge in our causal past.
   for (const auto& [msg, entry] : tag.chains) {
     auto [it, inserted] = known_.try_emplace(msg, entry);
@@ -82,42 +87,6 @@ void KWeakerCausalProtocol::on_packet(const Packet& packet) {
       it->second.depth, 1);
   buffer_.push_back({packet.user_msg, std::move(tag)});
   drain();
-}
-
-bool KWeakerCausalProtocol::snapshot(std::string& out) const {
-  codec::put_u64(out, k_);
-  codec::put_u32(out, static_cast<std::uint32_t>(known_.size()));
-  for (const auto& [msg, entry] : known_) Tag::put_chain(out, msg, entry);
-  codec::put_u32(out, static_cast<std::uint32_t>(delivered_here_.size()));
-  for (const MessageId msg : delivered_here_) codec::put_u32(out, msg);
-  const auto sorted =
-      codec::sorted_by(buffer_, [](const Buffered& b) { return b.msg; });
-  codec::put_u32(out, static_cast<std::uint32_t>(sorted.size()));
-  for (const Buffered* b : sorted) {
-    codec::put_u32(out, b->msg);
-    codec::put_u32(out, static_cast<std::uint32_t>(b->tag.chains.size()));
-    b->tag.encode(out);
-  }
-  return true;
-}
-
-bool KWeakerCausalProtocol::restore(codec::Reader& in) {
-  if (in.u64() != k_) return false;
-  known_.clear();
-  for (std::uint32_t i = in.u32(); i > 0; --i) {
-    known_.insert(known_.end(), Tag::read_chain(in));
-  }
-  delivered_here_.clear();
-  for (std::uint32_t i = in.u32(); i > 0; --i) {
-    delivered_here_.insert(delivered_here_.end(), in.u32());
-  }
-  buffer_.resize(in.u32());
-  for (Buffered& b : buffer_) {
-    b.msg = in.u32();
-    b.tag.chains.resize(in.u32());
-    for (auto& chain : b.tag.chains) chain = Tag::read_chain(in);
-  }
-  return true;
 }
 
 ProtocolFactory KWeakerCausalProtocol::factory(std::size_t k) {

@@ -25,7 +25,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,18 +33,20 @@
 
 namespace msgorder {
 
-class KWeakerCausalProtocol final : public Protocol {
+class KWeakerCausalProtocol final
+    : public FieldProtocol<KWeakerCausalProtocol> {
  public:
   KWeakerCausalProtocol(Host& host, std::size_t k)
-      : host_(host), report_holds_(host.wants_hold_reasons()), k_(k) {}
+      : FieldProtocol(host.process_count()),
+        host_(host),
+        report_holds_(host.wants_hold_reasons()),
+        k_(k) {}
 
   void on_invoke(const Message& m) override;
   void on_packet(const Packet& packet) override;
   std::string name() const override {
     return "kweaker-causal(k=" + std::to_string(k_) + ")";
   }
-  bool snapshot(std::string& out) const override;
-  bool restore(codec::Reader& in) override;
   bool quiescent() const override { return buffer_.empty(); }
 
   static ProtocolFactory factory(std::size_t k);
@@ -54,40 +55,29 @@ class KWeakerCausalProtocol final : public Protocol {
     ProcessId dst = 0;         // destination of the past message
     std::uint32_t depth = 0;   // longest send chain ending at the tagged send
 
+    template <class S, class IO>
+    static void fields(S& entry, IO& io) { io(entry.dst, entry.depth); }
     bool operator==(const ChainEntry&) const = default;
   };
 
+  /// The tag: its chain entries with no count, each message,
+  /// destination, depth (12 bytes); the payload's length fixes the
+  /// count.
   struct Tag {
     /// chainlen(x, y) for every x in the causal past of the tagged y,
     /// sorted by x.
     std::vector<std::pair<MessageId, ChainEntry>> chains;
 
-    /// The one encoding of a chain entry, on the wire and in
-    /// snapshot(): message, destination, depth (12 bytes).  A tag is
-    /// its entries with no count; the payload's length fixes it.
-    static void put_chain(std::string& out, MessageId msg,
-                          const ChainEntry& entry) {
-      codec::put_u32(out, msg);
-      codec::put_u32(out, entry.dst);
-      codec::put_u32(out, entry.depth);
-    }
-    void encode(std::string& out) const {
-      for (const auto& [msg, entry] : chains) put_chain(out, msg, entry);
-    }
-    static std::pair<MessageId, ChainEntry> read_chain(codec::Reader& in) {
-      const MessageId msg = in.u32();
-      const ProcessId dst = in.u32();
-      return {msg, ChainEntry{dst, in.u32()}};
-    }
-    static Tag decode(std::string_view payload) {
-      codec::Reader in(payload);
-      Tag tag;
-      tag.chains.reserve(payload.size() / 12);
-      while (!in.done()) tag.chains.push_back(read_chain(in));
-      return tag;
-    }
+    template <class S, class IO>
+    static void fields(S& tag, IO& io) { io.trailing(tag.chains); }
     bool operator==(const Tag&) const = default;
   };
+
+  template <class S, class IO>
+  static void fields(S& self, IO& io) {
+    io(self.known_, self.delivered_here_);
+    io.sorted(self.buffer_, &Buffered::msg);
+  }
 
  private:
   bool deliverable(const Tag& tag) const;
@@ -99,11 +89,18 @@ class KWeakerCausalProtocol final : public Protocol {
   struct Buffered {
     MessageId msg;
     Tag tag;
+
+    template <class S, class IO>
+    static void fields(S& b, IO& io) {
+      io(b.msg);
+      io.nested(b.tag);
+    }
   };
 
   Host& host_;
   const bool report_holds_;
-  std::size_t k_;
+  /// Configuration, not state: every instance of a stack shares it.
+  const std::size_t k_;
   /// d(x) = longest send chain from x's send to any send in our causal
   /// past (including x itself: at least 1 once known).
   std::map<MessageId, ChainEntry> known_;

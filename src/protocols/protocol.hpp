@@ -175,7 +175,11 @@ class Protocol {
   /// back, and the restore oracle test (tests/verify_test.cpp) sees the
   /// divergence.  Both return false when the protocol does not support
   /// them, and the verifier then refuses the stack.  Every registry
-  /// stack implements both.
+  /// stack, the reliability wrap and the seeded mutants implement both
+  /// through FieldProtocol (src/protocols/state_codec.hpp): one field
+  /// list per state serves both directions, so a field cannot be
+  /// written and then forgotten.  They stay virtuals with defaults so a
+  /// decorator may forward snapshot() alone, as a timing proxy does.
   virtual bool snapshot(std::string& out) const {
     (void)out;
     return false;

@@ -41,7 +41,7 @@ class ReliableProtocol::InnerHost final : public Host {
 ReliableProtocol::ReliableProtocol(Host& host,
                                    const ProtocolFactory& inner_factory,
                                    ReliableOptions options)
-    : host_(host), options_(options) {
+    : FieldProtocol(host.process_count()), host_(host), options_(options) {
   inner_host_ = std::make_unique<InnerHost>(this, host);
   inner_ = inner_factory(*inner_host_);
 }
@@ -57,7 +57,7 @@ void ReliableProtocol::on_invoke(const Message& m) { inner_->on_invoke(m); }
 void ReliableProtocol::ship(Packet inner_packet) {
   const std::uint64_t seq = next_seq_++;
   std::string payload;
-  Envelope::encode(payload, seq, inner_packet.payload);
+  codec::save(Envelope{seq, std::move(inner_packet.payload)}, payload);
   inner_packet.payload = std::move(payload);
   pending_[seq] = PendingPacket{inner_packet, 0};
   host_.send_packet(std::move(inner_packet));
@@ -91,7 +91,8 @@ void ReliableProtocol::on_packet(const Packet& packet) {
     pending_.erase(codec::Reader(packet.payload).u64());
     return;
   }
-  Envelope envelope = Envelope::decode(packet.payload);
+  Envelope envelope =
+      codec::decode<Envelope>(packet.payload, host_.process_count());
   // Acknowledge every arrival (the original ACK may have been lost).
   Packet ack;
   ack.dst = packet.src;
@@ -104,62 +105,6 @@ void ReliableProtocol::on_packet(const Packet& packet) {
   inner_->on_packet({packet.src, packet.dst, packet.is_control,
                      packet.user_msg, packet.kind,
                      std::move(envelope.inner)});
-}
-
-bool ReliableProtocol::snapshot(std::string& out) const {
-  std::string inner_state;
-  if (!inner_->snapshot(inner_state)) return false;
-  // next_seq_ is determined by the number of ships so far, which the
-  // pending_/seen_ contents do not fully pin down once entries are
-  // reaped; encode it so runs that diverge in ship count differ (and
-  // restore() gets it back).
-  codec::put_u64(out, next_seq_);
-  codec::put_u32(out, static_cast<std::uint32_t>(pending_.size()));
-  for (const auto& [seq, entry] : pending_) {
-    // The whole packet a retransmission re-sends, not just its address:
-    // wraps that differ only in what they would re-send differ.  (Its
-    // src is not state: the host stamps every emission's source.)
-    const Packet& pkt = entry.packet;
-    codec::put_u64(out, seq);
-    codec::put_u32(out, pkt.dst);
-    codec::put_u8(out, pkt.is_control ? 1 : 0);
-    codec::put_str(out, pkt.kind);
-    codec::put_u32(out, pkt.user_msg);
-    codec::put_str(out, pkt.payload);
-    codec::put_u64(out, static_cast<std::uint64_t>(entry.retransmissions));
-  }
-  codec::put_u32(out, static_cast<std::uint32_t>(seen_.size()));
-  for (const auto& [src, seqs] : seen_) {
-    codec::put_u32(out, src);
-    codec::put_u32(out, static_cast<std::uint32_t>(seqs.size()));
-    for (const std::uint64_t seq : seqs) codec::put_u64(out, seq);
-  }
-  codec::put_str(out, inner_state);
-  return true;
-}
-
-bool ReliableProtocol::restore(codec::Reader& in) {
-  next_seq_ = in.u64();
-  pending_.clear();
-  for (std::uint32_t k = in.u32(); k > 0; --k) {
-    PendingPacket& entry = pending_[in.u64()];
-    Packet& pkt = entry.packet;
-    pkt.dst = in.u32();
-    pkt.is_control = in.u8() != 0;
-    pkt.kind = in.str();
-    pkt.user_msg = in.u32();
-    pkt.payload = in.str();
-    entry.retransmissions = static_cast<std::size_t>(in.u64());
-  }
-  seen_.clear();
-  for (std::uint32_t k = in.u32(); k > 0; --k) {
-    std::set<std::uint64_t>& seqs = seen_[in.u32()];
-    for (std::uint32_t i = in.u32(); i > 0; --i) {
-      seqs.insert(seqs.end(), in.u64());
-    }
-  }
-  codec::Reader inner(in.str_view());
-  return inner_->restore(inner);
 }
 
 bool ReliableProtocol::quiescent() const {

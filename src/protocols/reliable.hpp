@@ -18,7 +18,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <string_view>
 
 #include "src/protocols/protocol.hpp"
 #include "src/protocols/state_codec.hpp"
@@ -33,7 +32,7 @@ struct ReliableOptions {
   std::size_t max_retransmissions = 0;
 };
 
-class ReliableProtocol final : public Protocol {
+class ReliableProtocol final : public FieldProtocol<ReliableProtocol> {
  public:
   ReliableProtocol(Host& host, const ProtocolFactory& inner_factory,
                    ReliableOptions options);
@@ -43,8 +42,6 @@ class ReliableProtocol final : public Protocol {
   void on_packet(const Packet& packet) override;
   void on_timer(std::uint64_t cookie) override;
   std::string name() const override;
-  bool snapshot(std::string& out) const override;
-  bool restore(codec::Reader& in) override;
   bool quiescent() const override;
 
   /// Wrap a factory: reliable(fifo), reliable(causal-rst), ...
@@ -58,18 +55,23 @@ class ReliableProtocol final : public Protocol {
     std::uint64_t seq = 0;
     std::string inner;
 
-    static void encode(std::string& out, std::uint64_t seq,
-                       std::string_view inner) {
-      codec::put_u64(out, seq);
-      out.append(inner);
-    }
-    static Envelope decode(std::string_view payload) {
-      codec::Reader in(payload);
-      const std::uint64_t seq = in.u64();
-      return Envelope{seq, std::string(in.rest())};
+    template <class S, class IO>
+    static void fields(S& envelope, IO& io) {
+      io(envelope.seq);
+      io.trailing(envelope.inner);
     }
     bool operator==(const Envelope&) const = default;
   };
+
+  /// next_seq_ is determined by the number of ships so far, which the
+  /// pending_/seen_ contents do not fully pin down once entries are
+  /// reaped; it is encoded so runs that diverge in ship count differ.
+  /// The inner protocol's snapshot is a nested block.
+  template <class S, class IO>
+  static void fields(S& self, IO& io) {
+    io(self.next_seq_, self.pending_, self.seen_);
+    io.nested(*self.inner_);
+  }
 
  private:
   class InnerHost;
@@ -77,6 +79,17 @@ class ReliableProtocol final : public Protocol {
   struct PendingPacket {
     Packet packet;  // the enveloped packet, ready to re-send
     std::size_t retransmissions = 0;
+
+    /// The whole packet a retransmission re-sends, not just its
+    /// address: wraps that differ only in what they would re-send
+    /// differ.  (Its src is not state: the host stamps every
+    /// emission's source.)
+    template <class S, class IO>
+    static void fields(S& entry, IO& io) {
+      auto& pkt = entry.packet;
+      io(pkt.dst, pkt.is_control, pkt.kind, pkt.user_msg, pkt.payload);
+      io.u64(entry.retransmissions);
+    }
   };
 
   void ship(Packet inner_packet);

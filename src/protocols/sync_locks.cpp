@@ -4,8 +4,6 @@
 #include <cassert>
 #include <memory>
 
-#include "src/protocols/state_codec.hpp"
-
 namespace msgorder {
 
 void SyncLocksProtocol::on_invoke(const Message& m) {
@@ -155,53 +153,6 @@ void SyncLocksProtocol::on_packet(const Packet& packet) {
   } else if (packet.kind == "MACK") {
     finish_exchange(msg);
   }
-}
-
-bool SyncLocksProtocol::snapshot(std::string& out) const {
-  codec::put_u32(out, static_cast<std::uint32_t>(pending_.size()));
-  for (const MessageId msg : pending_) codec::put_u32(out, msg);
-  codec::put_u8(out, active_.has_value() ? 1 : 0);
-  if (active_.has_value()) {
-    codec::put_u32(out, active_->msg);
-    codec::put_u32(out, active_->first_lock);
-    codec::put_u32(out, active_->second_lock);
-    codec::put_u8(out, static_cast<std::uint8_t>(active_->locks_held));
-  }
-  codec::put_u8(out, lock_.holder.has_value() ? 1 : 0);
-  if (lock_.holder.has_value()) {
-    codec::put_u32(out, lock_.holder->first);
-    codec::put_u32(out, lock_.holder->second);
-  }
-  codec::put_u32(out, static_cast<std::uint32_t>(lock_.queue.size()));
-  for (const auto& [requester, msg] : lock_.queue) {
-    codec::put_u32(out, requester);
-    codec::put_u32(out, msg);
-  }
-  return true;
-}
-
-bool SyncLocksProtocol::restore(codec::Reader& in) {
-  pending_.resize(in.u32());
-  for (MessageId& msg : pending_) msg = in.u32();
-  active_.reset();
-  if (in.u8() != 0) {
-    Exchange& exchange = active_.emplace();
-    exchange.msg = in.u32();
-    exchange.first_lock = in.u32();
-    exchange.second_lock = in.u32();
-    exchange.locks_held = in.u8();
-  }
-  lock_.holder.reset();
-  if (in.u8() != 0) {
-    const ProcessId requester = in.u32();
-    lock_.holder.emplace(requester, in.u32());
-  }
-  lock_.queue.resize(in.u32());
-  for (auto& [requester, msg] : lock_.queue) {
-    requester = in.u32();
-    msg = in.u32();
-  }
-  return true;
 }
 
 ProtocolFactory SyncLocksProtocol::factory() {

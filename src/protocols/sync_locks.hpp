@@ -24,25 +24,31 @@
 #include <optional>
 
 #include "src/protocols/protocol.hpp"
+#include "src/protocols/state_codec.hpp"
 
 namespace msgorder {
 
-class SyncLocksProtocol final : public Protocol {
+class SyncLocksProtocol final : public FieldProtocol<SyncLocksProtocol> {
  public:
   explicit SyncLocksProtocol(Host& host)
-      : host_(host), report_holds_(host.wants_hold_reasons()) {}
+      : FieldProtocol(host.process_count()),
+        host_(host),
+        report_holds_(host.wants_hold_reasons()) {}
 
   void on_invoke(const Message& m) override;
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "sync-locks"; }
-  bool snapshot(std::string& out) const override;
-  bool restore(codec::Reader& in) override;
   bool quiescent() const override {
     return pending_.empty() && !active_.has_value() &&
            !lock_.holder.has_value() && lock_.queue.empty();
   }
 
   static ProtocolFactory factory();
+
+  template <class S, class IO>
+  static void fields(S& self, IO& io) {
+    io(self.pending_, self.active_, self.lock_);
+  }
 
  private:
   /// A pending exchange at its *sender*.
@@ -51,6 +57,12 @@ class SyncLocksProtocol final : public Protocol {
     ProcessId first_lock = 0;   // min(self, dst)
     ProcessId second_lock = 0;  // max(self, dst)
     int locks_held = 0;
+
+    template <class S, class IO>
+    static void fields(S& x, IO& io) {
+      io(x.msg, x.first_lock, x.second_lock);
+      io.u8(x.locks_held);
+    }
   };
 
   /// Lock-owner side: grant to the head of the queue when free.
@@ -58,6 +70,9 @@ class SyncLocksProtocol final : public Protocol {
     /// Holder exchange, as (sender process, message id); nullopt = free.
     std::optional<std::pair<ProcessId, MessageId>> holder;
     std::deque<std::pair<ProcessId, MessageId>> queue;
+
+    template <class S, class IO>
+    static void fields(S& lock, IO& io) { io(lock.holder, lock.queue); }
   };
 
   // Sender-side steps.

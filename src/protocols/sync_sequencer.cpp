@@ -3,8 +3,6 @@
 #include <cassert>
 #include <memory>
 
-#include "src/protocols/state_codec.hpp"
-
 namespace msgorder {
 
 void SyncSequencerProtocol::on_invoke(const Message& m) {
@@ -89,26 +87,6 @@ void SyncSequencerProtocol::on_packet(const Packet& packet) {
   } else if (packet.kind == "DONE") {
     exchange_done();
   }
-}
-
-bool SyncSequencerProtocol::snapshot(std::string& out) const {
-  codec::put_u8(out, busy_ ? 1 : 0);
-  codec::put_u32(out, static_cast<std::uint32_t>(grant_queue_.size()));
-  for (const auto& [requester, msg] : grant_queue_) {
-    codec::put_u32(out, requester);
-    codec::put_u32(out, msg);
-  }
-  return true;
-}
-
-bool SyncSequencerProtocol::restore(codec::Reader& in) {
-  busy_ = in.u8() != 0;
-  grant_queue_.resize(in.u32());
-  for (auto& [requester, msg] : grant_queue_) {
-    requester = in.u32();
-    msg = in.u32();
-  }
-  return true;
 }
 
 ProtocolFactory SyncSequencerProtocol::factory() {

@@ -12,22 +12,27 @@
 #include <deque>
 
 #include "src/protocols/protocol.hpp"
+#include "src/protocols/state_codec.hpp"
 
 namespace msgorder {
 
-class SyncSequencerProtocol final : public Protocol {
+class SyncSequencerProtocol final
+    : public FieldProtocol<SyncSequencerProtocol> {
  public:
   explicit SyncSequencerProtocol(Host& host)
-      : host_(host), report_holds_(host.wants_hold_reasons()) {}
+      : FieldProtocol(host.process_count()),
+        host_(host),
+        report_holds_(host.wants_hold_reasons()) {}
 
   void on_invoke(const Message& m) override;
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "sync-sequencer"; }
-  bool snapshot(std::string& out) const override;
-  bool restore(codec::Reader& in) override;
   bool quiescent() const override { return !busy_ && grant_queue_.empty(); }
 
   static ProtocolFactory factory();
+
+  template <class S, class IO>
+  static void fields(S& self, IO& io) { io(self.busy_, self.grant_queue_); }
 
  private:
   static constexpr ProcessId kSequencer = 0;

@@ -10,23 +10,40 @@
 #include <deque>
 
 #include "src/protocols/protocol.hpp"
+#include "src/protocols/state_codec.hpp"
 
 namespace msgorder {
 
-class SyncTokenProtocol final : public Protocol {
+class SyncTokenProtocol final : public FieldProtocol<SyncTokenProtocol> {
  public:
   explicit SyncTokenProtocol(Host& host);
 
   void on_invoke(const Message& m) override;
   void on_packet(const Packet& packet) override;
   std::string name() const override { return "sync-token"; }
-  bool snapshot(std::string& out) const override;
-  bool restore(codec::Reader& in) override;
   /// The idle token circulating is not an obligation; an unsent message
   /// or an unacked exchange is.
-  bool quiescent() const override { return pending_.empty() && !awaiting_ack_; }
+  bool quiescent() const override {
+    return state_.pending.empty() && !state_.awaiting_ack;
+  }
 
   static ProtocolFactory factory();
+
+  /// The whole state, shared with the token-early-release mutant
+  /// (src/verify/mutants.cpp).
+  struct State {
+    bool holding = false;
+    bool awaiting_ack = false;
+    std::deque<MessageId> pending;
+
+    template <class S, class IO>
+    static void fields(S& s, IO& io) {
+      io(s.holding, s.awaiting_ack, s.pending);
+    }
+  };
+
+  template <class S, class IO>
+  static void fields(S& self, IO& io) { io(self.state_); }
 
  private:
   void serve_or_pass();
@@ -36,9 +53,7 @@ class SyncTokenProtocol final : public Protocol {
 
   Host& host_;
   bool report_holds_ = false;
-  std::deque<MessageId> pending_;
-  bool holding_ = false;
-  bool awaiting_ack_ = false;
+  State state_;
 };
 
 }  // namespace msgorder

@@ -1,13 +1,12 @@
 #include "src/verify/mutants.hpp"
 
-#include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
-#include "src/poset/clocks.hpp"
 #include "src/protocols/causal_rst.hpp"
+#include "src/protocols/fifo.hpp"
 #include "src/protocols/state_codec.hpp"
+#include "src/protocols/sync_token.hpp"
 #include "src/spec/library.hpp"
 
 namespace msgorder {
@@ -19,24 +18,20 @@ namespace {
 // clean FIFO stack until two packets are buffered on one channel; then
 // it flushes the whole buffer immediately — out of order — and skips
 // the expected counter past everything flushed.
-class FifoOvertakeMutant final : public Protocol {
+class FifoOvertakeMutant final : public FieldProtocol<FifoOvertakeMutant> {
  public:
-  explicit FifoOvertakeMutant(Host& host) : host_(host) {}
+  explicit FifoOvertakeMutant(Host& host)
+      : FieldProtocol(host.process_count()), host_(host) {}
 
   void on_invoke(const Message& m) override {
-    Packet pkt;
-    pkt.dst = m.dst;
-    pkt.user_msg = m.id;
-    codec::put_u32(pkt.payload, next_out_[m.dst]++);
-    host_.send_packet(std::move(pkt));
+    host_.send_packet(state_.send(m));
   }
 
   void on_packet(const Packet& packet) override {
     if (packet.is_control) return;
     const std::uint32_t seq = codec::Reader(packet.payload).u32();
-    auto& expected = next_in_[packet.src];
-    auto& buffer = buffer_[packet.src];
-    if (seq < expected) {
+    FifoProtocol::State::Inbox& inbox = state_.in[packet.src];
+    if (seq < inbox.expected) {
       // A flush already skipped past this packet: deliver it late —
       // still out of order, but nothing is ever stranded, so every run
       // completes and the verifier reports the ordering violation
@@ -44,92 +39,28 @@ class FifoOvertakeMutant final : public Protocol {
       host_.deliver(packet.user_msg);
       return;
     }
-    buffer.push_back({packet.user_msg, seq});
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (auto it = buffer.begin(); it != buffer.end(); ++it) {
-        if (it->seq == expected) {
-          host_.deliver(it->msg);
-          ++expected;
-          buffer.erase(it);
-          progressed = true;
-          break;
-        }
-      }
-    }
-    if (buffer.size() >= 2) {
+    inbox.buffer.push_back({packet.user_msg, seq});
+    inbox.drain(host_);
+    if (inbox.buffer.size() >= 2) {
       // THE BUG: impatience.  Flush everything buffered in arrival
       // order, gaps and all, and never look back.
-      for (const Pending& p : buffer) {
+      for (const FifoProtocol::State::Pending& p : inbox.buffer) {
         host_.deliver(p.msg);
-        if (p.seq >= expected) expected = p.seq + 1;
+        if (p.seq >= inbox.expected) inbox.expected = p.seq + 1;
       }
-      buffer.clear();
+      inbox.buffer.clear();
     }
   }
 
   std::string name() const override { return "mutant:fifo-overtake"; }
+  bool quiescent() const override { return state_.quiescent(); }
 
-  bool snapshot(std::string& out) const override {
-    encode_seq_maps(out, next_out_, next_in_, buffer_);
-    return true;
-  }
-  bool restore(codec::Reader& in) override {
-    decode_seq_maps(in, next_out_, next_in_, buffer_);
-    return true;
-  }
-  bool quiescent() const override {
-    for (const auto& [src, pendings] : buffer_) {
-      if (!pendings.empty()) return false;
-    }
-    return true;
-  }
+  template <class S, class IO>
+  static void fields(S& self, IO& io) { io(self.state_); }
 
-  struct Pending {
-    MessageId msg;
-    std::uint32_t seq;
-  };
-
-  static void encode_seq_maps(
-      std::string& out, const std::map<ProcessId, std::uint32_t>& next_out,
-      const std::map<ProcessId, std::uint32_t>& next_in,
-      const std::map<ProcessId, std::vector<Pending>>& buffers) {
-    codec::put_u32_map(out, next_out);
-    codec::put_u32_map(out, next_in);
-    codec::put_u32(out, static_cast<std::uint32_t>(buffers.size()));
-    for (const auto& [src, pendings] : buffers) {
-      codec::put_u32(out, src);
-      codec::put_u32(out, static_cast<std::uint32_t>(pendings.size()));
-      for (const Pending* p : codec::sorted_by(
-               pendings, [](const Pending& x) { return x.seq; })) {
-        codec::put_u32(out, p->msg);
-        codec::put_u32(out, p->seq);
-      }
-    }
-  }
-  static void decode_seq_maps(
-      codec::Reader& in, std::map<ProcessId, std::uint32_t>& next_out,
-      std::map<ProcessId, std::uint32_t>& next_in,
-      std::map<ProcessId, std::vector<Pending>>& buffers) {
-    codec::read_u32_map(in, next_out);
-    codec::read_u32_map(in, next_in);
-    buffers.clear();
-    for (std::uint32_t k = in.u32(); k > 0; --k) {
-      std::vector<Pending>& pendings = buffers[in.u32()];
-      pendings.resize(in.u32());
-      for (Pending& p : pendings) {
-        p.msg = in.u32();
-        p.seq = in.u32();
-      }
-    }
-  }
-
- protected:
+ private:
   Host& host_;
-  std::map<ProcessId, std::uint32_t> next_out_;
-  std::map<ProcessId, std::uint32_t> next_in_;
-  std::map<ProcessId, std::vector<Pending>> buffer_;
+  FifoProtocol::State state_;
 };
 
 // ---------------------------------------------------------------------
@@ -138,46 +69,31 @@ class FifoOvertakeMutant final : public Protocol {
 // so once the missing predecessor finally arrives its sequence number
 // is already in the past and the drain never matches it: the buffered
 // message is stuck forever (a deadlock the verifier must reach).
-class FifoStuckMutant final : public Protocol {
+class FifoStuckMutant final : public FieldProtocol<FifoStuckMutant> {
  public:
   explicit FifoStuckMutant(Host& host)
-      : host_(host), report_holds_(host.wants_hold_reasons()) {}
+      : FieldProtocol(host.process_count()),
+        host_(host),
+        report_holds_(host.wants_hold_reasons()) {}
 
   void on_invoke(const Message& m) override {
-    Packet pkt;
-    pkt.dst = m.dst;
-    pkt.user_msg = m.id;
-    codec::put_u32(pkt.payload, next_out_[m.dst]++);
-    host_.send_packet(std::move(pkt));
+    host_.send_packet(state_.send(m));
   }
 
   void on_packet(const Packet& packet) override {
     if (packet.is_control) return;
     const std::uint32_t seq = codec::Reader(packet.payload).u32();
-    auto& expected = next_in_[packet.src];
-    auto& buffer = buffer_[packet.src];
-    if (seq == expected) {
+    FifoProtocol::State::Inbox& inbox = state_.in[packet.src];
+    if (seq == inbox.expected) {
       host_.deliver(packet.user_msg);
-      ++expected;
+      ++inbox.expected;
     } else {
-      buffer.push_back({packet.user_msg, seq});
-      ++expected;  // THE BUG: skipping ahead strands the predecessor
+      inbox.buffer.push_back({packet.user_msg, seq});
+      ++inbox.expected;  // THE BUG: skipping ahead strands the predecessor
     }
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (auto it = buffer.begin(); it != buffer.end(); ++it) {
-        if (it->seq == expected) {
-          host_.deliver(it->msg);
-          ++expected;
-          buffer.erase(it);
-          progressed = true;
-          break;
-        }
-      }
-    }
+    inbox.drain(host_);
     if (report_holds_) {
-      for (const FifoOvertakeMutant::Pending& p : buffer) {
+      for (const FifoProtocol::State::Pending& p : inbox.buffer) {
         host_.hold(p.msg,
                    HoldReason::predecessor(std::nullopt, packet.src));
       }
@@ -185,28 +101,15 @@ class FifoStuckMutant final : public Protocol {
   }
 
   std::string name() const override { return "mutant:fifo-stuck"; }
+  bool quiescent() const override { return state_.quiescent(); }
 
-  bool snapshot(std::string& out) const override {
-    FifoOvertakeMutant::encode_seq_maps(out, next_out_, next_in_, buffer_);
-    return true;
-  }
-  bool restore(codec::Reader& in) override {
-    FifoOvertakeMutant::decode_seq_maps(in, next_out_, next_in_, buffer_);
-    return true;
-  }
-  bool quiescent() const override {
-    for (const auto& [src, pendings] : buffer_) {
-      if (!pendings.empty()) return false;
-    }
-    return true;
-  }
+  template <class S, class IO>
+  static void fields(S& self, IO& io) { io(self.state_); }
 
  private:
   Host& host_;
   const bool report_holds_;
-  std::map<ProcessId, std::uint32_t> next_out_;
-  std::map<ProcessId, std::uint32_t> next_in_;
-  std::map<ProcessId, std::vector<FifoOvertakeMutant::Pending>> buffer_;
+  FifoProtocol::State state_;
 };
 
 // ---------------------------------------------------------------------
@@ -215,91 +118,49 @@ class FifoStuckMutant final : public Protocol {
 // delivered message itself but does NOT merge the sender's matrix, so
 // knowledge acquired through an intermediary is lost and a relay chain
 // can overtake its causal past.
-class CausalNoMergeMutant final : public Protocol {
+class CausalNoMergeMutant final : public FieldProtocol<CausalNoMergeMutant> {
  public:
   explicit CausalNoMergeMutant(Host& host)
-      : host_(host),
-        sent_(host.process_count()),
-        delivered_(host.process_count(), 0) {}
-
-  using Tag = CausalRstProtocol::Tag;
+      : FieldProtocol(host.process_count()),
+        host_(host),
+        state_(host.process_count()) {}
 
   void on_invoke(const Message& m) override {
-    Packet pkt;
-    pkt.dst = m.dst;
-    pkt.user_msg = m.id;
-    Tag::encode(pkt.payload, sent_);
-    sent_.at(host_.self(), m.dst) += 1;
-    host_.send_packet(std::move(pkt));
+    host_.send_packet(state_.send(m, host_.self()));
   }
 
   void on_packet(const Packet& packet) override {
     if (packet.is_control) return;
-    buffer_.push_back({packet.user_msg, packet.src,
-                       Tag::decode(packet.payload, host_.process_count())});
+    state_.buffer.push_back({packet.user_msg, packet.src,
+                             codec::decode<CausalRstProtocol::Tag>(
+                                 packet.payload, host_.process_count())});
     drain();
   }
 
   std::string name() const override { return "mutant:causal-no-merge"; }
+  bool quiescent() const override { return state_.buffer.empty(); }
 
-  bool snapshot(std::string& out) const override {
-    codec::put_matrix_clock(out, sent_);
-    for (const std::uint32_t d : delivered_) codec::put_u32(out, d);
-    const auto sorted =
-        codec::sorted_by(buffer_, [](const Buffered& b) { return b.msg; });
-    codec::put_u32(out, static_cast<std::uint32_t>(sorted.size()));
-    for (const Buffered* b : sorted) {
-      codec::put_u32(out, b->msg);
-      codec::put_u32(out, b->src);
-      Tag::encode(out, b->tag.sent);
-    }
-    return true;
-  }
-  bool restore(codec::Reader& in) override {
-    const std::size_t n = host_.process_count();
-    sent_ = in.matrix_clock(n);
-    for (std::uint32_t& d : delivered_) d = in.u32();
-    buffer_.resize(in.u32());
-    for (Buffered& b : buffer_) {
-      b.msg = in.u32();
-      b.src = in.u32();
-      b.tag.sent = in.matrix_clock(n);
-    }
-    return true;
-  }
-  bool quiescent() const override { return buffer_.empty(); }
+  template <class S, class IO>
+  static void fields(S& self, IO& io) { io(self.state_); }
 
  private:
-  struct Buffered {
-    MessageId msg;
-    ProcessId src;
-    Tag tag;
-  };
-
-  bool deliverable(const Tag& tag) const {
-    const ProcessId self = host_.self();
-    for (std::size_t k = 0; k < delivered_.size(); ++k) {
-      if (delivered_[k] < tag.sent.at(k, self)) return false;
-    }
-    return true;
-  }
-
   void drain() {
+    auto& buffer = state_.buffer;
     bool progressed = true;
     while (progressed) {
       progressed = false;
-      for (auto it = buffer_.begin(); it != buffer_.end(); ++it) {
-        if (deliverable(it->tag)) {
+      for (auto it = buffer.begin(); it != buffer.end(); ++it) {
+        if (state_.deliverable(it->tag, host_.self())) {
           host_.deliver(it->msg);
-          delivered_[it->src] += 1;
-          // THE BUG: no sent_.merge(it->tag.sent) — transitively
+          state_.delivered[it->src] += 1;
+          // THE BUG: no sent.merge(it->tag.sent) — transitively
           // learned sends are forgotten, so this process's future tags
           // under-constrain receivers downstream of the relay.
-          auto& cell = sent_.at(it->src, host_.self());
+          auto& cell = state_.sent.at(it->src, host_.self());
           const std::uint32_t with_self =
               it->tag.sent.at(it->src, host_.self()) + 1;
           if (cell < with_self) cell = with_self;
-          buffer_.erase(it);
+          buffer.erase(it);
           progressed = true;
           break;
         }
@@ -308,9 +169,7 @@ class CausalNoMergeMutant final : public Protocol {
   }
 
   Host& host_;
-  MatrixClock sent_;
-  std::vector<std::uint32_t> delivered_;
-  std::vector<Buffered> buffer_;
+  CausalRstProtocol::State state_;
 };
 
 // ---------------------------------------------------------------------
@@ -319,18 +178,21 @@ class CausalNoMergeMutant final : public Protocol {
 // waiting for any acknowledgement.  Exchanges are no longer serialized
 // into disjoint intervals: two back-to-back sends can cross on a
 // reordering channel — a causal (and 2-crown) violation of the
-// logical-synchrony claim.
-class TokenEarlyReleaseMutant final : public Protocol {
+// logical-synchrony claim.  It never awaits an ack, so its state's
+// awaiting_ack stays false.
+class TokenEarlyReleaseMutant final
+    : public FieldProtocol<TokenEarlyReleaseMutant> {
  public:
-  explicit TokenEarlyReleaseMutant(Host& host) : host_(host) {
+  explicit TokenEarlyReleaseMutant(Host& host)
+      : FieldProtocol(host.process_count()), host_(host) {
     if (host_.self() == 0 && host_.process_count() > 1) {
-      holding_ = true;
+      state_.holding = true;
     }
   }
 
   void on_invoke(const Message& m) override {
-    pending_.push_back(m.id);
-    if (holding_) serve_and_pass();
+    state_.pending.push_back(m.id);
+    if (state_.holding) serve_and_pass();
   }
 
   void on_packet(const Packet& packet) override {
@@ -339,7 +201,7 @@ class TokenEarlyReleaseMutant final : public Protocol {
       return;
     }
     if (packet.kind == "TOKEN") {
-      holding_ = true;
+      state_.holding = true;
       serve_and_pass();
     }
   }
@@ -348,31 +210,22 @@ class TokenEarlyReleaseMutant final : public Protocol {
     return "mutant:token-early-release";
   }
 
-  bool snapshot(std::string& out) const override {
-    codec::put_u8(out, holding_ ? 1 : 0);
-    codec::put_u32(out, static_cast<std::uint32_t>(pending_.size()));
-    for (const MessageId msg : pending_) codec::put_u32(out, msg);
-    return true;
-  }
-  bool restore(codec::Reader& in) override {
-    holding_ = in.u8() != 0;
-    pending_.resize(in.u32());
-    for (MessageId& msg : pending_) msg = in.u32();
-    return true;
-  }
-  bool quiescent() const override { return pending_.empty(); }
+  bool quiescent() const override { return state_.pending.empty(); }
+
+  template <class S, class IO>
+  static void fields(S& self, IO& io) { io(self.state_); }
 
  private:
   void serve_and_pass() {
-    while (!pending_.empty()) {
-      const MessageId msg = pending_.front();
-      pending_.pop_front();
+    while (!state_.pending.empty()) {
+      const MessageId msg = state_.pending.front();
+      state_.pending.pop_front();
       Packet pkt;
       pkt.dst = host_.message(msg).dst;
       pkt.user_msg = msg;
       host_.send_packet(std::move(pkt));
     }
-    holding_ = false;
+    state_.holding = false;
     Packet token;
     token.dst = static_cast<ProcessId>((host_.self() + 1) %
                                        host_.process_count());
@@ -382,8 +235,7 @@ class TokenEarlyReleaseMutant final : public Protocol {
   }
 
   Host& host_;
-  std::deque<MessageId> pending_;
-  bool holding_ = false;
+  SyncTokenProtocol::State state_;
 };
 
 CompositeSpec spec_of(std::vector<ForbiddenPredicate> predicates) {
