@@ -1,8 +1,9 @@
 // Experiment E5 (Section 5, k-weaker causal ordering): the ordering /
 // overhead tradeoff as k grows.  k = 0 is exactly causal ordering; as k
 // rises, delivery buffering falls toward the async floor while the tag
-// (the chain-depth map) is what pays for the slack.  Also verifies
-// safety at every k via the oracle.
+// (the prefix matrix plus the sends still within k+1 of a chain) is
+// what pays for the slack.  Also verifies safety at every k via the
+// oracle.
 #include <cstdio>
 
 #include "src/checker/violation.hpp"

@@ -64,8 +64,9 @@ bool GlobalSnapshot::channel_states_account() const {
 std::string GlobalSnapshot::to_string() const {
   std::string out;
   for (std::size_t p = 0; p < processes.size(); ++p) {
-    out += "P" + std::to_string(p) +
-           (processes[p].recorded ? " recorded;" : " NOT recorded;");
+    out += "P";
+    out += std::to_string(p);
+    out += processes[p].recorded ? " recorded;" : " NOT recorded;";
     for (const auto& [from, msgs] : processes[p].channel_state) {
       out += " ch" + std::to_string(from) + "->" + std::to_string(p) +
              ": " + std::to_string(msgs.size()) + " in flight;";

@@ -181,8 +181,10 @@ bool dump_postmortem_if_red(const std::string& path, const SimResult& result,
     std::string note = "violation witness:";
     const ViolationWitness& witness = *monitor->first_witness();
     for (std::size_t v = 0; v < witness.size(); ++v) {
-      note += " " + monitor->specification().var_name(v) + "=x" +
-              std::to_string(witness[v]);
+      note += " ";
+      note += monitor->specification().var_name(v);
+      note += "=x";
+      note += std::to_string(witness[v]);
     }
     tail.push(note_record(std::move(note), monitor->first_violation_time()));
   } else if (!result.completed) {

@@ -138,7 +138,10 @@ std::string render_heatmap_text(const JsonValue& hm) {
     m.total[{blocker, blocked}] += cell.number_at("total").value_or(0);
   }
   const auto label = [](std::int64_t p) {
-    return p < 0 ? std::string("?") : "P" + std::to_string(p);
+    if (p < 0) return std::string("?");
+    std::string text = "P";
+    text += std::to_string(p);
+    return text;
   };
   std::ostringstream out;
   out << "  inhibition heatmap (blocker x blocked, total held):\n";

@@ -567,8 +567,10 @@ std::vector<std::string> divergence_context(const LoadedTraceLog& prefix,
                past.end() - static_cast<std::ptrdiff_t>(context));
   }
   for (const std::size_t ev : past) {
-    std::string line = "#" + std::to_string(prefix.events[ev]) + " " +
-                       render_record(index.event(ev));
+    std::string line = "#";
+    line += std::to_string(prefix.events[ev]);
+    line += " ";
+    line += render_record(index.event(ev));
     if (prefix.events[ev] == last_record) line += "   <- diverging record";
     lines.push_back(std::move(line));
   }

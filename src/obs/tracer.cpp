@@ -37,10 +37,9 @@ void write_track_metadata(JsonWriter& w, std::size_t n_tracks) {
     w.kv("pid", 1);
     w.kv("tid", p);
     w.kv("name", "thread_name");
-    w.key("args")
-        .begin_object()
-        .kv("name", "P" + std::to_string(p))
-        .end_object();
+    std::string name = "P";
+    name += std::to_string(p);
+    w.key("args").begin_object().kv("name", name).end_object();
     w.end_object();
     w.begin_object();
     w.kv("ph", "M");
@@ -54,7 +53,8 @@ void write_track_metadata(JsonWriter& w, std::size_t n_tracks) {
 
 void write_message(JsonWriter& w, MessageId m, const Message& msg,
                    const MessageTimes& mt) {
-  const std::string label = "x" + std::to_string(m);
+  std::string label = "x";
+  label += std::to_string(m);
 
   // Lifecycle instants, in the paper's notation.
   struct Point {
@@ -133,8 +133,11 @@ void write_message(JsonWriter& w, MessageId m, const Message& msg,
 void write_inhibit(JsonWriter& w, const HoldSegment& seg) {
   event_head(w, "X", seg.process, seg.begin * kTimeScale);
   w.kv("dur", seg.duration() * kTimeScale);
-  w.kv("name", "x" + std::to_string(seg.msg) +
-                   " inhibit:" + to_string(seg.reason.kind));
+  std::string name = "x";
+  name += std::to_string(seg.msg);
+  name += " inhibit:";
+  name += to_string(seg.reason.kind);
+  w.kv("name", name);
   w.kv("cat", "inhibit");
   w.key("args").begin_object();
   w.kv("msg", seg.msg);

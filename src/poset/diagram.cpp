@@ -47,7 +47,9 @@ std::string render(std::size_t n_processes,
   for (const Column& c : columns) width = std::max(width, c.label.size());
   std::string out;
   for (ProcessId p = 0; p < n_processes; ++p) {
-    out += "P" + std::to_string(p) + ": ";
+    out += "P";
+    out += std::to_string(p);
+    out += ": ";
     for (const Column& c : columns) {
       out += "|";
       out += pad_right(c.process == p ? c.label : "", width);

@@ -21,11 +21,19 @@ std::string kind_name(UserEventKind k) {
 }
 
 std::string to_string(const SystemEvent& e) {
-  return "x" + std::to_string(e.msg) + "." + kind_name(e.kind);
+  std::string out = "x";
+  out += std::to_string(e.msg);
+  out += ".";
+  out += kind_name(e.kind);
+  return out;
 }
 
 std::string to_string(const UserEvent& e) {
-  return "x" + std::to_string(e.msg) + "." + kind_name(e.kind);
+  std::string out = "x";
+  out += std::to_string(e.msg);
+  out += ".";
+  out += kind_name(e.kind);
+  return out;
 }
 
 }  // namespace msgorder

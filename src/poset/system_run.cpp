@@ -291,9 +291,12 @@ std::string SystemRun::key() const {
 std::string SystemRun::to_string() const {
   std::string out;
   for (std::size_t p = 0; p < sequences_.size(); ++p) {
-    out += "P" + std::to_string(p) + ":";
+    out += "P";
+    out += std::to_string(p);
+    out += ":";
     for (const SystemEvent& e : sequences_[p]) {
-      out += " " + msgorder::to_string(e);
+      out += " ";
+      out += msgorder::to_string(e);
     }
     out += "\n";
   }

@@ -113,9 +113,12 @@ std::string UserRun::to_string() const {
   std::string out;
   if (has_schedules()) {
     for (std::size_t p = 0; p < schedules_.size(); ++p) {
-      out += "P" + std::to_string(p) + ":";
+      out += "P";
+      out += std::to_string(p);
+      out += ":";
       for (const ScheduleStep& step : schedules_[p]) {
-        out += " " + msgorder::to_string(UserEvent{step.msg, step.kind});
+        out += " ";
+        out += msgorder::to_string(UserEvent{step.msg, step.kind});
       }
       out += "\n";
     }

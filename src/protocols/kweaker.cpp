@@ -7,43 +7,78 @@ namespace msgorder {
 
 void KWeakerCausalProtocol::on_invoke(const Message& m) {
   // chainlen(x, m) = d(x) + 1 for every known x: the longest chain to a
-  // send in our causal past extends by this new send, and so does every
-  // chain that ends in our causal past.  The tag is known_ after that
-  // extension: each entry is written as one of Tag's trailing chains in
-  // the same pass that extends it.
+  // send in our causal past extends by this new send.  A young entry
+  // that reaches k+2 joins its channel's old prefix.
+  auto kept = young_.begin();
+  for (Young& y : young_) {
+    if (++y.depth >= k_ + 2) {
+      std::uint32_t& count = old_.at(y.src, y.dst);
+      count = std::max(count, y.seq + 1);
+    } else {
+      *kept++ = y;
+    }
+  }
+  young_.erase(kept, young_.end());
+
+  const std::uint32_t seq = sent_[m.dst]++;
   Packet pkt;
   pkt.dst = m.dst;
   pkt.user_msg = m.id;
-  pkt.payload.reserve(12 * known_.size());
+  const struct {
+    const std::uint32_t& seq;
+    const MatrixClock& old;
+    const std::vector<Young>& young;
+  } tag{seq, old_, young_};
   codec::FieldWriter io(pkt.payload);
-  for (auto& chain : known_) {
-    chain.second.depth += 1;
-    io(chain);
-  }
+  Tag::fields(tag, io);
+
   // The new send joins our causal past with a self chain of length 1.
-  known_[m.id] = ChainEntry{m.dst, 1};
+  const Young self{host_.self(), m.dst, seq, 1};
+  young_.insert(
+      std::upper_bound(young_.begin(), young_.end(), self, Young::before),
+      self);
   host_.send_packet(std::move(pkt));
 }
 
-bool KWeakerCausalProtocol::deliverable(const Tag& tag) const {
-  for (const auto& [msg, entry] : tag.chains) {
-    if (entry.dst == host_.self() && entry.depth >= k_ + 2 &&
-        delivered_here_.count(msg) == 0) {
-      return false;
+void KWeakerCausalProtocol::merge_young(const std::vector<Young>& theirs) {
+  // Both lists are in channel order: one merge pass keeps the deeper of
+  // two depths for a send both know and drops every send the merged
+  // matrix now counts as old.
+  std::vector<Young> merged;
+  merged.reserve(young_.size() + theirs.size());
+  auto a = young_.begin();
+  auto b = theirs.begin();
+  while (a != young_.end() || b != theirs.end()) {
+    Young next;
+    if (b == theirs.end() || (a != young_.end() && Young::before(*a, *b))) {
+      next = *a++;
+    } else if (a == young_.end() || Young::before(*b, *a)) {
+      next = *b++;
+    } else {
+      next = *a++;
+      next.depth = std::max(next.depth, b++->depth);
     }
+    if (next.seq >= old_.at(next.src, next.dst)) merged.push_back(next);
   }
-  return true;
+  young_ = std::move(merged);
 }
 
-std::optional<MessageId> KWeakerCausalProtocol::blocking_message(
-    const Tag& tag) const {
-  for (const auto& [msg, entry] : tag.chains) {
-    if (entry.dst == host_.self() && entry.depth >= k_ + 2 &&
-        delivered_here_.count(msg) == 0) {
-      return msg;
-    }
+std::optional<ProcessId> KWeakerCausalProtocol::lagging_source(
+    const Buffered& b) const {
+  for (std::size_t p = 0; p < b.need.size(); ++p) {
+    if (in_order_[p] < b.need[p]) return static_cast<ProcessId>(p);
   }
   return std::nullopt;
+}
+
+void KWeakerCausalProtocol::mark_delivered(ProcessId src,
+                                           std::uint32_t seq) {
+  if (seq != in_order_[src]) {
+    out_of_order_.emplace(src, seq);
+    return;
+  }
+  ++in_order_[src];
+  while (out_of_order_.erase({src, in_order_[src]}) > 0) ++in_order_[src];
 }
 
 void KWeakerCausalProtocol::drain() {
@@ -51,9 +86,9 @@ void KWeakerCausalProtocol::drain() {
   while (progressed) {
     progressed = false;
     for (auto it = buffer_.begin(); it != buffer_.end(); ++it) {
-      if (deliverable(it->tag)) {
+      if (!lagging_source(*it).has_value()) {
         host_.deliver(it->msg);
-        delivered_here_.insert(it->msg);
+        mark_delivered(host_.message(it->msg).src, it->seq);
         buffer_.erase(it);
         progressed = true;
         break;
@@ -62,30 +97,32 @@ void KWeakerCausalProtocol::drain() {
   }
   if (report_holds_) {
     for (const Buffered& b : buffer_) {
-      host_.hold(b.msg, HoldReason::predecessor(blocking_message(b.tag),
-                                                std::nullopt));
+      host_.hold(b.msg, HoldReason::predecessor(std::nullopt,
+                                                lagging_source(b)));
     }
   }
 }
 
 void KWeakerCausalProtocol::on_packet(const Packet& packet) {
   if (packet.is_control) return;
-  Tag tag;
-  tag.chains.reserve(packet.payload.size() / 12);
-  codec::Reader in(packet.payload);
-  codec::load(tag, in, host_.process_count());
+  const std::size_t n = host_.process_count();
+  const Tag tag = codec::decode<Tag>(packet.payload, n);
   // The receive event puts the sender's knowledge in our causal past.
-  for (const auto& [msg, entry] : tag.chains) {
-    auto [it, inserted] = known_.try_emplace(msg, entry);
-    if (!inserted) it->second.depth = std::max(it->second.depth, entry.depth);
+  old_.merge(tag.old);
+  merge_young(tag.young);
+  // The received message's own send is also now known (depth 1 chain),
+  // unless it is already known or already old.
+  const ProcessId self = host_.self();
+  const Young own{host_.message(packet.user_msg).src, self, tag.seq, 1};
+  if (own.seq >= old_.at(own.src, self)) {
+    const auto at =
+        std::lower_bound(young_.begin(), young_.end(), own, Young::before);
+    if (at == young_.end() || Young::before(own, *at)) young_.insert(at, own);
   }
-  // The received message's own send is also now known (depth 1 chain).
-  const Message& m = host_.message(packet.user_msg);
-  auto [it, inserted] =
-      known_.try_emplace(packet.user_msg, ChainEntry{m.dst, 1});
-  if (!inserted) it->second.depth = std::max<std::uint32_t>(
-      it->second.depth, 1);
-  buffer_.push_back({packet.user_msg, std::move(tag)});
+
+  Buffered b{packet.user_msg, tag.seq, VectorClock(n)};
+  for (std::size_t p = 0; p < n; ++p) b.need[p] = tag.old.at(p, self);
+  buffer_.push_back(std::move(b));
   drain();
 }
 

@@ -75,7 +75,7 @@ std::vector<RegisteredProtocol> standard_protocols() {
       {"causal-ses", "tagged, vector clocks + destination pairs",
        CausalSesProtocol::factory(),
        spec_of({fifo(), causal_ordering()})},
-      {"kweaker-1", "tagged, chain-depth map (k = 1)",
+      {"kweaker-1", "tagged, prefix matrix (k = 1)",
        KWeakerCausalProtocol::factory(1), spec_of({k_weaker_causal(1)})},
       {"flush", "tagged, per-channel flush barriers",
        FlushChannelProtocol::factory(), flush_spec()},

@@ -9,7 +9,9 @@ std::string ForbiddenPredicate::var_name(std::size_t v) const {
   // Default names x, y, z, w, then x4, x5, ...
   static constexpr const char* kDefaults[] = {"x", "y", "z", "w"};
   if (v < 4) return kDefaults[v];
-  return "x" + std::to_string(v);
+  std::string name = "x";
+  name += std::to_string(v);
+  return name;
 }
 
 std::string ForbiddenPredicate::to_string() const {
@@ -17,8 +19,15 @@ std::string ForbiddenPredicate::to_string() const {
   for (std::size_t i = 0; i < conjuncts.size(); ++i) {
     const Conjunct& c = conjuncts[i];
     if (i) out += " & ";
-    out += "(" + var_name(c.lhs) + "." + kind_name(c.p) + " |> " +
-           var_name(c.rhs) + "." + kind_name(c.q) + ")";
+    out += "(";
+    out += var_name(c.lhs);
+    out += ".";
+    out += kind_name(c.p);
+    out += " |> ";
+    out += var_name(c.rhs);
+    out += ".";
+    out += kind_name(c.q);
+    out += ")";
   }
   if (conjuncts.empty()) out += "true";
   const bool has_where =

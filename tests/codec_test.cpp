@@ -267,27 +267,29 @@ TEST(Codec, CausalSesTagRoundTrips) {
 
 TEST(Codec, KWeakerTagRoundTrips) {
   using K = KWeakerCausalProtocol;
-  for (std::size_t entries = 0; entries <= 3; ++entries) {
-    K::Tag tag;
-    for (std::size_t e = 0; e < entries; ++e) {
-      tag.chains.emplace_back(
-          static_cast<MessageId>(4 * e + 1),
-          K::ChainEntry{static_cast<ProcessId>(e % kN),
-                        static_cast<std::uint32_t>(e + 2)});
+  for (std::uint32_t entries = 0; entries <= 3; ++entries) {
+    K::Tag tag{entries, matrix_of(entries), {}};
+    for (std::uint32_t e = 0; e < entries; ++e) {
+      tag.young.push_back(K::Young{static_cast<ProcessId>(e % kN),
+                                   static_cast<ProcessId>((e + 1) % kN),
+                                   4 * e + 1, e + 2});
     }
     std::string out;
     codec::save(tag, out);
-    EXPECT_EQ(out.size(), 12 * entries) << entries;
+    EXPECT_EQ(out.size(), 4 + 4 * kN * kN + 16 * entries) << entries;
     EXPECT_EQ(codec::decode<K::Tag>(out, kN), tag) << entries;
   }
 
-  K::Tag tag;
-  tag.chains = {{3, K::ChainEntry{1, 2}}, {9, K::ChainEntry{0, 4}}};
   std::string pinned;
-  codec::save(tag, pinned);
+  codec::save(K::Tag{3, small_matrix(1), {{0, 1, 2, 1}, {1, 0, 5, 2}}},
+              pinned);
   EXPECT_EQ(hex(pinned),
-            "03000000010000000200000009000000"
-            "0000000004000000");
+            "03000000010000000200000003000000"
+            "04000000000000000100000002000000"
+            "01000000010000000000000005000000"
+            "02000000");
+  EXPECT_EQ(codec::decode<K::Tag>(pinned, 2),
+            (K::Tag{3, small_matrix(1), {{0, 1, 2, 1}, {1, 0, 5, 2}}}));
 }
 
 TEST(Codec, FlushTagRoundTrips) {

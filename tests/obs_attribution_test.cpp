@@ -114,7 +114,19 @@ TEST(DelayAttribution, BufferingProtocolsProduceSegmentsAsyncNone) {
                rp.name == "global-flush" || rp.name == "sync-token" ||
                rp.name == "sync-sequencer" || rp.name == "sync-locks") {
       EXPECT_GT(segments, 0u);
-    }  // kweaker-1's inhibition needs deep chains; no expectation.
+    } else if (rp.name == "kweaker-1") {
+      // Its holds need deep chains; each one names the source whose
+      // delivered prefix lags.
+      EXPECT_GT(segments, 0u);
+      const DelayAttribution* attr = obs.attribution();
+      for (MessageId m = 0; m < kMessages; ++m) {
+        for (const HoldSegment& seg : attr->segments(m)) {
+          EXPECT_TRUE(seg.reason.blocking_proc.has_value()) << "x" << m;
+          EXPECT_NE(seg.reason.blocking_proc,
+                    result.trace.universe()[m].dst) << "x" << m;
+        }
+      }
+    }
   }
 }
 

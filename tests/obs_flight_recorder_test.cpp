@@ -163,7 +163,9 @@ TEST(FlightRecorder, ViolatingRunDumpsWitnessDeliveries) {
   EXPECT_NE(note.find("violation witness:"), std::string::npos);
   for (std::size_t v = 0; v < witness.size(); ++v) {
     const MessageId m = witness[v];
-    EXPECT_NE(note.find("x" + std::to_string(m)), std::string::npos);
+    std::string label = "x";
+    label += std::to_string(m);
+    EXPECT_NE(note.find(label), std::string::npos);
     bool delivered = false;
     for (const JsonValue& r : records->as_array()) {
       if (r.string_at("type").value_or("") == "event" &&

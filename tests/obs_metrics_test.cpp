@@ -151,7 +151,9 @@ TEST(MetricsRegistry, ReferencesSurviveLaterRegistrations) {
   MetricsRegistry reg;
   Counter& first = reg.counter("a");
   for (int i = 0; i < 100; ++i) {
-    reg.counter("c" + std::to_string(i));
+    std::string name = "c";
+    name += std::to_string(i);
+    reg.counter(name);
   }
   first.inc(7);
   EXPECT_EQ(reg.find_counter("a")->value(), 7u);

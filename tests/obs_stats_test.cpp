@@ -378,12 +378,17 @@ TEST(StatsDiff, NoiseFloorRaisesEffectiveThreshold) {
   const auto meta =
       "\"field_meta\": {\"tput\": "
       "{\"direction\": \"higher\", \"noise_floor\": 0.5}}";
-  const auto baseline =
-      json_parse("{" + std::string(meta) + ", \"tput\": 100.0}");
-  const auto wobbly =
-      json_parse("{" + std::string(meta) + ", \"tput\": 70.0}");
-  const auto broken =
-      json_parse("{" + std::string(meta) + ", \"tput\": 40.0}");
+  const auto with_tput = [&](const char* tput) {
+    std::string doc = "{";
+    doc += meta;
+    doc += ", \"tput\": ";
+    doc += tput;
+    doc += "}";
+    return json_parse(doc);
+  };
+  const auto baseline = with_tput("100.0");
+  const auto wobbly = with_tput("70.0");
+  const auto broken = with_tput("40.0");
   ASSERT_TRUE(baseline.has_value() && wobbly.has_value() &&
               broken.has_value());
   EXPECT_FALSE(stats_diff(*baseline, *wobbly, {}).regressed());

@@ -185,7 +185,9 @@ TEST_P(CheckerAgreementTest, OracleMatchesDirectCheckers) {
 INSTANTIATE_TEST_SUITE_P(RunSizes, CheckerAgreementTest,
                          ::testing::Values(2, 4, 8, 16, 32),
                          [](const auto& info) {
-                           return "m" + std::to_string(info.param);
+                           std::string name = "m";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -51,8 +51,8 @@ constexpr Golden kGolden[] = {
      0x3037b8d43903b487ULL},
     {"causal-ses", 0xe16840a887f3dc6dULL, 0x4aab92a308b3fbc8ULL,
      0x46f73c7abcd82b16ULL},
-    {"kweaker-1", 0x72af722a4b859942ULL, 0x1d533ab99ce1356fULL,
-     0xcd1620fbee390305ULL},
+    {"kweaker-1", 0x7399d4ba822ad134ULL, 0x17628c09753eacb9ULL,
+     0x5d8068639139ad26ULL},
     {"flush", 0x167b12fef53def89ULL, 0xa5602f6e7b607c9fULL,
      0x937ddbc08f99e6f9ULL},
     {"global-flush", 0x2fb7c7255793f762ULL, 0x5d75294fdbff2e59ULL,

@@ -297,7 +297,10 @@ class IdleHost final : public Host {
 
 std::string schedule_text(const std::vector<VerifyAction>& schedule) {
   std::string out;
-  for (const VerifyAction& a : schedule) out += " " + to_string(a);
+  for (const VerifyAction& a : schedule) {
+    out += " ";
+    out += to_string(a);
+  }
   return out;
 }
 
