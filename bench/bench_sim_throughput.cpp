@@ -15,7 +15,7 @@
 // timing field), a top-level "field_meta" object declaring the diff
 // direction and noise floor of every gated field (consumed by
 // msgorder_stats --diff instead of its leaf-name heuristic), and a
-// top-level "profile" section: the msgorder.profile/1 document from one
+// top-level "profile" section: the msgorder.profile/2 document from one
 // extra, untimed run at the largest shard count with the engine
 // profiler attached.
 //
@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
   }
 
   // One extra, untimed run at the largest shard count with the engine
-  // profiler attached (ISSUE 7); its msgorder.profile/1 document rides
+  // profiler attached; its msgorder.profile/2 document rides
   // along in the report so CI can sanity-check the counters against the
   // timed rows (same workload + seed = same deterministic event total).
   ObservabilityOptions popts;
@@ -288,15 +288,13 @@ int main(int argc, char** argv) {
   }
   const SimProfile* profile = profile_obs.profile();
   std::printf("\nprofiled run (shards=%zu): %llu windows, %llu events, "
-              "stalls lookahead/empty/backpressure = %llu/%llu/%llu\n",
+              "stalls lookahead/empty = %llu/%llu\n",
               shard_counts.back(),
               static_cast<unsigned long long>(profile->windows()),
               static_cast<unsigned long long>(profile->total_events()),
               static_cast<unsigned long long>(
                   profile->total_stall_lookahead()),
-              static_cast<unsigned long long>(profile->total_stall_empty()),
-              static_cast<unsigned long long>(
-                  profile->total_stall_backpressure()));
+              static_cast<unsigned long long>(profile->total_stall_empty()));
 
   // Causal trace log recordings (ISSUE 9): three more untimed runs of
   // the same workload.  Sequential vs sharded must produce

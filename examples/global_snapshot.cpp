@@ -9,8 +9,8 @@
 //   --trace <path>   write a Chrome-trace JSON of the FIFO-marker run
 //   --flight-recorder <path>  dump a post-mortem JSON there if the
 //                    FIFO-marker run fails to complete
-//   --profile <path> write the engine profiler's msgorder.profile/1
-//                    JSON of the FIFO-marker run (ISSUE 7)
+//   --profile <path> write the engine profiler's msgorder.profile/2
+//                    JSON of the FIFO-marker run
 //   --tracelog <path> record the FIFO-marker run's causal trace log
 //                    (msgorder.tracelog/1, ISSUE 9); query it with
 //                    msgorder_query cone/cut/why/summary

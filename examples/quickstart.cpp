@@ -7,7 +7,7 @@
 //   --flight-recorder <path>  dump a post-mortem JSON there if the run
 //                             violates the spec or fails to complete
 //   --profile <path>          write the engine profiler's
-//                             msgorder.profile/1 JSON (ISSUE 7)
+//                             msgorder.profile/2 JSON
 //   --tracelog <path>         record the causal trace log (ISSUE 9);
 //                             query it with msgorder_query
 //                             cone/cut/why/summary, diff two runs with

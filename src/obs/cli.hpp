@@ -4,7 +4,7 @@
 //   --flight-recorder <path>  arm the flight recorder; dump a post-mortem
 //                             JSON there when the run goes red (ISSUE 4)
 //   --profile <path>          enable the engine profiler and write its
-//                             msgorder.profile/1 JSON there (ISSUE 7)
+//                             msgorder.profile/2 JSON there
 //   --tracelog <path>         record the causal trace log there
 //                             (msgorder.tracelog/1, ISSUE 9); query it
 //                             with tools/msgorder_query

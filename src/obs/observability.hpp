@@ -67,8 +67,8 @@ struct ObservabilityOptions {
   /// observability (metrics are always collected once one is attached
   /// at all); the zero-cost path is "no Observability at all".
   bool attribution = true;
-  /// Collect the engine profiler's per-shard window/stall/ring/barrier
-  /// counters (ISSUE 7; off by default).  The profile describes the most
+  /// Collect the engine profiler's per-shard window/stall/barrier
+  /// counters (off by default).  The profile describes the most
   /// recent run and is embedded in msgorder.run_report/1 as the
   /// "profile" section; its per-window samples render as Perfetto
   /// counter tracks in chrome_trace_json (src/obs/tracer.hpp).

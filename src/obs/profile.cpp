@@ -61,12 +61,6 @@ std::uint64_t SimProfile::total_stall_empty() const {
   return n;
 }
 
-std::uint64_t SimProfile::total_stall_backpressure() const {
-  std::uint64_t n = 0;
-  for (const ShardProfileRow& row : shards_) n += row.stall_backpressure;
-  return n;
-}
-
 void SimProfile::write_json(JsonWriter& w) const {
   std::uint64_t samples_retained = 0;
   std::uint64_t samples_dropped = 0;
@@ -75,7 +69,7 @@ void SimProfile::write_json(JsonWriter& w) const {
     samples_dropped += row.samples_dropped;
   }
   w.begin_object();
-  w.kv("schema", "msgorder.profile/1");
+  w.kv("schema", "msgorder.profile/2");
   w.kv("engine", engine_);
   w.kv("shards", static_cast<std::uint64_t>(shards_.size()));
   w.kv("workers", static_cast<std::uint64_t>(workers_.size()));
@@ -89,7 +83,6 @@ void SimProfile::write_json(JsonWriter& w) const {
   w.key("stalls").begin_object();
   w.kv("lookahead", total_stall_lookahead());
   w.kv("empty_heap", total_stall_empty());
-  w.kv("ring_backpressure", total_stall_backpressure());
   w.end_object();
   w.key("per_shard").begin_array();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -100,15 +93,10 @@ void SimProfile::write_json(JsonWriter& w) const {
     w.kv("busy_windows", row.busy_windows);
     w.kv("stall_lookahead", row.stall_lookahead);
     w.kv("stall_empty", row.stall_empty);
-    w.kv("stall_backpressure", row.stall_backpressure);
     w.kv("entries", row.entries);
     w.kv("events", row.events);
     w.kv("max_entries_in_window", row.max_entries_in_window);
     w.kv("heap_depth_hwm", row.heap_depth_hwm);
-    w.kv("ring_full_spins", row.ring_full_spins);
-    w.kv("ring_empty_polls", row.ring_empty_polls);
-    w.kv("ring_occupancy_hwm", row.ring_occupancy_hwm);
-    w.kv("spill_drained", row.spill_drained);
     w.end_object();
   }
   w.end_array();

@@ -1,7 +1,6 @@
 // Simulation profiling layer: per-shard, per-window counters collected
 // inside the simulator engine so its internals — conservative-window
-// stalls, SPSC ring backpressure, barrier waits, heap pressure — stop
-// being a black box.
+// stalls, barrier waits, heap pressure — stop being a black box.
 //
 // Collection is strictly opt-in: enable ObservabilityOptions::profiling
 // and the engine fills the rows below; leave it off (or attach no
@@ -15,7 +14,7 @@
 // only by the single-threaded window reduction — so no counter needs an
 // atomic.  Everything is read after the run joins.
 //
-// Output: a "msgorder.profile/1" JSON section (embedded in
+// Output: a "msgorder.profile/2" JSON section (embedded in
 // msgorder.run_report/1 and writable standalone via the examples'
 // --profile flag) plus Perfetto counter tracks ("C" phase events)
 // rendered from the retained samples by chrome_trace_json.
@@ -44,28 +43,18 @@ struct ProfileSample {
 struct alignas(64) ShardProfileRow {
   std::uint64_t windows = 0;        // windows this shard was polled in
   std::uint64_t busy_windows = 0;   // windows with >= 1 entry processed
-  /// Zero-progress windows by attributed cause: entries were pending but
-  /// all beyond the conservative window (lookahead exhaustion) ...
+  /// Zero-progress windows by cause: entries were pending but all
+  /// beyond the conservative window (lookahead exhaustion) ...
   std::uint64_t stall_lookahead = 0;
-  /// ... nothing was pending at all ...
+  /// ... or nothing was pending at all.  busy_windows + stall_lookahead
+  /// + stall_empty == windows.
   std::uint64_t stall_empty = 0;
-  /// ... or nothing was pending because the inbound packets were parked
-  /// in a producer spill vector behind a full SPSC ring (detected when
-  /// the post-window drain admits spilled packets into an idle shard).
-  std::uint64_t stall_backpressure = 0;
   std::uint64_t entries = 0;   // queue entries processed (invokes/arrivals/timers)
   std::uint64_t events = 0;    // trace events recorded (sums to sim.events)
   std::uint64_t max_entries_in_window = 0;
   /// Largest shard heap (pending arrivals and timers).  Invokes wait in
   /// a separate sorted cursor and are never counted, at any shard count.
   std::uint64_t heap_depth_hwm = 0;
-  std::uint64_t ring_full_spins = 0;   // failed try_push -> spill (producer side)
-  std::uint64_t ring_empty_polls = 0;  // barrier drains that found a ring empty
-  /// Max packets found in any single inbound ring at one barrier drain —
-  /// the occupancy high-water mark as observable without a shared size
-  /// counter on the ring itself.
-  std::uint64_t ring_occupancy_hwm = 0;
-  std::uint64_t spill_drained = 0;  // packets admitted from spill vectors
   std::vector<ProfileSample> samples;
   std::uint64_t samples_dropped = 0;
 };
@@ -112,9 +101,12 @@ class SimProfile {
   std::uint64_t total_entries() const;
   std::uint64_t total_stall_lookahead() const;
   std::uint64_t total_stall_empty() const;
-  std::uint64_t total_stall_backpressure() const;
+  /// Always 0: cross-shard hand-off has no bounded buffer to back up.
+  /// Kept only for perfbench/src/workloads.cpp, which reports it as
+  /// sim.stall_backpressure.
+  std::uint64_t total_stall_backpressure() const { return 0; }
 
-  /// Append the "msgorder.profile/1" section as an object value (the
+  /// Append the "msgorder.profile/2" section as an object value (the
   /// "schema" tag is inside, so the section validates standalone too).
   void write_json(JsonWriter& w) const;
   /// The section as a complete standalone JSON document.

@@ -31,7 +31,7 @@
 //                                     "kind": "...", "segments": n,
 //                                     "total": t, "mean": t}, ...],
 //                          "held_by_kind": {kind: t, ...}} | null,
-//   "profile": {...msgorder.profile/1 body (src/obs/profile.hpp)...}
+//   "profile": {...msgorder.profile/2 body (src/obs/profile.hpp)...}
 //              | null,
 //   "tracelog": {"path": "...", "events_written": n,
 //                "bytes_written": n} | null,

@@ -243,10 +243,9 @@ std::string summarize_run_report(const JsonValue& doc) {
         << " events=" << fmt(prof->number_at("events_total").value_or(0));
     if (const JsonValue* stalls = prof->find("stalls");
         stalls != nullptr && stalls->is_object()) {
-      out << " stalls(lookahead/empty/backpressure)="
+      out << " stalls(lookahead/empty)="
           << fmt(stalls->number_at("lookahead").value_or(0)) << "/"
-          << fmt(stalls->number_at("empty_heap").value_or(0)) << "/"
-          << fmt(stalls->number_at("ring_backpressure").value_or(0));
+          << fmt(stalls->number_at("empty_heap").value_or(0));
     }
     out << "\n";
   }

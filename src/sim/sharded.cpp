@@ -7,13 +7,16 @@
 // in conservative windows [m, m + L) where m is the earliest pending
 // entry across shards and L is the lookahead (minimum channel delay):
 // every cross-shard packet sent inside a window arrives at or after its
-// end, so shards process a window with no communication at all, then
-// exchange packets through bounded SPSC rings at a barrier and agree on
-// the next window.  Scheduling uses the deterministic (time, tiebreak)
-// key of engine_detail.hpp, so the merged execution — and therefore
+// end, so shards process a window with no communication at all.  The
+// window barrier is the one hand-off: a cross-shard send appends to a
+// plain per-(from, to) outbox, the destination drains it after the
+// barrier, and the single-threaded reduction replays the window's
+// buffered observability items in merge order and agrees on the next
+// window.  Scheduling uses the deterministic (time, tiebreak) key of
+// engine_detail.hpp, so the merged execution — and therefore
 // SimResult.trace — is the same at any shard count for the same seed.
 //
-// One shard is the degenerate case: no rings, no barrier, and the
+// One shard is the degenerate case: no outboxes, no barrier, and the
 // observability sink fed inline because processing order already is
 // merge order.  A non-positive lookahead forces one shard and windows of
 // exactly one entry.
@@ -24,6 +27,7 @@
 #include <barrier>
 #include <cassert>
 #include <chrono>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <queue>
@@ -32,7 +36,6 @@
 #include <vector>
 
 #include "src/sim/engine_detail.hpp"
-#include "src/util/spsc_ring.hpp"
 
 namespace msgorder {
 
@@ -47,6 +50,11 @@ using sim_detail::tiebreak_kind;
 using sim_detail::tiebreak_owner;
 
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
+
+/// Packets each cross-shard outbox has room for before it first grows.
+/// Reserved once, on the constructing thread: growing every outbox from
+/// empty inside the first windows measurably slows the sharded run.
+constexpr std::size_t kOutboxReserve = 2048;
 
 /// A pending arrival or timer.  24 bytes of POD: the heap stays tiny
 /// (invokes live in a sorted cursor, packets in a slab) and pops never
@@ -135,8 +143,8 @@ class Shard {
   /// (busy/stall classification, samples) around process_entries().
   void process_window(SimTime window_end);
 
-  /// Admit packets parked in this shard's inbound rings and spill
-  /// vectors (safe only at a barrier: producers are quiescent).
+  /// Admit the packets other shards sent here during the window (safe
+  /// only after the work_done barrier: senders are quiescent).
   void drain_inbox();
 
   /// Publish the reduction inputs for the next window computation.
@@ -210,17 +218,13 @@ class Shard {
   std::size_t processed_ = 0;
   /// One shard only: the sink, fed as each event happens — processing
   /// order already is merge order.  nullptr with several shards, which
-  /// buffer ObsItems for the merge replay instead.
+  /// buffer ObsItems for the per-window merge replay instead.
   ObsSink* inline_sink_ = nullptr;
   bool buffering_ = false;
   /// Profiler row for this shard (nullptr when profiling is off); the
   /// only writer is the worker driving this shard.
   SimProfile* profile_ = nullptr;
   ShardProfileRow* prof_ = nullptr;
-  /// A zero-progress window with nothing pending locally: resolved at
-  /// the next drain into stall_backpressure (spilled packets arrived —
-  /// the ring was the bottleneck) or stall_empty.
-  bool pending_empty_stall_ = false;
 };
 
 class ShardedEngine {
@@ -240,8 +244,8 @@ class ShardedEngine {
         sink_(options.observability, &options_.observers, &trace_,
               universe_.size()),
         slots_(n_shards),
-        rings_(n_shards * n_shards),
-        spills_(n_shards * n_shards) {
+        outboxes_(n_shards * n_shards),
+        replaying_(n_shards > 1 && sink_.buffering_needed()) {
     assert(n_shards_ == 1 || lookahead_ > 0);
     // The engine label predates the single engine: tools and logs name a
     // one-shard run "sequential".
@@ -252,14 +256,9 @@ class ShardedEngine {
     }
     sink_.open_tracelog(engine, n_shards_, n_workers_, lookahead_,
                         options_.seed, n_processes_);
-    const std::size_t ring_capacity =
-        std::max<std::size_t>(2, options.cross_shard_ring_capacity);
     for (std::size_t a = 0; a < n_shards_; ++a) {
       for (std::size_t b = 0; b < n_shards_; ++b) {
-        if (a != b) {
-          rings_[a * n_shards_ + b] =
-              std::make_unique<SpscRing<CrossMsg>>(ring_capacity);
-        }
+        if (a != b) outboxes_[a * n_shards_ + b].reserve(kOutboxReserve);
       }
     }
     shards_.reserve(n_shards_);
@@ -302,17 +301,6 @@ class ShardedEngine {
 
   // --- Shard-facing services -------------------------------------------
 
-  void route(std::size_t from_shard, std::size_t to_shard, CrossMsg&& msg) {
-    SpscRing<CrossMsg>& ring = *rings_[from_shard * n_shards_ + to_shard];
-    if (!ring.try_push(std::move(msg))) {
-      // Ring full: park in the producer-owned spill vector; the
-      // consumer drains it at the next barrier, after the ring.  The
-      // producer's row is safe to touch — route runs on its worker.
-      if (profile_ != nullptr) ++profile_->shard(from_shard).ring_full_spins;
-      spills_[from_shard * n_shards_ + to_shard].push_back(std::move(msg));
-    }
-  }
-
   const Message& message(MessageId msg) const { return universe_[msg]; }
   std::size_t process_count() const { return n_processes_; }
 
@@ -332,6 +320,8 @@ class ShardedEngine {
 
   void run_threaded() {
     std::barrier<> work_done(static_cast<std::ptrdiff_t>(n_workers_));
+    // The completion step replays the window's observability, so
+    // observers run here, on whichever worker arrives last.
     auto on_reduce = [this]() noexcept { reduce(); };
     std::barrier<decltype(on_reduce)> window_agreed(
         static_cast<std::ptrdiff_t>(n_workers_), on_reduce);
@@ -373,8 +363,10 @@ class ShardedEngine {
   }
 
   /// Window reduction: single-threaded (barrier completion or the
-  /// cooperative loop).  Decides cap / completion / next window.
+  /// cooperative loop).  Replays the window's observability, then
+  /// decides cap / completion / next window.
   void reduce() {
+    if (replaying_) replay_window();
     std::size_t processed = 0;
     std::size_t invoked = 0;
     std::size_t delivered = 0;
@@ -417,6 +409,31 @@ class ShardedEngine {
     if (profile_ != nullptr) profile_->on_window(global_min);
   }
 
+  /// Hand the window's buffered observability items to the sink in
+  /// merge order.  Every item of a window has time < window_end and the
+  /// next window starts at or after it, so replaying window by window
+  /// gives the whole run's order with buffers bounded by one window.
+  /// Each shard's buffer is already in key order; inplace_merge is
+  /// stable, so intra-entry order survives and ties keep shard order.
+  void replay_window() {
+    const auto by_key = [](const ObsItem& a, const ObsItem& b) {
+      return std::tie(a.time, a.entry_tiebreak) <
+             std::tie(b.time, b.entry_tiebreak);
+    };
+    merged_.clear();
+    for (auto& shard : shards_) {
+      std::vector<ObsItem>& items = shard->obs_items();
+      assert(std::is_sorted(items.begin(), items.end(), by_key));
+      const auto mid = static_cast<std::ptrdiff_t>(merged_.size());
+      merged_.insert(merged_.end(), std::make_move_iterator(items.begin()),
+                     std::make_move_iterator(items.end()));
+      items.clear();
+      std::inplace_merge(merged_.begin(), merged_.begin() + mid,
+                         merged_.end(), by_key);
+    }
+    sink_.replay(merged_);
+  }
+
   SimResult finalize() {
     EngineCounters total;
     SimTime now_max = 0;
@@ -436,30 +453,6 @@ class ShardedEngine {
     }
     trace_.add_counts(total.trace);
     sink_.add_counts(total);
-
-    // Deterministic observability replay: merge the per-shard buffers
-    // on (time, entry key) — stable, so intra-entry order survives —
-    // and hand them to the instruments / attribution / record writer /
-    // observers in key order.
-    if (n_shards_ > 1 && sink_.buffering_needed()) {
-      std::size_t total_items = 0;
-      for (auto& shard : shards_) total_items += shard->obs_items().size();
-      std::vector<ObsItem> merged;
-      merged.reserve(total_items);
-      for (auto& shard : shards_) {
-        auto& items = shard->obs_items();
-        merged.insert(merged.end(), std::make_move_iterator(items.begin()),
-                      std::make_move_iterator(items.end()));
-        items.clear();
-        items.shrink_to_fit();
-      }
-      std::stable_sort(merged.begin(), merged.end(),
-                       [](const ObsItem& a, const ObsItem& b) {
-                         return std::tie(a.time, a.entry_tiebreak) <
-                                std::tie(b.time, b.entry_tiebreak);
-                       });
-      sink_.replay(merged);
-    }
 
     std::string error;
     if (cap_hit_shard_ != kNoShard) {
@@ -498,10 +491,15 @@ class ShardedEngine {
   ObsSink sink_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<ShardSlot> slots_;
-  /// rings_[a * n_shards + b]: packets from shard a to shard b (null on
-  /// the diagonal).  Written by a's worker, drained by b's at barriers.
-  std::vector<std::unique_ptr<SpscRing<CrossMsg>>> rings_;
-  std::vector<std::vector<CrossMsg>> spills_;
+  /// outboxes_[a * n_shards + b]: packets from shard a to shard b
+  /// (empty on the diagonal).  Appended to by a's worker inside a
+  /// window, drained by b's after the work_done barrier, which orders
+  /// every append before every drain.
+  std::vector<std::vector<CrossMsg>> outboxes_;
+  /// Several shards and some observability consumer: shards buffer
+  /// ObsItems and reduce() replays them through merged_.
+  bool replaying_;
+  std::vector<ObsItem> merged_;
   // Window state: written by reduce() (single-threaded between
   // barriers), read by workers after the barrier releases them.
   SimTime window_end_ = 0;
@@ -524,8 +522,7 @@ Shard::Shard(ShardedEngine* engine, std::size_t id)
       network_(engine->options_.network, engine->options_.seed,
                engine->n_processes_, id, engine->n_shards_),
       inline_sink_(engine->n_shards_ == 1 ? &engine->sink_ : nullptr),
-      buffering_(inline_sink_ == nullptr &&
-                 engine->sink_.buffering_needed()),
+      buffering_(engine->replaying_),
       profile_(engine->profile_) {
   if (profile_ != nullptr) prof_ = &profile_->shard(id);
   const std::size_t n_local =
@@ -564,15 +561,12 @@ void Shard::process_window(SimTime window_end) {
   if (n > 0) {
     ++prof_->busy_windows;
     if (n > prof_->max_entries_in_window) prof_->max_entries_in_window = n;
-    pending_empty_stall_ = false;
   } else if (invoke_pos_ < invokes_.size() || !heap_.empty()) {
     // Local work exists but sits at or beyond window_end: the
     // conservative lookahead bound is what blocked this shard.
     ++prof_->stall_lookahead;
   } else {
-    // Nothing pending here at all; whether that is true idleness or
-    // ring backpressure is only known once the inbox drains.
-    pending_empty_stall_ = true;
+    ++prof_->stall_empty;
   }
   profile_->sample(id_, window_end, n, heap_.size());
 }
@@ -718,7 +712,8 @@ void Shard::send_packet(ProcessId from, Packet packet) {
     heap_.push({at, tiebreak, alloc_slot(std::move(packet))});
     note_heap_depth();
   } else {
-    eng_->route(id_, dst_shard, {at, tiebreak, std::move(packet)});
+    eng_->outboxes_[id_ * eng_->n_shards_ + dst_shard].push_back(
+        {at, tiebreak, std::move(packet)});
   }
 }
 
@@ -757,40 +752,11 @@ const Message& Shard::message(MessageId msg) const {
 }
 
 void Shard::drain_inbox() {
-  std::uint64_t spilled_in = 0;
   for (std::size_t from = 0; from < eng_->n_shards_; ++from) {
-    if (from == id_) continue;
-    SpscRing<CrossMsg>& ring = *eng_->rings_[from * eng_->n_shards_ + id_];
-    CrossMsg msg;
-    std::uint64_t popped = 0;
-    while (ring.try_pop(msg)) {
-      admit(std::move(msg));
-      ++popped;
-    }
-    if (prof_ != nullptr) {
-      if (popped == 0) {
-        ++prof_->ring_empty_polls;
-      } else if (popped > prof_->ring_occupancy_hwm) {
-        prof_->ring_occupancy_hwm = popped;
-      }
-    }
-    auto& spill = eng_->spills_[from * eng_->n_shards_ + id_];
-    spilled_in += spill.size();
-    for (CrossMsg& spilled : spill) admit(std::move(spilled));
-    spill.clear();
-  }
-  if (prof_ != nullptr) {
-    prof_->spill_drained += spilled_in;
-    if (pending_empty_stall_) {
-      // The zero-progress window from before this barrier: if spilled
-      // packets arrived only now, the ring was the bottleneck.
-      if (spilled_in > 0) {
-        ++prof_->stall_backpressure;
-      } else {
-        ++prof_->stall_empty;
-      }
-      pending_empty_stall_ = false;
-    }
+    std::vector<CrossMsg>& outbox =
+        eng_->outboxes_[from * eng_->n_shards_ + id_];
+    for (CrossMsg& msg : outbox) admit(std::move(msg));
+    outbox.clear();
   }
 }
 

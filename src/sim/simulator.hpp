@@ -39,17 +39,13 @@ struct SimOptions {
   /// hardware concurrency).  Fewer workers than shards run several
   /// shards per worker cooperatively — same result either way.
   std::size_t shard_workers = 0;
-  /// Capacity of each cross-shard SPSC ring (rounded up to a power of
-  /// two, minimum 2).  Overflow never blocks — packets spill into a
-  /// producer-owned vector drained at the next barrier — so this only
-  /// trades memory against spill traffic.  Exposed mainly so the
-  /// profiler's ring-backpressure counters (ISSUE 7) are testable with
-  /// deliberately tiny rings.
-  std::size_t cross_shard_ring_capacity = 2048;
   /// Observer fan-out, called after every recorded system event
   /// (invoke/send/receive/deliver): online monitors
   /// (src/checker/monitor.hpp) and user callbacks all attach here via
-  /// observers.add(...).
+  /// observers.add(...).  With several shards the calls come window by
+  /// window, in the one-shard order, from the window barrier's
+  /// completion step, which is noexcept: an observer that throws there
+  /// terminates the program.
   ObserverMux observers;
   /// Optional metrics + attribution + profiling bundle, owned by the
   /// caller and filled during the run (src/obs/observability.hpp).

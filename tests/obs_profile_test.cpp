@@ -1,12 +1,13 @@
 // Engine profiler + inhibition heatmap (ISSUE 7 tentpole): the
 // acceptance invariants as a test suite.
-//   * A profiled sharded run emits a validating msgorder.profile/1
+//   * A profiled sharded run emits a validating msgorder.profile/2
 //     section whose per-shard event counts sum to the trace's event
 //     total (at 1M messages under NDEBUG, a smaller workload in
 //     sanitizer builds).
 //   * Under a low-lookahead network the stall-cause counters attribute
-//     zero-progress windows to lookahead exhaustion; with deliberately
-//     tiny cross-shard rings they attribute ring backpressure.
+//     zero-progress windows to lookahead exhaustion; shards with no
+//     active process attribute every window to an empty queue; and on
+//     every shard busy + stalled windows equal polled windows exactly.
 //   * The per-channel heatmap's per-kind cell sums equal
 //     DelayAttribution::totals_by_kind() exactly, and the run report
 //     embeds both sections consistently.
@@ -113,7 +114,7 @@ TEST(SimProfileTest, ShardedRunEventSumsMatchTraceAndJsonValidates) {
   std::string error;
   const auto doc = json_parse(json, &error);
   ASSERT_TRUE(doc.has_value()) << error;
-  EXPECT_EQ(doc->string_at("schema").value_or(""), "msgorder.profile/1");
+  EXPECT_EQ(doc->string_at("schema").value_or(""), "msgorder.profile/2");
   EXPECT_EQ(doc->string_at("engine").value_or(""), "sharded");
   EXPECT_EQ(doc->number_at("events_total").value_or(-1),
             static_cast<double>(trace_events));
@@ -159,60 +160,47 @@ TEST(SimProfileTest, LowLookaheadAttributesStallsToLookahead) {
   const SimProfile* profile = obs.profile();
   ASSERT_NE(profile, nullptr);
   EXPECT_GT(profile->total_stall_lookahead(), 0u);
-  // Stalled windows are still windows: the busy + stall split never
-  // exceeds the polled-window count.
+  // Every polled window is either busy or stalled for exactly one cause.
   for (std::size_t s = 0; s < profile->shard_count(); ++s) {
     const ShardProfileRow& row = profile->shard(s);
-    EXPECT_LE(row.busy_windows + row.stall_lookahead + row.stall_empty +
-                  row.stall_backpressure,
-              row.windows);
+    EXPECT_EQ(row.busy_windows + row.stall_lookahead + row.stall_empty,
+              row.windows)
+        << "shard " << s;
   }
 }
 
-TEST(SimProfileTest, TinyRingsAttributeBackpressure) {
-  // Capacity-2 rings force cross-shard packets into the producer spill
-  // vectors; the profiler must see the failed pushes and the spilled
-  // packets being drained back in.
-  const Workload workload = make_workload(8, 4000, 13);
+TEST(SimProfileTest, IdleShardsAttributeEveryWindowToEmpty) {
+  // Traffic only between processes 0 and 1 of 8: shards 2 and 3 own no
+  // active process, so every window they are polled in is an empty
+  // stall, and every shard's windows split exactly into busy and
+  // stalled ones.
+  const Workload workload = make_workload(2, 2000, 13);
   Observability obs({.attribution = false, .profiling = true});
   SimOptions sopts;
   sopts.seed = 17;
   sopts.shards = 4;
   sopts.shard_workers = 4;
-  sopts.cross_shard_ring_capacity = 2;
   sopts.network.jitter_mean = 3.0;
   sopts.observability = &obs;
   const SimResult result =
       simulate(workload, FifoProtocol::factory(), 8, sopts);
   ASSERT_TRUE(result.completed) << result.error;
+  ASSERT_EQ(result.shards_used, 4u);
 
   const SimProfile* profile = obs.profile();
   ASSERT_NE(profile, nullptr);
-  std::uint64_t full_spins = 0;
-  std::uint64_t spill_drained = 0;
   for (std::size_t s = 0; s < profile->shard_count(); ++s) {
-    full_spins += profile->shard(s).ring_full_spins;
-    spill_drained += profile->shard(s).spill_drained;
+    const ShardProfileRow& row = profile->shard(s);
+    EXPECT_EQ(row.busy_windows + row.stall_lookahead + row.stall_empty,
+              row.windows)
+        << "shard " << s;
   }
-  EXPECT_GT(full_spins, 0u);
-  EXPECT_GT(spill_drained, 0u);
-
-  // Same workload, same seed, roomy rings: identical trace (the spill
-  // path is a capacity detail, not a semantic one), no backpressure.
-  Observability obs2({.attribution = false, .profiling = true});
-  SimOptions roomy = sopts;
-  roomy.cross_shard_ring_capacity = 1 << 16;
-  roomy.observability = &obs2;
-  const SimResult result2 =
-      simulate(workload, FifoProtocol::factory(), 8, roomy);
-  ASSERT_TRUE(result2.completed) << result2.error;
-  EXPECT_EQ(trace_event_count(result.trace),
-            trace_event_count(result2.trace));
-  std::uint64_t roomy_spins = 0;
-  for (std::size_t s = 0; s < obs2.profile()->shard_count(); ++s) {
-    roomy_spins += obs2.profile()->shard(s).ring_full_spins;
+  for (const std::size_t idle : {std::size_t{2}, std::size_t{3}}) {
+    const ShardProfileRow& row = profile->shard(idle);
+    EXPECT_GT(row.windows, 0u) << "shard " << idle;
+    EXPECT_EQ(row.stall_empty, row.windows) << "shard " << idle;
+    EXPECT_EQ(row.events, 0u) << "shard " << idle;
   }
-  EXPECT_EQ(roomy_spins, 0u);
 }
 
 TEST(SimProfileTest, SequentialEngineProfilesWithoutStalls) {
@@ -343,7 +331,7 @@ TEST(InhibitionHeatmapTest, RunReportEmbedsConsistentSections) {
   ASSERT_NE(profile, nullptr);
   ASSERT_TRUE(profile->is_object());
   EXPECT_EQ(profile->string_at("schema").value_or(""),
-            "msgorder.profile/1");
+            "msgorder.profile/2");
   EXPECT_EQ(profile->number_at("events_total").value_or(-1),
             static_cast<double>(trace_event_count(result.trace)));
 

@@ -492,16 +492,15 @@ TEST(StatsSummary, RendersProfileLineWithStallSplit) {
   const auto report = json_parse(
       "{\"schema\": \"msgorder.run_report/1\", \"protocol\": \"fifo\","
       " \"n_processes\": 3, \"seed\": 1, \"completed\": true,"
-      " \"profile\": {\"schema\": \"msgorder.profile/1\","
+      " \"profile\": {\"schema\": \"msgorder.profile/2\","
       "  \"engine\": \"sharded\", \"shards\": 4, \"windows\": 120,"
       "  \"events_total\": 9000,"
-      "  \"stalls\": {\"lookahead\": 7, \"empty_heap\": 2,"
-      "               \"ring_backpressure\": 1}}}");
+      "  \"stalls\": {\"lookahead\": 7, \"empty_heap\": 2}}}");
   ASSERT_TRUE(report.has_value());
   const std::string text = stats_summary(*report);
   EXPECT_NE(text.find("profile: engine=sharded shards=4 windows=120 "
                       "events=9000 "
-                      "stalls(lookahead/empty/backpressure)=7/2/1"),
+                      "stalls(lookahead/empty)=7/2"),
             std::string::npos);
 }
 

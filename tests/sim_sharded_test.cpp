@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/json.hpp"
 #include "src/obs/observability.hpp"
 #include "src/protocols/async.hpp"
 #include "src/protocols/registry.hpp"
@@ -166,33 +167,49 @@ TEST(ShardedEquivalence, ThreadedWorkersMatchCooperative) {
                           "cooperative");
 }
 
+std::string attribution_json(const Observability& obs) {
+  JsonWriter w;
+  obs.attribution()->write_json(w);
+  return w.take();
+}
+
 TEST(ShardedEquivalence, MetricsAndAttributionMatch) {
-  const Workload workload = make_workload(6, 150, 5);
-  const ProtocolFactory factory = standard_protocols()[2].factory;
-  auto run_with_obs = [&](std::size_t shards, Observability& obs) {
-    SimOptions sopts = adversarial_options(17);
-    sopts.shards = shards;
-    sopts.observability = &obs;
-    return simulate(workload, factory, 6, sopts);
-  };
-  Observability obs_seq({.label = "x"});
-  Observability obs_shard({.label = "x"});
-  const SimResult sequential = run_with_obs(1, obs_seq);
-  const SimResult sharded = run_with_obs(4, obs_shard);
-  ASSERT_TRUE(sequential.completed) << sequential.error;
-  ASSERT_TRUE(sharded.completed) << sharded.error;
-  expect_traces_identical(sequential.trace, sharded.trace, "obs");
-  // The whole metrics registry serializes identically: counters,
-  // histograms (latency, per-reason hold times), gauge watermarks.
-  EXPECT_EQ(obs_seq.metrics().to_json(), obs_shard.metrics().to_json());
-  ASSERT_NE(obs_seq.attribution(), nullptr);
-  ASSERT_NE(obs_shard.attribution(), nullptr);
-  EXPECT_EQ(obs_seq.attribution()->segment_count(),
-            obs_shard.attribution()->segment_count());
-  for (std::size_t k = 0; k < kHoldKindCount; ++k) {
-    EXPECT_DOUBLE_EQ(obs_seq.attribution()->totals_by_kind()[k],
-                     obs_shard.attribution()->totals_by_kind()[k])
-        << "hold kind " << k;
+  // Threaded 4-shard runs replay observability window by window in the
+  // barrier's completion step; the metrics registry, the attribution
+  // table and the flight-recorder tail must still serialize exactly as
+  // the one-shard run's, which feeds the sink inline.
+  const Workload workload = make_workload(6, 300, 5);
+  for (const RegisteredProtocol& reg : standard_protocols()) {
+    auto run_with_obs = [&](std::size_t shards, Observability& obs) {
+      SimOptions sopts = adversarial_options(17);
+      sopts.shards = shards;
+      sopts.shard_workers = shards;
+      sopts.observability = &obs;
+      return simulate(workload, reg.factory, 6, sopts);
+    };
+    const ObservabilityOptions oopts{.flight_recorder = true, .label = "x"};
+    Observability obs_seq(oopts);
+    Observability obs_shard(oopts);
+    const SimResult sequential = run_with_obs(1, obs_seq);
+    const SimResult sharded = run_with_obs(4, obs_shard);
+    ASSERT_EQ(sharded.workers_used, 4u) << reg.name;
+    EXPECT_EQ(sequential.completed, sharded.completed) << reg.name;
+    expect_traces_identical(sequential.trace, sharded.trace,
+                            reg.name + " obs");
+    // The whole metrics registry serializes identically: counters,
+    // histograms (latency, per-reason hold times), gauge watermarks.
+    EXPECT_EQ(obs_seq.metrics().to_json(), obs_shard.metrics().to_json())
+        << reg.name;
+    ASSERT_NE(obs_seq.attribution(), nullptr);
+    ASSERT_NE(obs_shard.attribution(), nullptr);
+    EXPECT_EQ(attribution_json(obs_seq), attribution_json(obs_shard))
+        << reg.name;
+    ASSERT_NE(obs_seq.flight_recorder(), nullptr);
+    ASSERT_NE(obs_shard.flight_recorder(), nullptr);
+    EXPECT_GT(obs_seq.flight_recorder()->total_records(), 0u) << reg.name;
+    EXPECT_EQ(obs_seq.flight_recorder()->to_json(),
+              obs_shard.flight_recorder()->to_json())
+        << reg.name;
   }
 }
 
